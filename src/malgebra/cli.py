@@ -33,6 +33,14 @@ from .solution_space import enumerate_tree, to_dot, to_json_dict
 from .taxonomy import ORDERED_TYPES, ProblemType, classify
 
 
+def _threshold(text: str) -> Fraction:
+    """argparse type for a percentage threshold such as ``90`` or ``87.5``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="malgebra",
@@ -93,8 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("transcripts", help="JSON-lines transcript file")
     p.add_argument("--misconception", required=True, help="misconception id")
     p.add_argument("--mode", choices=("answer", "steps"), default="answer")
-    p.add_argument("--theta-m", default="90", help="MA threshold (default 90)")
-    p.add_argument("--theta-c", default="90", help="CA_NA threshold (default 90)")
+    p.add_argument("--theta-m", type=_threshold, default="90",
+                   help="MA threshold (default 90)")
+    p.add_argument("--theta-c", type=_threshold, default="90",
+                   help="CA_NA threshold (default 90)")
     p.add_argument("--report", choices=("json", "text"), default="text")
     p.set_defaults(handler=_cmd_score)
 
@@ -180,6 +190,8 @@ def _cmd_gen(args) -> int:
             base = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise SchemaError(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(base, dict):
+            raise SchemaError(f"config {args.config} must hold a JSON object")
     overrides = {
         "n_m": args.n_m,
         "ratio": args.ratio,
@@ -223,8 +235,8 @@ def _cmd_score(args) -> int:
         transcripts,
         args.misconception,
         mode=args.mode,
-        theta_m=Fraction(args.theta_m),
-        theta_c=Fraction(args.theta_c),
+        theta_m=args.theta_m,
+        theta_c=args.theta_c,
     )
     if args.report == "json":
         print(json.dumps(report.to_dict(), indent=2))

@@ -16,6 +16,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from os import PathLike
 from pathlib import Path
 
 from .equations import (
@@ -116,24 +117,25 @@ def sample_instance(
     coeff_min: int = -9,
     coeff_max: int = 9,
     accept=None,
-) -> Equation:
-    """Draw a non-degenerate instance of exactly type ``t``.
+) -> tuple[Equation, ReductionTrace]:
+    """Draw a non-degenerate instance of exactly type ``t``, with its correct
+    reduction trace.
 
-    Rejects draws whose classification, closed form or full reduction fails,
-    plus anything the optional ``accept`` hook refuses.
+    Each draw is checked cheapest first: ``classify`` must give ``t``, the
+    optional ``accept`` hook must take it, and the closed form and the full
+    reduction must both succeed.  No check draws randomness and every check
+    must pass, so the order only decides how much work a rejected draw costs:
+    the accepted draw, and so the generated bytes, stay the same.
     """
     for _ in range(MAX_TRIES):
         eq = _build(t, rng, coeff_min, coeff_max)
         try:
-            if classify(eq) is not t:
+            if classify(eq) is not t or (accept is not None and not accept(eq)):
                 continue
             closed_form_solution(eq)
-            reduce(eq)
+            return eq, reduce(eq)
         except EngineError:
             continue
-        if accept is not None and not accept(eq):
-            continue
-        return eq
     raise SamplingExhaustedError(
         f"no acceptable {t} instance in [{coeff_min}, {coeff_max}] after {MAX_TRIES} draws"
     )
@@ -154,7 +156,8 @@ class InstanceSampler:
     def sample(self, t: ProblemType, key: str, accept=None) -> Equation:
         if t not in self.types:
             raise SchemaError(f"{t} is outside this sampler's type filter")
-        return sample_instance(t, self.rng_for(key), self.coeff_min, self.coeff_max, accept)
+        eq, _ = sample_instance(t, self.rng_for(key), self.coeff_min, self.coeff_max, accept)
+        return eq
 
 
 def sample_for_misconception(
@@ -169,10 +172,7 @@ def sample_for_misconception(
     ``m`` and ends somewhere distinguishable from the correct answer."""
     m = m if isinstance(m, Misconception) else get_misconception(m)
     for _ in range(MAX_TRIES):
-        try:
-            eq = sample_instance(t, rng, coeff_min, coeff_max)
-        except SamplingExhaustedError:
-            raise
+        eq, _ = sample_instance(t, rng, coeff_min, coeff_max)
         try:
             trace = reduce_with_misconceptions(eq, [m])
         except EngineError:
@@ -213,6 +213,15 @@ class DatasetConfig:
             raise SchemaError(
                 f"ratio must be one of {_VALID_RATIOS}, got {self.ratio}"
             )
+        for name in ("seed", "n_m", "n_correct_per_type", "test_per_type",
+                     "coeff_min", "coeff_max"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SchemaError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.misconception, (str, type(None))):
+            raise SchemaError(f"misconception must be an id string, got {self.misconception!r}")
+        if not isinstance(self.out_dir, (str, PathLike)):
+            raise SchemaError(f"out_dir must be a path string, got {self.out_dir!r}")
         for name in ("n_m", "n_correct_per_type", "test_per_type"):
             if getattr(self, name) < 0:
                 raise SchemaError(f"{name} must be >= 0")
@@ -253,11 +262,11 @@ def _record(idx_id: str, t: ProblemType, trace: ReductionTrace, label: str,
 def _sample_correct(sampler: InstanceSampler, seed: int, t: ProblemType, key: str,
                     pool: str) -> ReductionTrace:
     rng = sampler.rng_for(key)
-    eq = sample_instance(
+    _, trace = sample_instance(
         t, rng, sampler.coeff_min, sampler.coeff_max,
         accept=lambda e: _pool(seed, str(e)) == pool,
     )
-    return reduce(eq)
+    return trace
 
 
 def _sample_mal(sampler: InstanceSampler, seed: int, m: Misconception,

@@ -30,9 +30,9 @@ from .reduction import (
     EdgeRef,
     ReductionTrace,
     TraceStep,
+    apply_step,
     rebuild,
-    reduce_step,
-    solve_terminal,
+    solve_t1,
     solved_equation,
     t1_parts,
 )
@@ -593,11 +593,11 @@ def reduce_with_misconceptions(
             current, t = new_eq, label
             continue
         if t is ProblemType.T1:
-            value = solve_terminal(current)
+            value = solve_t1(current)
             steps.append(TraceStep(solved_equation(value), SOLVED, EdgeRef("solve", "solve")))
             return ReductionTrace(tuple(steps), value)
         target, rule_id = correct_successors(t)[0]
-        current, t = reduce_step(current, t, rule_id)
+        current, t = apply_step(current, t, rule_id)
         steps.append(TraceStep(current, t, EdgeRef("correct", rule_id)))
     raise NonterminationError(f"trace exceeded {_MAX_TRACE_STEPS} steps: {eq}")
 

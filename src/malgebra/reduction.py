@@ -261,6 +261,15 @@ def reduce_step(eq: Equation, t: ProblemType, rule_id: str) -> tuple[Equation, P
     """Apply one named correct edge out of ``t`` and classify the result."""
     if classify(eq) is not t:
         raise RuleNotApplicableError(f"{eq} does not classify as {t}")
+    return apply_step(eq, t, rule_id)
+
+
+def apply_step(eq: Equation, t: ProblemType, rule_id: str) -> tuple[Equation, ProblemType]:
+    """``reduce_step`` for a walk that has already classified ``eq`` as ``t``.
+
+    The input is trusted; the result is still classified and checked against
+    the edge's target.
+    """
     edges = correct_successors(t)
     match = [dst for dst, rid in edges if rid == rule_id]
     if not match:
@@ -278,6 +287,11 @@ def solve_terminal(eq: Equation) -> Fraction:
     """The divide-through step on a T1 instance: x = B/A."""
     if classify(eq) is not ProblemType.T1:
         raise RuleNotApplicableError(f"solve step requires a T1 instance, got: {eq}")
+    return solve_t1(eq)
+
+
+def solve_t1(eq: Equation) -> Fraction:
+    """``solve_terminal`` for a walk that has already classified ``eq`` as T1."""
     coef, value = t1_parts(eq)
     if coef == 0:
         raise ZeroCoefficientError(f"zero coefficient on x: {eq}")
@@ -311,10 +325,10 @@ def reduce(eq: Equation) -> ReductionTrace:
     current = eq
     for _ in range(_MAX_CORRECT_STEPS):
         if t is ProblemType.T1:
-            value = solve_terminal(current)
+            value = solve_t1(current)
             steps.append(TraceStep(solved_equation(value), SOLVED, EdgeRef("solve", "solve")))
             return ReductionTrace(tuple(steps), value)
         (target, rule_id) = correct_successors(t)[0]
-        current, t = reduce_step(current, t, rule_id)
+        current, t = apply_step(current, t, rule_id)
         steps.append(TraceStep(current, t, EdgeRef("correct", rule_id)))
     raise NonterminationError(f"correct reduction exceeded {_MAX_CORRECT_STEPS} steps: {eq}")

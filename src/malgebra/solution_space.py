@@ -14,7 +14,7 @@ from fractions import Fraction
 from .equations import Equation
 from .errors import BudgetExceededError, ZeroCoefficientError
 from .misconceptions import Misconception, resolve_set, try_apply
-from .reduction import reduce_step, solve_terminal, solved_equation
+from .reduction import apply_step, solve_t1, solved_equation
 from .taxonomy import DEAD_END, ProblemType, SOLVED, classify, correct_successors
 
 NODE_BUDGET = 100_000
@@ -94,7 +94,7 @@ def enumerate_tree(
         assert isinstance(label, ProblemType)
         if label is ProblemType.T1:
             try:
-                value = solve_terminal(state)
+                value = solve_t1(state)
             except ZeroCoefficientError:
                 b.leaves.append(Leaf(node_id, None, "zero x coefficient", used, lines))
             else:
@@ -104,7 +104,7 @@ def enumerate_tree(
                 walk(child, solved, SOLVED, used, lines + (str(solved),))
         else:
             for target, rule_id in correct_successors(label):
-                new_eq, new_t = reduce_step(state, label, rule_id)
+                new_eq, new_t = apply_step(state, label, rule_id)
                 child = b.add_node(new_eq, new_t)
                 b.edges.append(TreeEdge(node_id, child, "correct", rule_id))
                 walk(child, new_eq, new_t, used, lines + (str(new_eq),))

@@ -115,6 +115,19 @@ def test_gen_invalid_ratio_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "config",
+    [[1, 2], {"n_m": "5"}, {"seed": True}, {"misconception": ["M1"], "n_m": 1}, {"out_dir": 5}],
+)
+def test_gen_bad_config_exit_2(capsys, tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)  # the default out_dir is relative
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, "gen", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_verify_corrupted_line(capsys, tmp_path):
     out_dir = tmp_path / "ds3"
     generate(DatasetConfig(seed=1, n_correct_per_type=1, test_per_type=0,
@@ -168,6 +181,17 @@ def test_score_schema_error_exit_2(capsys, tmp_path):
     path.write_text('{"problem_type": "T1"}\n')
     code, _, _ = run(capsys, "score", str(path), "--misconception", "M8")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--theta-m", "--theta-c"])
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_score_bad_threshold_exit_2(capsys, tmp_path, flag, value):
+    path = tmp_path / "tr.jsonl"
+    path.write_text('{"problem_type": "T1", "equation": "4x = 12", "model_answer": "3"}\n')
+    with pytest.raises(SystemExit) as info:
+        main(["score", str(path), "--misconception", "M8", flag, value])
+    assert info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_diagnose_cli(capsys, tmp_path):

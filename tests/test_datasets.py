@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -118,6 +119,39 @@ def test_generate_is_byte_identical(tmp_path):
     for name in ("train.jsonl", "test.jsonl", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert m1["digests"] == m2["digests"]
+
+
+# sha256 of the files two small configs write.  Unlike the re-run check above
+# these hold across versions of the code: a change to which draw the sampler
+# accepts changes them.
+_PINNED_DIGESTS = {
+    "correct": (
+        dict(seed=0, n_correct_per_type=3, test_per_type=2),
+        {
+            "train.jsonl": "5788336cd9161d8cc194aac26779726eade8bad079fbfe8b00853c28378a8db8",
+            "test.jsonl": "03f8e614379429f4e7a91a12177db55f096e3b9c05ccc35e0b28b22c9d45217c",
+            "manifest.json": "1506fd7ac67cb5dbbd9a57ebc482702c1074e3af0e7a9507083e3edea6581fd1",
+        },
+    ),
+    "misconception": (
+        dict(seed=0, misconception="M6", n_m=20, ratio=0.5, test_per_type=2),
+        {
+            "train.jsonl": "2e597e56e9cbe0f32fd68e5e3f6190a59432115f7b602aed035c82ce03dbbbab",
+            "test.jsonl": "03f8e614379429f4e7a91a12177db55f096e3b9c05ccc35e0b28b22c9d45217c",
+            "manifest.json": "3ebd42dfaf6cb4f603f61157917be6a44c3def6339920a351f04d1e089f9a0a6",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_PINNED_DIGESTS))
+def test_generate_matches_pinned_digests(tmp_path, regime):
+    cfg, expected = _PINNED_DIGESTS[regime]
+    generate(DatasetConfig(**cfg, out_dir=str(tmp_path)))
+    actual = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected
+    }
+    assert actual == expected
 
 
 def test_train_and_test_are_disjoint(tmp_path):

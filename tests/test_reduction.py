@@ -47,11 +47,20 @@ def test_reduce_step_rejects_wrong_type():
         reduce_step(parse_equation("3x = 12"), T.T9, "distribute")
 
 
+def test_reduce_step_checks_its_input_type():
+    # the move-const body alone turns this T6 instance into a valid "2x = 2";
+    # only the input check refuses it as T5
+    with pytest.raises(RuleNotApplicableError):
+        reduce_step(parse_equation("3 + 2x = 5"), T.T5, "move-const")
+
+
 def test_solve_terminal():
     assert solve_terminal(parse_equation("3x = 12")) == 4
     assert solve_terminal(parse_equation("-10x = 15")) == Fraction(-3, 2)
     with pytest.raises(ZeroCoefficientError):
         solve_terminal(parse_equation("0x = 5"))
+    with pytest.raises(RuleNotApplicableError):
+        solve_terminal(parse_equation("2x = 3 + 4"))
 
 
 def test_reduce_trace_t9():
