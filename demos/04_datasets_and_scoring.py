@@ -10,6 +10,7 @@ from pathlib import Path
 
 from malgebra import DatasetConfig, Transcript, diagnose, generate, score, verify_dataset
 from malgebra.equations import closed_form_solution, parse_equation
+from malgebra.errors import EngineError
 from malgebra.misconceptions import reduce_with_misconceptions
 
 workdir = Path(tempfile.mkdtemp(prefix="malgebra-demo-"))
@@ -37,7 +38,10 @@ for line in (workdir / "test.jsonl").read_text().splitlines():
     rec = json.loads(line)
     eq = parse_equation(rec["equation"])
     if rec["problem_type"] in ("T9", "T12"):
-        answer = str(reduce_with_misconceptions(eq, ["M8"]).answer)
+        try:
+            answer = str(reduce_with_misconceptions(eq, ["M8"]).answer)
+        except EngineError:  # M8 can leave 0x = B: no answer, graded "other"
+            answer = "no solution"
     else:
         answer = str(closed_form_solution(eq))
     batch.append(Transcript(rec["problem_type"], rec["equation"], answer))

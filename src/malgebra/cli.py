@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import __version__
 from .datasets import (
-    DatasetConfig,
     config_from_dict,
     generate,
     misconception_targets,

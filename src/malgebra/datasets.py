@@ -148,14 +148,11 @@ class InstanceSampler:
     seed: int
     coeff_min: int = -9
     coeff_max: int = 9
-    types: tuple[ProblemType, ...] = ORDERED_TYPES
 
     def rng_for(self, key: str) -> random.Random:
         return random.Random(f"{self.seed}:{key}")
 
     def sample(self, t: ProblemType, key: str, accept=None) -> Equation:
-        if t not in self.types:
-            raise SchemaError(f"{t} is outside this sampler's type filter")
         eq, _ = sample_instance(t, self.rng_for(key), self.coeff_min, self.coeff_max, accept)
         return eq
 
@@ -172,14 +169,14 @@ def sample_for_misconception(
     ``m`` and ends somewhere distinguishable from the correct answer."""
     m = m if isinstance(m, Misconception) else get_misconception(m)
     for _ in range(MAX_TRIES):
-        eq, _ = sample_instance(t, rng, coeff_min, coeff_max)
+        eq, correct = sample_instance(t, rng, coeff_min, coeff_max)
         try:
             trace = reduce_with_misconceptions(eq, [m])
         except EngineError:
             continue
         if trace.misconceptions_used != (m.id,):
             continue
-        if trace.dead_end is None and trace.answer == closed_form_solution(eq):
+        if trace.dead_end is None and trace.answer == correct.answer:
             continue
         if accept is not None and not accept(eq, trace):
             continue
@@ -209,7 +206,7 @@ class DatasetConfig:
     out_dir: str = "dataset"
 
     def validate(self) -> None:
-        if self.ratio not in _VALID_RATIOS:
+        if isinstance(self.ratio, bool) or self.ratio not in _VALID_RATIOS:
             raise SchemaError(
                 f"ratio must be one of {_VALID_RATIOS}, got {self.ratio}"
             )
@@ -334,6 +331,7 @@ def generate(config: DatasetConfig) -> dict:
 
     # the manifest identifies the content, not its location
     echoed = {k: v for k, v in asdict(config).items() if k != "out_dir"}
+    echoed["ratio"] = float(config.ratio)  # 1 and 1.0 name one config
     manifest = {
         "config": echoed,
         "config_hash": hashlib.sha256(

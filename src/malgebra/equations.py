@@ -88,14 +88,6 @@ class Equation:
         return f"{render(self.lhs)} = {render(self.rhs)}"
 
 
-def con(v) -> Const:
-    return Const(Fraction(v))
-
-
-def xt(v) -> XTerm:
-    return XTerm(Fraction(v))
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------

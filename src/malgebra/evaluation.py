@@ -10,7 +10,7 @@ rather than silently skewed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +24,7 @@ from .misconceptions import (
 )
 from .reduction import reduce
 from .solution_space import enumerate_tree
-from .taxonomy import ORDERED_TYPES, ProblemType, classify, correct_successors
+from .taxonomy import ORDERED_TYPES, classify, reachable
 
 GRADE_CORRECT = "correct"
 GRADE_MATCH = "misconception-match"
@@ -146,8 +146,6 @@ def grade(
             if answer == outcome:
                 if mode == "answer" or _steps_match(transcript.model_steps, list(lines)):
                     return GRADE_MATCH
-        if mode == "steps":
-            return GRADE_OTHER
     return GRADE_OTHER
 
 
@@ -318,18 +316,6 @@ def _prefix_len(model: list[Equation], lines: list[str]) -> int:
     return n
 
 
-def _reachable_types(t0: ProblemType) -> set[ProblemType]:
-    seen = {t0}
-    frontier = [t0]
-    while frontier:
-        t = frontier.pop()
-        for dst, _ in correct_successors(t):
-            if dst not in seen:
-                seen.add(dst)
-                frontier.append(dst)
-    return seen
-
-
 def diagnose(transcript: Transcript, max_candidates: int = 5) -> list[Diagnosis]:
     """Rank misconception sets (size <= 2) by how well their traces replay
     the transcript's steps: longest exact prefix first, then fewest
@@ -345,7 +331,7 @@ def diagnose(transcript: Transcript, max_candidates: int = 5) -> list[Diagnosis]
 
     relevant = [
         m for m in CATALOG
-        if m.at_solve or (m.applicable_types & _reachable_types(classify(eq)))
+        if m.at_solve or (m.applicable_types & reachable(classify(eq)))
     ]
 
     def trace_for(ms: tuple[Misconception, ...]) -> list[str] | None:

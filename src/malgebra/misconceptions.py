@@ -8,24 +8,22 @@ never hardcoded.
 
 Four rules (M19, M20_S20, M21, M22_S1) apply to every type because they fire
 at the terminal solve step rather than at a reduction node.
-
-Site bindings are data: ``_SITES`` records, per (rule, type), which side and
-subterm the rule's pattern is anchored to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .equations import Const, Equation, Mul, Paren
 from .errors import (
     MisconceptionNotApplicableError,
     NonterminationError,
+    UnclassifiableFormError,
     UnclassifiableResultError,
 )
-from .errors import UnclassifiableFormError
 from .reduction import (
     EdgeRef,
     ReductionTrace,
@@ -38,6 +36,7 @@ from .reduction import (
 )
 from .taxonomy import (
     CAtom,
+    CORRECT_EDGES,
     DEAD_END,
     GroupAtom,
     OpaqueAtom,
@@ -48,7 +47,6 @@ from .taxonomy import (
     SignedAtom,
     TypeGraph,
     XAtom,
-    build_type_graph,
     classify,
     correct_successors,
     has_unknown,
@@ -276,7 +274,8 @@ def _factor_site(eq: Equation, t: ProblemType) -> tuple[str, list[SignedAtom], i
     return "group", atoms, i
 
 
-def _rw_m12(eq: Equation, t: ProblemType) -> Equation | None:
+def _rw_factor(eq: Equation, t: ProblemType, atom: type[XAtom | CAtom]) -> Equation | None:
+    """M12/M13: fold ``Ax +/- B`` into one ``atom`` of value ``A +/- B``."""
     site = _factor_site(eq, t)
     if site is None:
         return None
@@ -284,29 +283,11 @@ def _rw_m12(eq: Equation, t: ProblemType) -> Equation | None:
     if where == "group":
         s, g = atoms[i]
         x, c = _group_inner_xc(g)
-        new_inner = ((1, XAtom(x + c)),)
+        new_inner = ((1, atom(x + c)),)
         new = atoms[:i] + [(s, GroupAtom(g.multiplier, new_inner))] + atoms[i + 1 :]
         return Equation(eq.lhs, rebuild(new))
     x, c = _pair_x_const(atoms)
-    folded = rebuild([(1, XAtom(x + c))])
-    if where == "lhs":
-        return Equation(folded, eq.rhs)
-    return Equation(eq.lhs, folded)
-
-
-def _rw_m13(eq: Equation, t: ProblemType) -> Equation | None:
-    site = _factor_site(eq, t)
-    if site is None:
-        return None
-    where, atoms, i = site
-    if where == "group":
-        s, g = atoms[i]
-        x, c = _group_inner_xc(g)
-        new_inner = ((1, CAtom(x + c)),)
-        new = atoms[:i] + [(s, GroupAtom(g.multiplier, new_inner))] + atoms[i + 1 :]
-        return Equation(eq.lhs, rebuild(new))
-    x, c = _pair_x_const(atoms)
-    folded = rebuild([(1, CAtom(x + c))])
+    folded = rebuild([(1, atom(x + c))])
     if where == "lhs":
         return Equation(folded, eq.rhs)
     return Equation(eq.lhs, folded)
@@ -330,14 +311,6 @@ def _rw_flip(eq: Equation, t: ProblemType, want: int) -> Equation | None:
                 return Equation(rebuilt, eq.rhs)
             return Equation(eq.lhs, rebuilt)
     return None
-
-
-def _rw_m14(eq: Equation, t: ProblemType) -> Equation | None:
-    return _rw_flip(eq, t, want=1)
-
-
-def _rw_m15(eq: Equation, t: ProblemType) -> Equation | None:
-    return _rw_flip(eq, t, want=-1)
 
 
 def _rw_m16(eq: Equation, t: ProblemType) -> Equation | None:
@@ -369,14 +342,6 @@ def _rw_swap(eq: Equation, t: ProblemType, want: int) -> Equation | None:
     return None
 
 
-def _rw_m17(eq: Equation, t: ProblemType) -> Equation | None:
-    return _rw_swap(eq, t, want=1)
-
-
-def _rw_m18(eq: Equation, t: ProblemType) -> Equation | None:
-    return _rw_swap(eq, t, want=-1)
-
-
 # solve-step rules: value of x as a function of (A, B) in Ax = B
 _SOLVE_FORMULAS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
     "M19": lambda a, b: a + b,
@@ -394,42 +359,14 @@ _REWRITES: dict[str, Callable[[Equation, ProblemType], Equation | None]] = {
     "M6": _rw_m6,
     "M8": _rw_m8,
     "M11": _rw_m11,
-    "M12_S15": _rw_m12,
-    "M13": _rw_m13,
-    "M14": _rw_m14,
-    "M15": _rw_m15,
+    "M12_S15": partial(_rw_factor, atom=XAtom),
+    "M13": partial(_rw_factor, atom=CAtom),
+    "M14": partial(_rw_flip, want=1),
+    "M15": partial(_rw_flip, want=-1),
     "M16": _rw_m16,
-    "M17": _rw_m17,
-    "M18": _rw_m18,
+    "M17": partial(_rw_swap, want=1),
+    "M18": partial(_rw_swap, want=-1),
 }
-
-# Per-(rule, type) anchor of the matched subterm.  This is the binding table
-# the rewrites implement; "solve" marks rules firing at the terminal step.
-_SITES: dict[str, dict[ProblemType, str]] = {
-    "M1": {T.T8: "rhs group", T.T9: "rhs group", T.T10: "rhs product", T.T12: "rhs group"},
-    "M2_S3": {T.T9: "rhs group interior", T.T12: "rhs group interior"},
-    "M3": {T.T10: "rhs constant+product pair", T.T12: "rhs constant+group pair"},
-    "M4": {T.T8: "rhs group interior"},
-    "M5": {T.T9: "rhs group interior", T.T12: "rhs group interior"},
-    "M6": {T.T9: "rhs group (negative multiplier, inner subtraction)",
-           T.T12: "rhs group (negative multiplier, inner subtraction)"},
-    "M8": {T.T9: "rhs group interior", T.T12: "rhs group interior"},
-    "M11": {T.T14: "both sides"},
-    "M12_S15": {T.T5: "lhs pair", T.T6: "lhs pair", T.T7: "rhs pair",
-                T.T9: "rhs group interior", T.T12: "rhs group interior"},
-    "M13": {T.T5: "lhs pair", T.T6: "lhs pair", T.T7: "rhs pair",
-            T.T9: "rhs group interior", T.T12: "rhs group interior"},
-    "M14": {T.T2: "rhs first '+' junction", T.T4: "lhs first '+' junction"},
-    "M15": {T.T2: "rhs first '-' junction", T.T4: "lhs first '-' junction"},
-    "M16": {T.T3: "rhs product", T.T10: "rhs product"},
-    "M17": {T.T2: "rhs first '+' junction", T.T4: "lhs first '+' junction"},
-    "M18": {T.T2: "rhs first '-' junction", T.T4: "lhs first '-' junction"},
-    "M19": {t: "solve" for t in ORDERED_TYPES},
-    "M20_S20": {t: "solve" for t in ORDERED_TYPES},
-    "M21": {t: "solve" for t in ORDERED_TYPES},
-    "M22_S1": {t: "solve" for t in ORDERED_TYPES},
-}
-
 
 def _types(*names: str) -> frozenset[ProblemType]:
     return frozenset(ProblemType[n] for n in names)
@@ -498,11 +435,6 @@ def resolve_set(ms: Sequence["Misconception | str"]) -> list[Misconception]:
 def applicable(m: "Misconception | str", t: ProblemType) -> bool:
     m = m if isinstance(m, Misconception) else get_misconception(m)
     return t in m.applicable_types
-
-
-def site_binding(m: "Misconception | str", t: ProblemType) -> str | None:
-    m = m if isinstance(m, Misconception) else get_misconception(m)
-    return _SITES[m.id].get(t)
 
 
 def try_apply(
@@ -603,7 +535,7 @@ def reduce_with_misconceptions(
 
 
 def default_type_graph() -> TypeGraph:
-    pairs = [
+    pairs = tuple(
         (t, m.id) for m in CATALOG for t in ORDERED_TYPES if t in m.applicable_types
-    ]
-    return build_type_graph(pairs)
+    )
+    return TypeGraph(ORDERED_TYPES, CORRECT_EDGES, pairs)

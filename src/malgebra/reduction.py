@@ -4,7 +4,8 @@ Each rule performs exactly one algebraic operation and strictly shrinks the
 AST, so every correct trace reaches T1 within five rewrites and ends with the
 divide-through solve step ``x = B/A``.  Misconception handling lives
 elsewhere; everything here is solution-preserving and serves as the oracle
-side of the engine.
+side of the engine.  The step loop itself is the one in
+``misconceptions.reduce_with_misconceptions``, run with an empty set.
 """
 
 from __future__ import annotations
@@ -24,14 +25,9 @@ from .equations import (
     signed_const,
     signed_x,
 )
-from .errors import (
-    NonterminationError,
-    RuleNotApplicableError,
-    ZeroCoefficientError,
-)
+from .errors import RuleNotApplicableError, ZeroCoefficientError
 from .taxonomy import (
     CAtom,
-    CORRECT_EDGES,
     DEAD_END,
     GroupAtom,
     ProblemType,
@@ -82,14 +78,6 @@ class ReductionTrace:
     def reduction_count(self) -> int:
         """Number of non-solve rewrites in the trace."""
         return sum(1 for s in self.steps if s.via is not None and s.label not in (SOLVED, DEAD_END))
-
-
-@dataclass(frozen=True)
-class ReductionRule:
-    id: str
-    source: ProblemType
-    target: ProblemType
-    apply: Callable[[Equation], Equation]
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +233,6 @@ _RULE_BODIES: dict[str, Callable[[Equation], Equation]] = {
 }
 
 
-def rule_for(source: ProblemType, rule_id: str) -> ReductionRule:
-    for src, rid, dst in CORRECT_EDGES:
-        if src is source and rid == rule_id:
-            return ReductionRule(rid, src, dst, _RULE_BODIES[rid])
-    raise RuleNotApplicableError(f"no correct edge '{rule_id}' out of {source}")
-
-
 # ---------------------------------------------------------------------------
 # Engine operations
 # ---------------------------------------------------------------------------
@@ -311,24 +292,13 @@ def solved_equation(value: Fraction) -> Equation:
     return Equation(XTerm(Fraction(1)), Const(value))
 
 
-_MAX_CORRECT_STEPS = 6
-
-
 def reduce(eq: Equation) -> ReductionTrace:
     """Follow default correct edges to T1, then solve.
 
+    This is the misconception-aware walk with an empty misconception set.
     The trace records every intermediate equation; the final step is the
     solved form ``x = value``.
     """
-    t = classify(eq)
-    steps = [TraceStep(eq, t, None)]
-    current = eq
-    for _ in range(_MAX_CORRECT_STEPS):
-        if t is ProblemType.T1:
-            value = solve_t1(current)
-            steps.append(TraceStep(solved_equation(value), SOLVED, EdgeRef("solve", "solve")))
-            return ReductionTrace(tuple(steps), value)
-        (target, rule_id) = correct_successors(t)[0]
-        current, t = apply_step(current, t, rule_id)
-        steps.append(TraceStep(current, t, EdgeRef("correct", rule_id)))
-    raise NonterminationError(f"correct reduction exceeded {_MAX_CORRECT_STEPS} steps: {eq}")
+    from .misconceptions import reduce_with_misconceptions
+
+    return reduce_with_misconceptions(eq, ())

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm
 from .errors import UnclassifiableFormError
@@ -297,18 +297,20 @@ def correct_successors(t: ProblemType) -> list[tuple[ProblemType, str]]:
     return [(dst, rule) for src, rule, dst in CORRECT_EDGES if src is t]
 
 
-def path_exists_to_T1(t: ProblemType) -> bool:
+def reachable(t: ProblemType) -> set[ProblemType]:
+    """Every type reachable from ``t`` along correct edges, ``t`` included."""
     seen = {t}
     frontier = [t]
     while frontier:
-        node = frontier.pop()
-        if node is ProblemType.T1:
-            return True
-        for dst, _ in correct_successors(node):
+        for dst, _ in correct_successors(frontier.pop()):
             if dst not in seen:
                 seen.add(dst)
                 frontier.append(dst)
-    return False
+    return seen
+
+
+def path_exists_to_T1(t: ProblemType) -> bool:
+    return ProblemType.T1 in reachable(t)
 
 
 @dataclass(frozen=True)
@@ -335,11 +337,3 @@ class TypeGraph:
                 {"source": src.name, "computed": computed, "kind": "misconception", "id": mid}
             )
         return records
-
-
-def build_type_graph(applicability: Iterable[tuple[ProblemType, str]]) -> TypeGraph:
-    return TypeGraph(
-        nodes=ORDERED_TYPES,
-        correct_edges=CORRECT_EDGES,
-        misconception_edges=tuple(applicability),
-    )

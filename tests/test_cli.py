@@ -117,7 +117,8 @@ def test_gen_invalid_ratio_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "config",
-    [[1, 2], {"n_m": "5"}, {"seed": True}, {"misconception": ["M1"], "n_m": 1}, {"out_dir": 5}],
+    [[1, 2], {"n_m": "5"}, {"seed": True}, {"misconception": ["M1"], "n_m": 1}, {"out_dir": 5},
+     {"ratio": True}],
 )
 def test_gen_bad_config_exit_2(capsys, tmp_path, monkeypatch, config):
     monkeypatch.chdir(tmp_path)  # the default out_dir is relative
@@ -126,6 +127,19 @@ def test_gen_bad_config_exit_2(capsys, tmp_path, monkeypatch, config):
     code, _, err = run(capsys, "gen", "--config", str(cfg))
     assert code == 2
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_gen_ratio_int_and_float_share_a_manifest(capsys, tmp_path):
+    manifests = []
+    for ratio in (1, 1.0):
+        cfg = tmp_path / f"cfg-{ratio}.json"
+        cfg.write_text(json.dumps({"misconception": "M8", "n_m": 2, "ratio": ratio,
+                                   "test_per_type": 0}))
+        out_dir = tmp_path / f"ds-{ratio}"
+        code, _, _ = run(capsys, "gen", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0
+        manifests.append((out_dir / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_verify_corrupted_line(capsys, tmp_path):

@@ -18,7 +18,6 @@ from malgebra.misconceptions import (
     get_misconception,
     reduce_with_misconceptions,
     resolve_set,
-    site_binding,
 )
 from malgebra.reduction import reduce
 from malgebra.taxonomy import DEAD_END, ORDERED_TYPES, ProblemType, SOLVED, classify
@@ -94,8 +93,6 @@ def test_applicability_matches_the_table():
     assert len(CATALOG) == 19
     for m in CATALOG:
         assert {t.name for t in m.applicable_types} == expected[m.id]
-        for t in m.applicable_types:
-            assert site_binding(m, t) is not None
 
 
 def test_apply_misconception_spot_anchors():
