@@ -416,6 +416,9 @@ def verify_records(lines: list[str]) -> VerifyReport:
         except json.JSONDecodeError as exc:
             report.failures.append((lineno, f"bad JSON: {exc}"))
             continue
+        if not isinstance(rec, dict):
+            report.failures.append((lineno, "not a JSON object"))
+            continue
         missing = [k for k in _RECORD_KEYS if k not in rec]
         if missing:
             report.failures.append((lineno, f"missing fields: {missing}"))

@@ -17,14 +17,16 @@ from pathlib import Path
 from .equations import Const, Equation, XTerm, closed_form_solution, parse_equation
 from .errors import EmptyBatchError, EngineError, SchemaError
 from .misconceptions import (
+    _MAX_TRACE_STEPS,
     CATALOG,
     Misconception,
     get_misconception,
     reduce_with_misconceptions,
+    try_apply,
 )
-from .reduction import reduce
+from .reduction import ReductionTrace, reduce
 from .solution_space import enumerate_tree
-from .taxonomy import ORDERED_TYPES, classify, reachable
+from .taxonomy import DEAD_END, ORDERED_TYPES, SOLVED, ProblemType, reachable
 
 GRADE_CORRECT = "correct"
 GRADE_MATCH = "misconception-match"
@@ -64,9 +66,12 @@ def load_transcripts(path: str | Path) -> list[Transcript]:
         if not line.strip():
             continue
         try:
-            out.append(transcript_from_dict(json.loads(line)))
+            data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"line {lineno}: bad JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise SchemaError(f"line {lineno}: not a JSON object")
+        out.append(transcript_from_dict(data))
     return out
 
 
@@ -304,69 +309,153 @@ class Diagnosis:
     trace_length: int
 
 
-def _prefix_len(model: list[Equation], lines: list[str]) -> int:
+def _prefix_len(
+    model: list[Equation], lines: list[str], parsed: dict[str, Equation | None]
+) -> int:
+    """How many leading ``lines`` parse to the model's steps.  ``parsed``
+    holds each line's parse by its text, None where parsing failed; a line
+    is compared as parsed, never as the state it was rendered from."""
     n = 0
     for got, want in zip(model, lines):
-        try:
-            if got != parse_equation(want):
-                break
-        except EngineError:
+        if want not in parsed:
+            try:
+                parsed[want] = parse_equation(want)
+            except EngineError:
+                parsed[want] = None
+        if got != parsed[want]:
             break
         n += 1
     return n
 
 
+def _first_event(
+    m: Misconception, trace: ReductionTrace
+) -> tuple[int, tuple[Equation, ProblemType | str] | None] | None:
+    """The first node of ``trace`` (a state before its last) where ``m``
+    fires or raises, with what ``try_apply`` returned there (None if it
+    raised); None when ``m`` never fires on the trace."""
+    for i, step in enumerate(trace.steps[:-1]):
+        try:
+            res = try_apply(m, step.equation, step.label)
+        except EngineError:
+            return i, None
+        if res is not None:
+            return i, res
+    return None
+
+
+def _rest(
+    res: tuple[Equation, ProblemType | str],
+) -> tuple[list[str], ReductionTrace | None] | None:
+    """The lines from a rule's result to the end of the walk, with the
+    correct trace they follow (None after a solved or dead-end result);
+    None when that trace raises."""
+    new_eq, label = res
+    if label in (SOLVED, DEAD_END):
+        return [str(new_eq)], None
+    try:
+        trace = reduce(new_eq)
+    except EngineError:
+        return None
+    return trace.equation_lines(), trace
+
+
 def diagnose(transcript: Transcript, max_candidates: int = 5) -> list[Diagnosis]:
     """Rank misconception sets (size <= 2) by how well their traces replay
     the transcript's steps: longest exact prefix first, then fewest
-    misconceptions.  Empty when the all-correct trace matches fully."""
+    misconceptions.  Empty when the all-correct trace matches fully.
+
+    A set's trace is the one ``reduce_with_misconceptions(eq, ms)`` walks;
+    it is built from pieces shared between sets rather than walked per set.
+    A rule's *event* on a trace is the first node (a state before the last)
+    where ``try_apply`` fires or raises; the correct trace is ``reduce(eq)``.
+
+    * Single ``(m)``: m's event on the correct trace must fire, at node i.
+      The trace is the correct one up to node i, m's step, then ``reduce``
+      of m's result (nothing after a solved or dead-end result).
+    * Pair ``(m1, m2)``: m1's single must fire with a result that is neither
+      solved nor a dead end, and m2's event on the correct trace must not
+      come before node i (at node i, m1 is tried first).  m2's event on
+      m1's correct tail must fire, at node j.  The trace is m1's, cut after
+      node j of the tail, then m2's step and ``reduce`` of m2's result.
+    * A raise anywhere on the way, or more than 12 steps after the initial
+      state, leaves the set without a candidate.
+    """
     if transcript.model_steps is None:
         raise SchemaError("diagnosis needs model_steps")
     eq = parse_equation(transcript.equation)
     model = [parse_equation(s) for s in transcript.model_steps]
+    parsed: dict[str, Equation | None] = dict(zip(transcript.model_steps, model))
 
-    correct_lines = reduce(eq).equation_lines()
-    if _prefix_len(model, correct_lines) == len(model) == len(correct_lines):
+    correct = reduce(eq)
+    correct_lines = correct.equation_lines()
+    if _prefix_len(model, correct_lines, parsed) == len(model) == len(correct_lines):
         return []
 
-    relevant = [
-        m for m in CATALOG
-        if m.at_solve or (m.applicable_types & reachable(classify(eq)))
-    ]
+    reach = reachable(correct.steps[0].label)
+    relevant = [m for m in CATALOG if m.at_solve or (m.applicable_types & reach)]
 
-    def trace_for(ms: tuple[Misconception, ...]) -> list[str] | None:
-        try:
-            tr = reduce_with_misconceptions(eq, list(ms))
-        except EngineError:
+    def evaluate(ms: tuple[Misconception, ...], lines: list[str] | None) -> Diagnosis | None:
+        # past the step guard the walk raises NonterminationError
+        if lines is None or len(lines) - 1 > _MAX_TRACE_STEPS:
             return None
-        if tr.misconceptions_used != tuple(m.id for m in ms):
-            return None
-        return tr.equation_lines()
-
-    def evaluate(ms: tuple[Misconception, ...]) -> Diagnosis | None:
-        lines = trace_for(ms)
-        if lines is None:
-            return None
-        k = _prefix_len(model, lines)
+        k = _prefix_len(model, lines, parsed)
         if k == len(model) == len(lines):
             quality = "full"
         else:
             quality = f"prefix {k}/{len(lines)}"
         return Diagnosis(tuple(m.id for m in ms), quality, k, len(lines))
 
-    singles = [d for m in relevant if (d := evaluate((m,))) is not None]
+    events = {m.id: _first_event(m, correct) for m in relevant}
+    # m.id -> (node m fires at, the correct tail of its result, the tail's
+    # lines), or None when that tail raises; a rule missing here leads no pair
+    heads: dict[str, tuple[int, ReductionTrace, list[str]] | None] = {}
+    singles = []
+    for m in relevant:
+        event = events[m.id]
+        if event is None or event[1] is None:
+            continue
+        i, res = event
+        rest = _rest(res)
+        if rest is None:
+            heads[m.id] = None
+            continue
+        lines, tail = rest
+        if tail is not None:
+            heads[m.id] = (i, tail, lines)
+        if (d := evaluate((m,), correct_lines[: i + 1] + lines)) is not None:
+            singles.append(d)
     full_singles = [d for d in singles if d.quality == "full"]
     if full_singles:
         return full_singles
 
-    pairs = []
-    for m1 in relevant:
-        for m2 in relevant:
-            if m1.id == m2.id:
-                continue
-            d = evaluate((m1, m2))
-            if d is not None:
-                pairs.append(d)
+    def pair_lines(m1: Misconception, m2: Misconception) -> list[str] | None:
+        head = heads[m1.id]
+        if head is None:
+            # m2 may still fire on m1's tail up to the node that raises, which
+            # the raise hides: walk the pair in full
+            try:
+                tr = reduce_with_misconceptions(eq, [m1, m2])
+            except EngineError:
+                return None
+            return tr.equation_lines() if tr.misconceptions_used == (m1.id, m2.id) else None
+        i, tail, tail_lines = head
+        before = events[m2.id]
+        if before is not None and before[0] < i:  # m2 fires or raises first
+            return None
+        event = _first_event(m2, tail)
+        if event is None or event[1] is None:
+            return None
+        j, res = event
+        rest = _rest(res)
+        return None if rest is None else correct_lines[: i + 1] + tail_lines[: j + 1] + rest[0]
+
+    pairs = [
+        d
+        for m1 in relevant if m1.id in heads
+        for m2 in relevant if m2.id != m1.id
+        if (d := evaluate((m1, m2), pair_lines(m1, m2))) is not None
+    ]
 
     ranked = sorted(
         singles + pairs,

@@ -158,6 +158,19 @@ def test_verify_corrupted_line(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_verify_non_object_lines(capsys, tmp_path):
+    out_dir = tmp_path / "ds4"
+    generate(DatasetConfig(seed=1, n_correct_per_type=1, test_per_type=0,
+                           out_dir=str(out_dir)))
+    path = out_dir / "train.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["5", '"steps, final_answer"', *lines[2:]]) + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert err.splitlines() == ["line 1: not a JSON object", "line 2: not a JSON object"]
+    assert out == f"{len(lines) - 2}/{len(lines)} records replay cleanly\n"
+
+
 def test_verify_empty_file_exit_3(capsys, tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -195,6 +208,18 @@ def test_score_schema_error_exit_2(capsys, tmp_path):
     path.write_text('{"problem_type": "T1"}\n')
     code, _, _ = run(capsys, "score", str(path), "--misconception", "M8")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["score", "--misconception", "M8"], ["diagnose"]])
+@pytest.mark.parametrize("line", ["[1, 2]", "5", '"x"', "null"])
+def test_transcript_line_not_an_object_exit_2(capsys, tmp_path, command, line):
+    path = tmp_path / "tr.jsonl"
+    path.write_text('{"problem_type": "T1", "equation": "4x = 12", "model_answer": "3"}\n'
+                    + line + "\n")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: not a JSON object\n"
 
 
 @pytest.mark.parametrize("flag", ["--theta-m", "--theta-c"])

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from malgebra.datasets import sample_for_misconception
+from malgebra.datasets import InstanceSampler, sample_for_misconception
 from malgebra.equations import closed_form_solution, parse_equation
-from malgebra.errors import EmptyBatchError, SchemaError
+from malgebra.errors import EmptyBatchError, EngineError, NonterminationError, SchemaError
 from malgebra.evaluation import (
     GRADE_CORRECT,
     GRADE_MATCH,
     GRADE_OTHER,
+    Diagnosis,
     Transcript,
     diagnose,
     grade,
@@ -19,7 +21,7 @@ from malgebra.evaluation import (
 )
 from malgebra.misconceptions import CATALOG, reduce_with_misconceptions
 from malgebra.reduction import reduce
-from malgebra.taxonomy import ORDERED_TYPES, ProblemType
+from malgebra.taxonomy import ORDERED_TYPES, ProblemType, classify, reachable
 
 T = ProblemType
 
@@ -199,3 +201,146 @@ def test_diagnose_recovers_sampled_malgorithms(rng):
         result = diagnose(transcript)
         assert result, (m.id, t.name)
         assert m.id in result[0].misconceptions
+
+
+_parse = functools.lru_cache(maxsize=None)(parse_equation)
+
+
+def _exhaustive_diagnose(transcript, walks, max_candidates=5):
+    """``diagnose`` as one full ``reduce_with_misconceptions`` walk per
+    candidate set: every relevant single, then every ordered pair.  ``walks``
+    keeps each walk's lines by (equation, rule ids) across calls, and each
+    parse is kept by its text."""
+    if transcript.model_steps is None:
+        raise SchemaError("diagnosis needs model_steps")
+    eq = parse_equation(transcript.equation)
+    model = [parse_equation(s) for s in transcript.model_steps]
+
+    def prefix_len(lines):
+        n = 0
+        for got, want in zip(model, lines):
+            try:
+                if got != _parse(want):
+                    break
+            except EngineError:
+                break
+            n += 1
+        return n
+
+    correct_lines = reduce(eq).equation_lines()
+    if prefix_len(correct_lines) == len(model) == len(correct_lines):
+        return []
+    relevant = [
+        m for m in CATALOG
+        if m.at_solve or (m.applicable_types & reachable(classify(eq)))
+    ]
+
+    def trace_for(ms):
+        key = (transcript.equation, tuple(m.id for m in ms))
+        if key not in walks:
+            try:
+                tr = reduce_with_misconceptions(eq, list(ms))
+            except EngineError:
+                walks[key] = None
+            else:
+                walks[key] = tr.equation_lines() if tr.misconceptions_used == key[1] else None
+        return walks[key]
+
+    def evaluate(ms):
+        lines = trace_for(ms)
+        if lines is None:
+            return None
+        k = prefix_len(lines)
+        quality = "full" if k == len(model) == len(lines) else f"prefix {k}/{len(lines)}"
+        return Diagnosis(tuple(m.id for m in ms), quality, k, len(lines))
+
+    singles = [d for m in relevant if (d := evaluate((m,))) is not None]
+    full_singles = [d for d in singles if d.quality == "full"]
+    if full_singles:
+        return full_singles
+    pairs = [
+        d for m1 in relevant for m2 in relevant
+        if m1.id != m2.id and (d := evaluate((m1, m2))) is not None
+    ]
+    ranked = sorted(singles + pairs, key=lambda d: (-d.matched, len(d.misconceptions)))
+    full = [d for d in ranked if d.quality == "full"]
+    if full:
+        return full
+    return [d for d in ranked if d.matched > 0][:max_candidates]
+
+
+def _diagnose_corpus():
+    """Transcripts over about 170 equations, each equation written several
+    ways (so the reference's walks are shared between them)."""
+    sampler = InstanceSampler(seed=4365)
+    rng = sampler.rng_for("diagnose-corpus")
+    rows = []
+
+    def add(t, eq, lines):
+        rows.append(_tr(t.name, str(eq), lines[-1], lines))
+
+    def add_variants(t, eq, lines):
+        add(t, eq, lines)
+        add(t, eq, lines[:-1])  # truncated
+        add(t, eq, lines + [lines[-1]])  # extended
+        for k in (2, 3):  # random multi-rule traces
+            try:
+                add(t, eq, reduce_with_misconceptions(eq, rng.sample(CATALOG, k)).equation_lines())
+            except EngineError:
+                pass
+
+    for m in CATALOG:
+        for t in sorted(m.applicable_types, key=ORDERED_TYPES.index):
+            eq, trace = sample_for_misconception(m, t, rng)
+            add_variants(t, eq, trace.equation_lines())
+    for t in ORDERED_TYPES:
+        for i in range(5):
+            eq = sampler.sample(t, f"diagnose:{t.name}:{i}")
+            lines = reduce(eq).equation_lines()
+            add_variants(t, eq, lines)
+            add(t, eq, lines[:-1] + [f"x = {closed_form_solution(eq) + Fraction(1, 997)}"])
+            add(t, eq, [lines[0], "x = = 1"] + lines[1:])  # a garbage step
+    return rows
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_diagnose_matches_exhaustive_search():
+    # M8 leaves 0x = 15, so M8's correct tail raises at the solve step, where
+    # M19 still fires: the pair is a candidate although M8's single is not
+    eq = parse_equation("4x = 3(4x + 5)")
+    with pytest.raises(EngineError):
+        reduce_with_misconceptions(eq, ["M8"])
+    lines = reduce_with_misconceptions(eq, ["M8", "M19"]).equation_lines()
+    raising_tail = _tr("T9", str(eq), lines[-1], lines)
+    assert ("M8", "M19") in [d.misconceptions for d in diagnose(raising_tail)]
+
+    corpus = _diagnose_corpus() + [raising_tail]
+    assert len(corpus) > 900
+    walks = {}
+    for transcript in corpus:
+        for cap in (5, 1000):
+            want = _outcome(_exhaustive_diagnose, transcript, walks, cap)
+            assert _outcome(diagnose, transcript, cap) == want, (transcript, cap)
+
+
+def test_diagnose_step_guard_matches_exhaustive_search(monkeypatch):
+    # no catalog walk comes near 12 steps, so lower the guard until it cuts
+    corpus = _diagnose_corpus()[::8]
+    unguarded = [_outcome(diagnose, t, 1000) for t in corpus]
+    monkeypatch.setattr("malgebra.misconceptions._MAX_TRACE_STEPS", 3)
+    monkeypatch.setattr("malgebra.evaluation._MAX_TRACE_STEPS", 3)
+    walks = {}
+    results = []
+    for transcript in corpus:
+        for cap in (5, 1000):
+            want = _outcome(_exhaustive_diagnose, transcript, walks, cap)
+            assert _outcome(diagnose, transcript, cap) == want, (transcript, cap)
+        results.append(want)
+    cut = [a != b and b is not NonterminationError for a, b in zip(unguarded, results)]
+    assert sum(cut) > 10
