@@ -123,6 +123,14 @@ def render(e: Expr) -> str:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# Input bounds, checked while tokenizing so that no hostile input reaches the
+# recursive parser, renderer or classifier: an accepted equation nests at most
+# 16 levels and chains at most 100 terms, well inside Python's recursion limit,
+# and no number a rewrite can form nears the 4,300-digit int conversion limit.
+MAX_EQUATION_LENGTH = 200
+MAX_PAREN_DEPTH = 16
+MAX_NUMERAL_DIGITS = 20
+
 _NUM = "num"
 _VAR = "var"
 _OP = "op"
@@ -140,9 +148,14 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    n = len(text)
+    if n > MAX_EQUATION_LENGTH:
+        raise ParseError(
+            f"equation longer than {MAX_EQUATION_LENGTH} characters", MAX_EQUATION_LENGTH
+        )
     out: list[_Token] = []
     i = 0
-    n = len(text)
+    depth = 0
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -152,6 +165,8 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} digits", i)
             out.append(_Token(_NUM, text[i:j], i))
             i = j
             continue
@@ -168,10 +183,14 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch == "(":
+            depth += 1
+            if depth > MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", i)
             out.append(_Token(_LP, ch, i))
             i += 1
             continue
         if ch == ")":
+            depth -= 1
             out.append(_Token(_RP, ch, i))
             i += 1
             continue

@@ -49,15 +49,20 @@ class TranscriptError(SchemaError):
 
 def transcript_from_dict(data: dict) -> Transcript:
     try:
-        steps = data.get("model_steps")
-        return Transcript(
-            problem_type=data["problem_type"],
-            equation=data["equation"],
-            model_answer=str(data["model_answer"]),
-            model_steps=tuple(steps) if steps is not None else None,
-        )
+        problem_type, equation = data["problem_type"], data["equation"]
+        model_answer = str(data["model_answer"])
     except KeyError as exc:
         raise SchemaError(f"transcript missing field {exc}") from None
+    steps = data.get("model_steps")
+    for name, value in (("problem_type", problem_type), ("equation", equation)):
+        if not isinstance(value, str):
+            raise SchemaError(f"transcript field '{name}' must be a string")
+    if steps is not None and not (
+        isinstance(steps, list) and all(isinstance(x, str) for x in steps)
+    ):
+        raise SchemaError("transcript field 'model_steps' must be null or a list of strings")
+    steps = None if steps is None else tuple(steps)
+    return Transcript(problem_type, equation, model_answer, steps)
 
 
 def load_transcripts(path: str | Path) -> list[Transcript]:
@@ -67,11 +72,14 @@ def load_transcripts(path: str | Path) -> list[Transcript]:
             continue
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep
             raise SchemaError(f"line {lineno}: bad JSON: {exc}") from None
         if not isinstance(data, dict):
             raise SchemaError(f"line {lineno}: not a JSON object")
-        out.append(transcript_from_dict(data))
+        try:
+            out.append(transcript_from_dict(data))
+        except SchemaError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from None
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .equations import Const, Equation, Mul, Paren
+from .equations import Const, Equation, Paren
 from .errors import (
     MisconceptionNotApplicableError,
     NonterminationError,
@@ -29,10 +29,13 @@ from .reduction import (
     ReductionTrace,
     TraceStep,
     apply_step,
+    at_first,
     rebuild,
+    signed_sum,
     solve_t1,
     solved_equation,
     t1_parts,
+    with_side,
 )
 from .taxonomy import (
     CAtom,
@@ -72,274 +75,149 @@ _ALL_TYPES = frozenset(ORDERED_TYPES)
 
 
 # ---------------------------------------------------------------------------
-# Site helpers
-# ---------------------------------------------------------------------------
-
-
-def _find_group(atoms: list[SignedAtom]) -> tuple[int, int, GroupAtom] | None:
-    for i, (s, a) in enumerate(atoms):
-        if isinstance(a, GroupAtom):
-            return i, s, a
-    return None
-
-
-def _find_prod(atoms: list[SignedAtom]) -> tuple[int, int, ProdAtom] | None:
-    for i, (s, a) in enumerate(atoms):
-        if isinstance(a, ProdAtom):
-            return i, s, a
-    return None
-
-
-def _group_inner_xc(g: GroupAtom) -> tuple[Fraction, Fraction] | None:
-    """Additive (x-coefficient, constant) of a ``(Bx +/- C)`` interior."""
-    if len(g.inner) != 2:
-        return None
-    (s1, a1), (s2, a2) = g.inner
-    if isinstance(a1, XAtom) and isinstance(a2, CAtom):
-        return s1 * a1.coef, s2 * a2.value
-    return None
-
-
-def _pair_x_const(atoms: list[SignedAtom]) -> tuple[Fraction, Fraction] | None:
-    """Additive (x, const) values of a two-term side in either order."""
-    if len(atoms) != 2:
-        return None
-    kinds = {type(atoms[0][1]), type(atoms[1][1])}
-    if kinds != {XAtom, CAtom}:
-        return None
-    x = next(s * a.coef for s, a in atoms if isinstance(a, XAtom))
-    c = next(s * a.value for s, a in atoms if isinstance(a, CAtom))
-    return x, c
-
-
-# ---------------------------------------------------------------------------
 # Rewrites.  Each returns the transformed equation, or None when the rule's
-# pattern has no site on this instance.
+# pattern has no site on this instance.  Group and product sites are the
+# first such atom on the right side (``at_first``); edits may fold a sign
+# into an x or constant value, which ``rebuild`` renders the same way.
 # ---------------------------------------------------------------------------
+
+
+def _xc(atoms: Sequence[SignedAtom]) -> tuple[Fraction, Fraction] | None:
+    """Additive (x-coefficient, constant) of a two-term x/constant chain in
+    either order: a whole side, or a ``(Bx +/- C)`` interior."""
+    if len(atoms) != 2 or {type(a) for _, a in atoms} != {XAtom, CAtom}:
+        return None
+    return signed_sum(atoms, XAtom)[0], signed_sum(atoms, CAtom)[0]
+
+
+def _at_group(eq: Equation, edit: Callable[..., list[SignedAtom] | None]) -> Equation | None:
+    """Edit the first parenthesized group on the right side whose interior is
+    ``Bx +/- C``; ``edit(s, g, x, c)`` gets the interior's additive values."""
+
+    def site(s: int, g: GroupAtom) -> list[SignedAtom] | None:
+        xc = _xc(g.inner)
+        return None if xc is None else edit(s, g, *xc)
+
+    return at_first(eq, GroupAtom, site)
 
 
 def _rw_m1(eq: Equation, t: ProblemType) -> Equation | None:
-    atoms = view_atoms(eq.rhs)
-    found = _find_group(atoms)
-    if found is not None:
-        i, s, g = found
-        part = Paren(rebuild(list(g.inner)))
-        new = atoms[:i] + [(s, CAtom(g.multiplier)), (1, OpaqueAtom(part))] + atoms[i + 1 :]
-        return Equation(eq.lhs, rebuild(new))
-    prod = _find_prod(atoms)
-    if prod is not None:
-        i, s, p = prod
-        rest = p.factors[1:]
-        part_node = Const(rest[0]) if len(rest) == 1 else _prod_node(rest)
-        new = atoms[:i] + [(s, CAtom(p.factors[0])), (1, OpaqueAtom(Paren(part_node)))] + atoms[i + 1 :]
-        return Equation(eq.lhs, rebuild(new))
-    return None
+    def split(s: int, a: GroupAtom | ProdAtom) -> list[SignedAtom]:
+        if isinstance(a, GroupAtom):
+            head, part = a.multiplier, a.inner
+        else:
+            head, part = a.factors[0], ((1, ProdAtom(a.factors[1:])),)
+        return [(s, CAtom(head)), (1, OpaqueAtom(Paren(rebuild(part))))]
 
-
-def _prod_node(factors):
-    node = Const(factors[0])
-    for f in factors[1:]:
-        node = Mul(node, Const(f))
-    return node
+    return at_first(eq, GroupAtom, split) or at_first(eq, ProdAtom, split)
 
 
 def _rw_m2(eq: Equation, t: ProblemType) -> Equation | None:
-    atoms = view_atoms(eq.rhs)
-    found = _find_group(atoms)
-    if found is None:
-        return None
-    i, s, g = found
-    if _group_inner_xc(g) is None:
-        return None
-    (s1, a1), (s2, a2) = g.inner
-    new = atoms[:i] + [(1, XAtom(s * g.multiplier * s1 * a1.coef)), (s2, a2)] + atoms[i + 1 :]
-    return Equation(eq.lhs, rebuild(new))
+    return _at_group(eq, lambda s, g, x, c: [(1, XAtom(s * g.multiplier * x)), (1, CAtom(c))])
 
 
 def _rw_m3(eq: Equation, t: ProblemType) -> Equation | None:
     atoms = view_atoms(eq.rhs)
     for i in range(len(atoms) - 1):
-        s1, a1 = atoms[i]
-        s2, a2 = atoms[i + 1]
-        if isinstance(a1, CAtom) and isinstance(a2, GroupAtom):
-            folded = s1 * a1.value + s2 * a2.multiplier
-            new = atoms[:i] + [(1, GroupAtom(folded, a2.inner))] + atoms[i + 2 :]
-            return Equation(eq.lhs, rebuild(new))
-        if isinstance(a1, CAtom) and isinstance(a2, ProdAtom):
-            folded = s1 * a1.value + s2 * a2.factors[0]
-            new = atoms[:i] + [(1, ProdAtom((folded,) + a2.factors[1:]))] + atoms[i + 2 :]
-            return Equation(eq.lhs, rebuild(new))
+        (s1, a1), (s2, a2) = atoms[i : i + 2]
+        if not isinstance(a1, CAtom):
+            continue
+        if isinstance(a2, GroupAtom):
+            merged = GroupAtom(s1 * a1.value + s2 * a2.multiplier, a2.inner)
+        elif isinstance(a2, ProdAtom):
+            merged = ProdAtom((s1 * a1.value + s2 * a2.factors[0],) + a2.factors[1:])
+        else:
+            continue
+        return with_side(eq, "rhs", atoms[:i] + [(1, merged)] + atoms[i + 2 :])
     return None
 
 
 def _rw_m4(eq: Equation, t: ProblemType) -> Equation | None:
-    atoms = view_atoms(eq.rhs)
-    found = _find_group(atoms)
-    if found is None:
-        return None
-    i, s, g = found
-    if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
-        return None
-    inner = g.inner[0][1]
-    interleaved: list[Fraction] = []
-    for f in inner.factors:
-        interleaved.extend((g.multiplier, f))
-    new = atoms[:i] + [(s, ProdAtom(tuple(interleaved)))] + atoms[i + 1 :]
-    return Equation(eq.lhs, rebuild(new))
+    def interleave(s: int, g: GroupAtom) -> list[SignedAtom] | None:
+        if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
+            return None
+        factors = tuple(v for f in g.inner[0][1].factors for v in (g.multiplier, f))
+        return [(s, ProdAtom(factors))]
+
+    return at_first(eq, GroupAtom, interleave)
 
 
 def _rw_m5(eq: Equation, t: ProblemType) -> Equation | None:
-    atoms = view_atoms(eq.rhs)
-    found = _find_group(atoms)
-    if found is None:
-        return None
-    i, s, g = found
-    xc = _group_inner_xc(g)
-    if xc is None:
-        return None
-    b, c = xc
-    m_eff = s * g.multiplier
-    new_inner = ((1, XAtom(m_eff * b)), (1, CAtom(m_eff * c)))
-    new = atoms[:i] + [(s, GroupAtom(g.multiplier, new_inner))] + atoms[i + 1 :]
-    return Equation(eq.lhs, rebuild(new))
+    def over(s, g, x, c):
+        m = s * g.multiplier
+        return [(s, GroupAtom(g.multiplier, ((1, XAtom(m * x)), (1, CAtom(m * c)))))]
+
+    return _at_group(eq, over)
 
 
 def _rw_m6(eq: Equation, t: ProblemType) -> Equation | None:
-    atoms = view_atoms(eq.rhs)
-    found = _find_group(atoms)
-    if found is None:
-        return None
-    i, s, g = found
-    m_eff = s * g.multiplier
-    if m_eff >= 0:
-        return None
-    if len(g.inner) != 2:
-        return None
-    (s1, a1), (s2, a2) = g.inner
-    if not (isinstance(a1, XAtom) and isinstance(a2, CAtom) and s2 == -1):
-        return None
-    # distributes into the x-term correctly but never flips the second sign
-    new = atoms[:i] + [(1, XAtom(m_eff * s1 * a1.coef)), (1, CAtom(m_eff * a2.value))] + atoms[i + 1 :]
-    return Equation(eq.lhs, rebuild(new))
+    # distributes into the x-term correctly but never flips the second sign;
+    # the inner subtraction is the view's sign, not the constant's value
+    def no_flip(s, g, x, c):
+        m = s * g.multiplier
+        if m >= 0 or g.inner[1][0] != -1:
+            return None
+        return [(1, XAtom(m * x)), (1, CAtom(-m * c))]
+
+    return _at_group(eq, no_flip)
 
 
 def _rw_m8(eq: Equation, t: ProblemType) -> Equation | None:
-    atoms = view_atoms(eq.rhs)
-    found = _find_group(atoms)
-    if found is None:
-        return None
-    i, s, g = found
-    if _group_inner_xc(g) is None:
-        return None
-    (s1, a1), (s2, a2) = g.inner
-    m_eff = s * g.multiplier
-    new = atoms[:i] + [(1, XAtom(s * s1 * a1.coef)), (1, CAtom(s2 * m_eff * a2.value))] + atoms[i + 1 :]
-    return Equation(eq.lhs, rebuild(new))
+    return _at_group(eq, lambda s, g, x, c: [(1, XAtom(s * x)), (1, CAtom(s * g.multiplier * c))])
 
 
 def _rw_m11(eq: Equation, t: ProblemType) -> Equation | None:
-    lhs = view_atoms(eq.lhs)
-    rhs = view_atoms(eq.rhs)
-    left = _pair_x_const(lhs)
-    right = _pair_x_const(rhs)
+    left = _xc(view_atoms(eq.lhs))
+    right = _xc(view_atoms(eq.rhs))
     if left is None or right is None:
         return None
-    a, b = left
-    c, d = right
-    new_lhs = rebuild([(1, XAtom(a)), (1, XAtom(c))])
-    new_rhs = rebuild([(1, CAtom(b)), (1, CAtom(d))])
-    return Equation(new_lhs, new_rhs)
-
-
-def _factor_site(eq: Equation, t: ProblemType) -> tuple[str, list[SignedAtom], int] | None:
-    """Locate the ``Ax +/- B`` pair for M12/M13: the whole side on T5-T7,
-    the parenthesized interior on T9/T12."""
-    if t in (T.T5, T.T6):
-        atoms = view_atoms(eq.lhs)
-        if _pair_x_const(atoms) is not None:
-            return "lhs", atoms, -1
-        return None
-    if t is T.T7:
-        atoms = view_atoms(eq.rhs)
-        if _pair_x_const(atoms) is not None:
-            return "rhs", atoms, -1
-        return None
-    atoms = view_atoms(eq.rhs)
-    found = _find_group(atoms)
-    if found is None:
-        return None
-    i, _, g = found
-    if _group_inner_xc(g) is None:
-        return None
-    return "group", atoms, i
+    (a, b), (c, d) = left, right
+    return Equation(
+        rebuild([(1, XAtom(a)), (1, XAtom(c))]), rebuild([(1, CAtom(b)), (1, CAtom(d))])
+    )
 
 
 def _rw_factor(eq: Equation, t: ProblemType, atom: type[XAtom | CAtom]) -> Equation | None:
-    """M12/M13: fold ``Ax +/- B`` into one ``atom`` of value ``A +/- B``."""
-    site = _factor_site(eq, t)
-    if site is None:
-        return None
-    where, atoms, i = site
-    if where == "group":
-        s, g = atoms[i]
-        x, c = _group_inner_xc(g)
-        new_inner = ((1, atom(x + c)),)
-        new = atoms[:i] + [(s, GroupAtom(g.multiplier, new_inner))] + atoms[i + 1 :]
-        return Equation(eq.lhs, rebuild(new))
-    x, c = _pair_x_const(atoms)
-    folded = rebuild([(1, atom(x + c))])
-    if where == "lhs":
-        return Equation(folded, eq.rhs)
-    return Equation(eq.lhs, folded)
+    """M12/M13: fold ``Ax +/- B`` into one ``atom`` of value ``A +/- B``: the
+    whole side on T5-T7, the parenthesized interior on T9/T12."""
+    if t in (T.T5, T.T6, T.T7):
+        side = "rhs" if t is T.T7 else "lhs"
+        xc = _xc(view_atoms(getattr(eq, side)))
+        return None if xc is None else with_side(eq, side, [(1, atom(xc[0] + xc[1]))])
+    return _at_group(eq, lambda s, g, x, c: [(s, GroupAtom(g.multiplier, ((1, atom(x + c)),)))])
 
 
-def _op_side(eq: Equation, t: ProblemType) -> str:
-    # M14-M18 edit the additive chain of the combine site: the constant sum
-    # on T2/T3/T10's right side, the x-term sum on T4's left side.
-    return "lhs" if t is T.T4 else "rhs"
-
-
-def _rw_flip(eq: Equation, t: ProblemType, want: int) -> Equation | None:
-    side = _op_side(eq, t)
-    atoms = view_atoms(eq.lhs if side == "lhs" else eq.rhs)
+def _rw_op(
+    eq: Equation,
+    t: ProblemType,
+    want: int,
+    edit: Callable[[SignedAtom, SignedAtom], list[SignedAtom]],
+) -> Equation | None:
+    """M14/M15/M17/M18: ``edit`` the first adjacent pair whose second term has
+    sign ``want`` in the additive chain of the combine site: the constant
+    sum on T2's right side, the x-term sum on T4's left side."""
+    side = "lhs" if t is T.T4 else "rhs"
+    atoms = view_atoms(getattr(eq, side))
     for i in range(1, len(atoms)):
         if atoms[i][0] == want:
-            new = list(atoms)
-            new[i] = (-want, atoms[i][1])
-            rebuilt = rebuild(new)
-            if side == "lhs":
-                return Equation(rebuilt, eq.rhs)
-            return Equation(eq.lhs, rebuilt)
+            new = atoms[: i - 1] + edit(atoms[i - 1], atoms[i]) + atoms[i + 1 :]
+            return with_side(eq, side, new)
     return None
+
+
+def _flip(prev: SignedAtom, cur: SignedAtom) -> list[SignedAtom]:
+    return [prev, (-cur[0], cur[1])]
+
+
+def _swap(prev: SignedAtom, cur: SignedAtom) -> list[SignedAtom]:
+    return [(prev[0], cur[1]), (-1, prev[1])]
 
 
 def _rw_m16(eq: Equation, t: ProblemType) -> Equation | None:
-    atoms = view_atoms(eq.rhs)
-    found = _find_prod(atoms)
-    if found is None:
-        return None
-    i, s, p = found
-    spread: list[SignedAtom] = [(s, CAtom(p.factors[0]))]
-    spread += [(1, CAtom(f)) for f in p.factors[1:]]
-    new = atoms[:i] + spread + atoms[i + 1 :]
-    return Equation(eq.lhs, rebuild(new))
+    def spread(s: int, p: ProdAtom) -> list[SignedAtom]:
+        return [(s, CAtom(p.factors[0]))] + [(1, CAtom(f)) for f in p.factors[1:]]
 
-
-def _rw_swap(eq: Equation, t: ProblemType, want: int) -> Equation | None:
-    side = _op_side(eq, t)
-    atoms = view_atoms(eq.lhs if side == "lhs" else eq.rhs)
-    for i in range(1, len(atoms)):
-        if atoms[i][0] == want:
-            new = list(atoms)
-            s_prev, first = new[i - 1]
-            _, second = new[i]
-            new[i - 1] = (s_prev, second)
-            new[i] = (-1, first)
-            rebuilt = rebuild(new)
-            if side == "lhs":
-                return Equation(rebuilt, eq.rhs)
-            return Equation(eq.lhs, rebuilt)
-    return None
+    return at_first(eq, ProdAtom, spread)
 
 
 # solve-step rules: value of x as a function of (A, B) in Ax = B
@@ -361,11 +239,11 @@ _REWRITES: dict[str, Callable[[Equation, ProblemType], Equation | None]] = {
     "M11": _rw_m11,
     "M12_S15": partial(_rw_factor, atom=XAtom),
     "M13": partial(_rw_factor, atom=CAtom),
-    "M14": partial(_rw_flip, want=1),
-    "M15": partial(_rw_flip, want=-1),
+    "M14": partial(_rw_op, want=1, edit=_flip),
+    "M15": partial(_rw_op, want=-1, edit=_flip),
     "M16": _rw_m16,
-    "M17": partial(_rw_swap, want=1),
-    "M18": partial(_rw_swap, want=-1),
+    "M17": partial(_rw_op, want=1, edit=_swap),
+    "M18": partial(_rw_op, want=-1, edit=_swap),
 }
 
 def _types(*names: str) -> frozenset[ProblemType]:

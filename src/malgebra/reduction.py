@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal
+from typing import Any, Callable, Literal, Sequence
 
 from .equations import (
     Const,
@@ -81,7 +81,7 @@ class ReductionTrace:
 
 
 # ---------------------------------------------------------------------------
-# Rule bodies (generic over source shape; each is one algebraic operation)
+# Site helpers shared by the correct rules and the misconception rewrites
 # ---------------------------------------------------------------------------
 
 
@@ -89,137 +89,162 @@ def _atoms_to_parts(atoms: list[SignedAtom]) -> list[tuple[int, Expr]]:
     parts: list[tuple[int, Expr]] = []
     for sign, atom in atoms:
         if isinstance(atom, XAtom):
-            s, node = signed_x(sign * atom.coef)
-            parts.append((s, node))
+            parts.append(signed_x(sign * atom.coef))
         elif isinstance(atom, CAtom):
-            s, node = signed_const(sign * atom.value)
-            parts.append((s, node))
+            parts.append(signed_const(sign * atom.value))
         elif isinstance(atom, ProdAtom):
             node = Const(atom.factors[0])
             for f in atom.factors[1:]:
                 node = Mul(node, Const(f))
             parts.append((sign, node))
         elif isinstance(atom, GroupAtom):
-            inner = chain(_atoms_to_parts(list(atom.inner)))
-            parts.append((sign, Mul(Const(atom.multiplier), Paren(inner))))
+            parts.append((sign, Mul(Const(atom.multiplier), Paren(rebuild(atom.inner)))))
         else:
             parts.append((sign, atom.node))
     return parts
 
 
-def rebuild(atoms: list[SignedAtom]) -> Expr:
+def rebuild(atoms: Sequence[SignedAtom]) -> Expr:
+    """The chain for ``atoms``.  X and C atoms render from their signed value,
+    so ``(-1, CAtom(v))`` and ``(1, CAtom(-v))`` give the same node."""
     return chain(_atoms_to_parts(atoms))
+
+
+def with_side(eq: Equation, side: str, atoms: Sequence[SignedAtom]) -> Equation:
+    """``eq`` with its ``side`` ("lhs" or "rhs") rebuilt from ``atoms``."""
+    if side == "lhs":
+        return Equation(rebuild(atoms), eq.rhs)
+    return Equation(eq.lhs, rebuild(atoms))
+
+
+def first(atoms: Sequence[SignedAtom], kind: type) -> tuple[int, int, Any] | None:
+    """(index, sign, atom) of the first atom of ``kind``, or None."""
+    for i, (s, a) in enumerate(atoms):
+        if isinstance(a, kind):
+            return i, s, a
+    return None
+
+
+def at_first(
+    eq: Equation, kind: type, edit: Callable[[int, Any], list[SignedAtom] | None]
+) -> Equation | None:
+    """Replace the first ``kind`` atom on the right side by ``edit(sign, atom)``;
+    None when there is no such atom or ``edit`` returns None."""
+    atoms = view_atoms(eq.rhs)
+    found = first(atoms, kind)
+    if found is None:
+        return None
+    i, s, a = found
+    new = edit(s, a)
+    return None if new is None else with_side(eq, "rhs", atoms[:i] + new + atoms[i + 1 :])
+
+
+def signed_sum(
+    atoms: Sequence[SignedAtom], kind: type[XAtom | CAtom]
+) -> tuple[Fraction, int, list[SignedAtom]]:
+    """(total, count, rest): the signed total of the ``kind`` atoms (x
+    coefficients or constants), how many there are, and the other atoms."""
+    total = Fraction(0)
+    count = 0
+    rest: list[SignedAtom] = []
+    for s, a in atoms:
+        if isinstance(a, kind):
+            total += s * (a.coef if kind is XAtom else a.value)
+            count += 1
+        else:
+            rest.append((s, a))
+    return total, count, rest
+
+
+def _plus_const(rest: list[SignedAtom], total: Fraction) -> list[SignedAtom]:
+    """``rest`` followed by the constant ``total``, which is dropped when it is
+    zero and other terms remain."""
+    return rest if rest and total == 0 else rest + [(1, CAtom(total))]
+
+
+# ---------------------------------------------------------------------------
+# Rule bodies (generic over source shape; each is one algebraic operation)
+# ---------------------------------------------------------------------------
 
 
 def _fold_sum(eq: Equation) -> Equation:
     """Combine all top-level constant terms of the RHS into one."""
-    atoms = view_atoms(eq.rhs)
-    consts = [s * a.value for s, a in atoms if isinstance(a, CAtom)]
-    if len(consts) < 2:
+    total, count, rest = signed_sum(view_atoms(eq.rhs), CAtom)
+    if count < 2:
         raise RuleNotApplicableError(f"no constant sum to fold on: {eq}")
-    rest = [(s, a) for s, a in atoms if not isinstance(a, CAtom)]
-    total = sum(consts, Fraction(0))
-    if rest and total == 0:
-        return Equation(eq.lhs, rebuild(rest))
-    return Equation(eq.lhs, rebuild(rest + [(1, CAtom(total))]))
+    return with_side(eq, "rhs", _plus_const(rest, total))
 
 
 def _fold_product(eq: Equation) -> Equation:
     """Fold each explicit constant product on the RHS into a constant."""
     atoms = view_atoms(eq.rhs)
-    if not any(isinstance(a, ProdAtom) for _, a in atoms):
+    if first(atoms, ProdAtom) is None:
         raise RuleNotApplicableError(f"no constant product to fold on: {eq}")
-    folded = [
-        (s, CAtom(a.product) if isinstance(a, ProdAtom) else a) for s, a in atoms
-    ]
-    return Equation(eq.lhs, rebuild(folded))
+    folded = [(s, CAtom(a.product) if isinstance(a, ProdAtom) else a) for s, a in atoms]
+    return with_side(eq, "rhs", folded)
 
 
 def _fold_inner_product(eq: Equation) -> Equation:
     """T8: fold the product inside the parentheses, keeping the multiplier."""
-    atoms = view_atoms(eq.rhs)
-    out: list[SignedAtom] = []
-    hit = False
-    for s, a in atoms:
-        if isinstance(a, GroupAtom) and not hit:
-            inner = list(a.inner)
-            if len(inner) == 1 and isinstance(inner[0][1], ProdAtom):
-                s1, prod = inner[0]
-                out.append((s, ProdAtom((a.multiplier, s1 * prod.product))))
-                hit = True
-                continue
-        out.append((s, a))
-    if not hit:
+
+    def fold(s: int, g: GroupAtom) -> list[SignedAtom] | None:
+        if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
+            return None
+        s1, prod = g.inner[0]
+        return [(s, ProdAtom((g.multiplier, s1 * prod.product)))]
+
+    new = at_first(eq, GroupAtom, fold)
+    if new is None:
         raise RuleNotApplicableError(f"no parenthesized product to fold on: {eq}")
-    return Equation(eq.lhs, rebuild(out))
+    return new
 
 
 def _combine_x(eq: Equation) -> Equation:
     """Combine all x-terms on the LHS into a single term."""
-    atoms = view_atoms(eq.lhs)
-    xs = [s * a.coef for s, a in atoms if isinstance(a, XAtom)]
-    if len(xs) < 2:
+    total, count, rest = signed_sum(view_atoms(eq.lhs), XAtom)
+    if count < 2:
         raise RuleNotApplicableError(f"no like x-terms to combine on: {eq}")
-    rest = [(s, a) for s, a in atoms if not isinstance(a, XAtom)]
-    total = sum(xs, Fraction(0))
-    new_atoms = rest + [(1, XAtom(total))] if rest else [(1, XAtom(total))]
-    return Equation(rebuild(new_atoms), eq.rhs)
+    return with_side(eq, "lhs", rest + [(1, XAtom(total))])
 
 
 def _move_const(eq: Equation) -> Equation:
     """Transpose the LHS constant terms onto the RHS constant, folding."""
-    lhs_atoms = view_atoms(eq.lhs)
-    moved = [s * a.value for s, a in lhs_atoms if isinstance(a, CAtom)]
-    if not moved:
+    moved, count, keep = signed_sum(view_atoms(eq.lhs), CAtom)
+    if not count:
         raise RuleNotApplicableError(f"no constant to move on: {eq}")
-    keep = [(s, a) for s, a in lhs_atoms if not isinstance(a, CAtom)]
-    rhs_atoms = view_atoms(eq.rhs)
-    rhs_const = sum((s * a.value for s, a in rhs_atoms if isinstance(a, CAtom)), Fraction(0))
-    rhs_rest = [(s, a) for s, a in rhs_atoms if not isinstance(a, CAtom)]
-    new_const = rhs_const - sum(moved, Fraction(0))
-    new_rhs = rhs_rest + [(1, CAtom(new_const))] if not (rhs_rest and new_const == 0) else rhs_rest
-    return Equation(rebuild(keep), rebuild(new_rhs))
+    const, _, rhs_rest = signed_sum(view_atoms(eq.rhs), CAtom)
+    return Equation(rebuild(keep), rebuild(_plus_const(rhs_rest, const - moved)))
 
 
 def _move_x(eq: Equation) -> Equation:
     """Transpose the RHS x-terms onto the LHS coefficient, folding."""
-    rhs_atoms = view_atoms(eq.rhs)
-    moved = [s * a.coef for s, a in rhs_atoms if isinstance(a, XAtom)]
-    if not moved:
+    moved, count, keep = signed_sum(view_atoms(eq.rhs), XAtom)
+    if not count:
         raise RuleNotApplicableError(f"no x-term to move on: {eq}")
-    keep = [(s, a) for s, a in rhs_atoms if not isinstance(a, XAtom)]
-    lhs_atoms = view_atoms(eq.lhs)
-    lhs_coef = sum((s * a.coef for s, a in lhs_atoms if isinstance(a, XAtom)), Fraction(0))
-    lhs_rest = [(s, a) for s, a in lhs_atoms if not isinstance(a, XAtom)]
-    new_coef = lhs_coef - sum(moved, Fraction(0))
-    new_lhs = [(1, XAtom(new_coef))] + lhs_rest
-    if not keep:
-        keep = [(1, CAtom(Fraction(0)))]
-    return Equation(rebuild(new_lhs), rebuild(keep))
+    coef, _, lhs_rest = signed_sum(view_atoms(eq.lhs), XAtom)
+    new_lhs = [(1, XAtom(coef - moved))] + lhs_rest
+    return Equation(rebuild(new_lhs), rebuild(keep or [(1, CAtom(Fraction(0)))]))
 
 
 def _distribute(eq: Equation) -> Equation:
     """Multiply the first parenthesized group on the RHS through, in place."""
-    atoms = view_atoms(eq.rhs)
-    out: list[SignedAtom] = []
-    hit = False
-    for s, a in atoms:
-        if isinstance(a, GroupAtom) and not hit:
-            m = s * a.multiplier
-            for s1, inner in a.inner:
-                if isinstance(inner, XAtom):
-                    out.append((1, XAtom(m * s1 * inner.coef)))
-                elif isinstance(inner, CAtom):
-                    v = m * s1 * inner.value
-                    out.append((1 if v >= 0 else -1, CAtom(abs(v))))
-                else:
-                    raise RuleNotApplicableError(f"cannot distribute over: {eq}")
-            hit = True
-        else:
-            out.append((s, a))
-    if not hit:
+
+    def spread(s: int, g: GroupAtom) -> list[SignedAtom]:
+        m = s * g.multiplier
+        out: list[SignedAtom] = []
+        for s1, a in g.inner:
+            if isinstance(a, XAtom):
+                out.append((1, XAtom(m * s1 * a.coef)))
+            elif isinstance(a, CAtom):
+                out.append((1, CAtom(m * s1 * a.value)))
+            else:
+                raise RuleNotApplicableError(f"cannot distribute over: {eq}")
+        return out
+
+    new = at_first(eq, GroupAtom, spread)
+    if new is None:
         raise RuleNotApplicableError(f"nothing to distribute on: {eq}")
-    return Equation(eq.lhs, rebuild(out))
+    return new
 
 
 _RULE_BODIES: dict[str, Callable[[Equation], Equation]] = {
@@ -281,11 +306,7 @@ def solve_t1(eq: Equation) -> Fraction:
 
 def t1_parts(eq: Equation) -> tuple[Fraction, Fraction]:
     """(A, B) of a T1-shaped equation Ax = B."""
-    lhs = view_atoms(eq.lhs)
-    rhs = view_atoms(eq.rhs)
-    coef = sum((s * a.coef for s, a in lhs if isinstance(a, XAtom)), Fraction(0))
-    value = sum((s * a.value for s, a in rhs if isinstance(a, CAtom)), Fraction(0))
-    return coef, value
+    return signed_sum(view_atoms(eq.lhs), XAtom)[0], signed_sum(view_atoms(eq.rhs), CAtom)[0]
 
 
 def solved_equation(value: Fraction) -> Equation:

@@ -279,3 +279,68 @@ def test_usage_error_exit_2(capsys):
 def test_help_snapshot(capsys):
     golden = Path(__file__).parent / "data" / "cli_help.txt"
     assert build_parser().format_help() == golden.read_text()
+
+
+_GOOD = {"problem_type": "T1", "equation": "4x = 12", "model_answer": "3", "model_steps": ["x = 3"]}
+
+
+@pytest.mark.parametrize("command", [["score", "--misconception", "M8"], ["diagnose"]])
+@pytest.mark.parametrize("field,value", [
+    ("problem_type", 5),
+    ("problem_type", ["T1"]),
+    ("equation", 5),
+    ("equation", None),
+    ("model_steps", 5),
+    ("model_steps", [1, 2]),
+    ("model_steps", "x = 3"),
+    ("model_steps", {"x": 3}),
+], ids=lambda v: json.dumps(v) if not isinstance(v, str) else v)
+def test_transcript_field_types_exit_2(capsys, tmp_path, command, field, value):
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps(_GOOD) + "\n" + json.dumps({**_GOOD, field: value}) + "\n")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    want = "must be null or a list of strings" if field == "model_steps" else "must be a string"
+    assert (code, out, err) == (2, "", f"error: line 2: transcript field '{field}' {want}\n")
+
+
+def test_transcript_missing_field_names_its_line(capsys, tmp_path):
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps(_GOOD) + "\n\n" + '{"problem_type": "T1"}\n')
+    code, out, err = run(capsys, "score", str(path), "--misconception", "M8")
+    assert (code, out, err) == (2, "", "error: line 3: transcript missing field 'equation'\n")
+
+
+def _at_and_past_limits():
+    """(name, accepted text at the limit, rejected text one past it, message)."""
+    from malgebra.equations import MAX_EQUATION_LENGTH, MAX_NUMERAL_DIGITS, MAX_PAREN_DEPTH
+
+    chain = ("x=1" + "+1" * ((MAX_EQUATION_LENGTH - 3) // 2)).ljust(MAX_EQUATION_LENGTH)
+    nest = lambda d: "x = " + "(" * (d - 1) + "3(x + 1)" + ")" * (d - 1)  # noqa: E731
+    digits = lambda n: "2x = " + "9" * n  # noqa: E731
+    return [
+        ("length", chain, chain.rstrip() + "+1", f"longer than {MAX_EQUATION_LENGTH} characters"),
+        ("depth", nest(MAX_PAREN_DEPTH), nest(MAX_PAREN_DEPTH + 1),
+         f"nested deeper than {MAX_PAREN_DEPTH}"),
+        ("digits", digits(MAX_NUMERAL_DIGITS), digits(MAX_NUMERAL_DIGITS + 1),
+         f"longer than {MAX_NUMERAL_DIGITS} digits"),
+    ]
+
+
+_ALL_IDS = ",".join(m.id for m in CATALOG)
+_EQUATION_COMMANDS = [
+    ["classify"],
+    ["solve", "--trace"],
+    ["malsolve", "--trace", "--misconceptions", _ALL_IDS],
+    ["tree", "--cap", "2", "--misconceptions", _ALL_IDS],
+]
+
+
+@pytest.mark.parametrize("case", _at_and_past_limits(), ids=lambda c: c[0])
+@pytest.mark.parametrize("command", _EQUATION_COMMANDS, ids=lambda c: c[0])
+def test_parse_limits(capsys, case, command):
+    _, at_limit, past_limit, message = case
+    code, out, err = run(capsys, *command, "--", at_limit)
+    assert (code, err) == (0, "") and out
+    code, out, err = run(capsys, *command, "--", past_limit)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1

@@ -181,3 +181,48 @@ def test_multi_misconception_combination():
     assert trace.misconceptions_used == ("M2_S3", "M19")
     # 2x = 12x + 5 -> -10x = 5, then the bad solve: x = -10 + 5
     assert trace.answer == -5
+
+
+# sha256 over every tree and every rewrite of the golden corpus below,
+# recorded before the rewrite helpers were shared between rule bodies
+_GOLDEN_REWRITES_SHA256 = "d3599d503f3b1536f3c7366f13b8579e7a6ae5601c69e7c046c95a637ddd6f82"
+
+
+def _golden_rewrite_lines():
+    import json
+
+    from malgebra.datasets import InstanceSampler
+    from malgebra.misconceptions import try_apply
+    from malgebra.solution_space import enumerate_tree, to_json_dict
+
+    sampler = InstanceSampler(seed=77)
+    every = [m.id for m in CATALOG]
+    for t in ORDERED_TYPES:
+        for i in range(6):
+            eq = sampler.sample(t, f"golden:{t.name}:{i}")
+            tree = enumerate_tree(eq, every, 2)
+            yield json.dumps(to_json_dict(tree), sort_keys=True)
+            for node in tree.nodes:
+                if not isinstance(node.label, ProblemType):
+                    continue
+                for m in CATALOG:
+                    try:
+                        res = try_apply(m, node.equation, node.label)
+                    except Exception as exc:
+                        res = f"raise {type(exc).__name__}: {exc}"
+                    else:
+                        if res is not None:
+                            res = (repr(res[0]), str(res[1]))
+                    yield f"{node.id} {m.id} {res}"
+
+
+def test_rewrites_match_golden_digest():
+    """Every rewrite on every state of a seeded corpus, including states that
+    only arise after another misconception, is pinned byte for byte."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for line in _golden_rewrite_lines():
+        digest.update(line.encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == _GOLDEN_REWRITES_SHA256
