@@ -20,7 +20,7 @@ from .datasets import (
     verify_dataset,
 )
 from .equations import parse_equation
-from .errors import EmptyBatchError, EngineError, SchemaError
+from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object
 from .evaluation import diagnose, load_transcripts, score
 from .misconceptions import (
     CATALOG,
@@ -186,11 +186,9 @@ def _cmd_gen(args) -> int:
     base = {}
     if args.config:
         try:
-            base = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            base = decode_json_object(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, SchemaError) as exc:
             raise SchemaError(f"cannot read config {args.config}: {exc}") from None
-        if not isinstance(base, dict):
-            raise SchemaError(f"config {args.config} must hold a JSON object")
     overrides = {
         "n_m": args.n_m,
         "ratio": args.ratio,

@@ -19,19 +19,8 @@ from fractions import Fraction
 from os import PathLike
 from pathlib import Path
 
-from .equations import (
-    Const,
-    Equation,
-    Mul,
-    Paren,
-    XTerm,
-    chain,
-    closed_form_solution,
-    parse_equation,
-    signed_const,
-    signed_x,
-)
-from .errors import EngineError, SamplingExhaustedError, SchemaError
+from .equations import Equation, closed_form_solution, parse_equation
+from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object
 from .misconceptions import (
     CATALOG,
     Misconception,
@@ -39,8 +28,17 @@ from .misconceptions import (
     reduce_with_misconceptions,
     try_apply,
 )
-from .reduction import ReductionTrace, reduce
-from .taxonomy import ORDERED_TYPES, ProblemType, classify
+from .reduction import ReductionTrace, rebuild, reduce
+from .taxonomy import (
+    CAtom,
+    GroupAtom,
+    ORDERED_TYPES,
+    ProblemType,
+    ProdAtom,
+    SignedAtom,
+    XAtom,
+    classify,
+)
 
 MAX_TRIES = 1000
 
@@ -54,61 +52,61 @@ def _nz(rng: random.Random, lo: int, hi: int) -> Fraction:
             return Fraction(v)
 
 
-def _prod_term(c: Fraction, d: Fraction) -> tuple[int, Mul]:
-    sign = -1 if c < 0 else 1
-    return sign, Mul(Const(abs(c)), Const(d))
-
-
-def _group_term(c: Fraction, inner) -> tuple[int, Mul]:
-    sign = -1 if c < 0 else 1
-    return sign, Mul(Const(abs(c)), Paren(inner))
-
-
 def _build(t: ProblemType, rng: random.Random, lo: int, hi: int) -> Equation:
-    n = lambda: _nz(rng, lo, hi)
+    """One draw of type ``t``: its slots filled left to right, except that T9,
+    T10, T12 and T16 draw some right-side values before the left side."""
+
+    def n() -> Fraction:
+        return _nz(rng, lo, hi)
+
+    def x() -> SignedAtom:
+        return 1, XAtom(n())
+
+    def c() -> SignedAtom:
+        return 1, CAtom(n())
+
+    def signed_lead(make) -> SignedAtom:
+        # a later product or group term: its drawn leading factor's sign is the link
+        v = n()
+        return (-1 if v < 0 else 1), make(abs(v))
+
     T = ProblemType
     if t is T.T1:
-        return Equation(XTerm(n()), Const(n()))
-    if t is T.T2:
-        return Equation(XTerm(n()), chain([signed_const(n()), signed_const(n())]))
-    if t is T.T3:
-        return Equation(XTerm(n()), Mul(Const(n()), Const(n())))
-    if t is T.T4:
-        return Equation(chain([signed_x(n()), signed_x(n())]), Const(n()))
-    if t is T.T5:
-        return Equation(chain([signed_x(n()), signed_const(n())]), Const(n()))
-    if t is T.T6:
-        return Equation(chain([signed_const(n()), signed_x(n())]), Const(n()))
-    if t is T.T7:
-        return Equation(XTerm(n()), chain([signed_x(n()), signed_const(n())]))
-    if t is T.T8:
-        return Equation(XTerm(n()), Mul(Const(n()), Paren(Mul(Const(n()), Const(n())))))
-    if t is T.T9:
-        inner = chain([signed_x(n()), signed_const(n())])
-        return Equation(XTerm(n()), Mul(Const(n()), Paren(inner)))
-    if t is T.T10:
-        lead = signed_const(n())
-        return Equation(XTerm(n()), chain([lead, _prod_term(n(), n())]))
-    if t is T.T11:
-        lhs = chain([signed_const(n()), signed_x(n()), signed_x(n())])
-        return Equation(lhs, Const(n()))
-    if t is T.T12:
-        inner = chain([signed_x(n()), signed_const(n())])
-        return Equation(XTerm(n()), chain([signed_const(n()), _group_term(n(), inner)]))
-    if t is T.T14:
-        return Equation(
-            chain([signed_x(n()), signed_const(n())]),
-            chain([signed_x(n()), signed_const(n())]),
-        )
-    if t is T.T15:
-        return Equation(
-            chain([signed_x(n()), signed_x(n())]),
-            chain([signed_const(n()), signed_const(n())]),
-        )
-    if t is T.T16:
-        rhs = chain([signed_x(n()), signed_const(n()), signed_const(n())])
-        return Equation(XTerm(n()), rhs)
-    raise ValueError(f"no builder for {t}")
+        lhs, rhs = [x()], [c()]
+    elif t is T.T2:
+        lhs, rhs = [x()], [c(), c()]
+    elif t is T.T3:
+        lhs, rhs = [x()], [(1, ProdAtom((n(), n())))]
+    elif t is T.T4:
+        lhs, rhs = [x(), x()], [c()]
+    elif t is T.T5:
+        lhs, rhs = [x(), c()], [c()]
+    elif t is T.T6:
+        lhs, rhs = [c(), x()], [c()]
+    elif t is T.T7:
+        lhs, rhs = [x()], [x(), c()]
+    elif t is T.T8:
+        lhs, rhs = [x()], [(1, GroupAtom(n(), ((1, ProdAtom((n(), n()))),)))]
+    elif t is T.T9:
+        inner = (x(), c())
+        lhs, rhs = [x()], [(1, GroupAtom(n(), inner))]
+    elif t is T.T10:
+        lead = c()
+        lhs, rhs = [x()], [lead, signed_lead(lambda v: ProdAtom((v, n())))]
+    elif t is T.T11:
+        lhs, rhs = [c(), x(), x()], [c()]
+    elif t is T.T12:
+        inner = (x(), c())
+        lhs, rhs = [x()], [c(), signed_lead(lambda v: GroupAtom(v, inner))]
+    elif t is T.T14:
+        lhs, rhs = [x(), c()], [x(), c()]
+    elif t is T.T15:
+        lhs, rhs = [x(), x()], [c(), c()]
+    elif t is T.T16:
+        rhs, lhs = [x(), c(), c()], [x()]
+    else:
+        raise ValueError(f"no builder for {t}")
+    return Equation(rebuild(lhs), rebuild(rhs))
 
 
 def sample_instance(
@@ -239,43 +237,6 @@ def _pool(seed: int, equation_text: str) -> str:
     return "test" if digest[0] < 64 else "train"
 
 
-def _record(idx_id: str, t: ProblemType, trace: ReductionTrace, label: str,
-            misconception_id: str | None, seed_key: str) -> dict:
-    lines = trace.equation_lines()
-    rec = {
-        "id": idx_id,
-        "problem_type": t.name,
-        "equation": lines[0],
-        "steps": lines,
-        "final_answer": lines[-1],
-        "label": label,
-    }
-    if misconception_id is not None:
-        rec["misconception_id"] = misconception_id
-    rec["seed"] = seed_key
-    return rec
-
-
-def _sample_correct(sampler: InstanceSampler, seed: int, t: ProblemType, key: str,
-                    pool: str) -> ReductionTrace:
-    rng = sampler.rng_for(key)
-    _, trace = sample_instance(
-        t, rng, sampler.coeff_min, sampler.coeff_max,
-        accept=lambda e: _pool(seed, str(e)) == pool,
-    )
-    return trace
-
-
-def _sample_mal(sampler: InstanceSampler, seed: int, m: Misconception,
-                t: ProblemType, key: str, pool: str) -> ReductionTrace:
-    rng = sampler.rng_for(key)
-    _, trace = sample_for_misconception(
-        m, t, rng, sampler.coeff_min, sampler.coeff_max,
-        accept=lambda e, tr: _pool(seed, str(e)) == pool,
-    )
-    return trace
-
-
 def generate(config: DatasetConfig) -> dict:
     """Emit train.jsonl, test.jsonl and manifest.json under ``out_dir``.
 
@@ -283,51 +244,64 @@ def generate(config: DatasetConfig) -> dict:
     plus floor(ratio * n_m) correct records over all types.  Without one:
     n_correct_per_type correct records per type.  The test file always holds
     test_per_type correct records per type, disjoint from train.
+
+    Each record draws from its own stream key (``train:mal:{i}``,
+    ``train:cor:{i}``, ``train:cor:{type}:{i}``, ``test:{type}:{i}``).  No
+    stream key depends on n_m or the ratio, so a smaller cell's misconception
+    and correct records are the first ones of a larger cell's, ids aside, and
+    test.jsonl is the same for every cell.
     """
     config.validate()
     m = get_misconception(config.misconception) if config.misconception else None
     sampler = InstanceSampler(config.seed, config.coeff_min, config.coeff_max)
-    seed = config.seed
 
-    train: list[dict] = []
+    # (stream key, type, rule) per record; rule None draws a correct record
     if m is None:
-        for t in ORDERED_TYPES:
-            for i in range(config.n_correct_per_type):
-                key = f"train:cor:{t.name}:{i}"
-                trace = _sample_correct(sampler, seed, t, key, "train")
-                train.append(_record(f"train-{len(train):06d}", t, trace, "correct",
-                                     None, f"{seed}:{key}"))
+        train = [(f"train:cor:{t.name}:{i}", t, None)
+                 for t in ORDERED_TYPES for i in range(config.n_correct_per_type)]
     else:
         alpha = [t for t in ORDERED_TYPES if t in m.applicable_types]
-        for i in range(config.n_m):
-            key = f"train:mal:{i}"
-            t = sampler.rng_for(f"{key}:type").choice(alpha)
-            trace = _sample_mal(sampler, seed, m, t, key, "train")
-            train.append(_record(f"train-{len(train):06d}", t, trace, "misconception",
-                                 m.id, f"{seed}:{key}"))
-        n_c = int(config.ratio * config.n_m)
-        for i in range(n_c):
-            key = f"train:cor:{i}"
-            t = sampler.rng_for(f"{key}:type").choice(list(ORDERED_TYPES))
-            trace = _sample_correct(sampler, seed, t, key, "train")
-            train.append(_record(f"train-{len(train):06d}", t, trace, "correct",
-                                 None, f"{seed}:{key}"))
+        mal = [f"train:mal:{i}" for i in range(config.n_m)]
+        cor = [f"train:cor:{i}" for i in range(int(config.ratio * config.n_m))]
+        train = [(k, sampler.rng_for(f"{k}:type").choice(alpha), m) for k in mal]
+        train += [(k, sampler.rng_for(f"{k}:type").choice(ORDERED_TYPES), None) for k in cor]
+    test = [(f"test:{t.name}:{i}", t, None)
+            for t in ORDERED_TYPES for i in range(config.test_per_type)]
 
-    test: list[dict] = []
-    for t in ORDERED_TYPES:
-        for i in range(config.test_per_type):
-            key = f"test:{t.name}:{i}"
-            trace = _sample_correct(sampler, seed, t, key, "test")
-            test.append(_record(f"test-{len(test):06d}", t, trace, "correct",
-                                None, f"{seed}:{key}"))
+    splits: dict[str, list[dict]] = {}
+    for pool, draws in (("train", train), ("test", test)):
+        records = splits[pool] = []
+        # sample_for_misconception's accept hook also gets the trace
+        in_pool = lambda e, *_: _pool(config.seed, str(e)) == pool
+        for key, t, rule in draws:
+            rng = sampler.rng_for(key)
+            if rule is None:
+                _, trace = sample_instance(t, rng, config.coeff_min, config.coeff_max, in_pool)
+            else:
+                _, trace = sample_for_misconception(
+                    rule, t, rng, config.coeff_min, config.coeff_max, in_pool
+                )
+            lines = trace.equation_lines()
+            rec = {
+                "id": f"{pool}-{len(records):06d}",
+                "problem_type": t.name,
+                "equation": lines[0],
+                "steps": lines,
+                "final_answer": lines[-1],
+                "label": "correct" if rule is None else "misconception",
+            }
+            if rule is not None:
+                rec["misconception_id"] = rule.id
+            rec["seed"] = f"{config.seed}:{key}"
+            records.append(rec)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digests = {}
-    for name, records in (("train.jsonl", train), ("test.jsonl", test)):
+    for pool, records in splits.items():
         payload = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
-        (out / name).write_text(payload, encoding="utf-8")
-        digests[name] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        (out / f"{pool}.jsonl").write_text(payload, encoding="utf-8")
+        digests[f"{pool}.jsonl"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # the manifest identifies the content, not its location
     echoed = {k: v for k, v in asdict(config).items() if k != "out_dir"}
@@ -337,10 +311,7 @@ def generate(config: DatasetConfig) -> dict:
         "config_hash": hashlib.sha256(
             json.dumps(echoed, sort_keys=True).encode()
         ).hexdigest(),
-        "counts": {
-            "train": _count(train),
-            "test": _count(test),
-        },
+        "counts": {pool: _count(records) for pool, records in splits.items()},
         "digests": digests,
     }
     (out / "manifest.json").write_text(
@@ -379,6 +350,16 @@ class VerifyReport:
 
 
 def _replay(rec: dict) -> None:
+    """Check the record's fields, then re-derive its steps from its equation."""
+    missing = [k for k in _RECORD_KEYS if k not in rec]
+    if missing:
+        raise SchemaError(f"missing fields: {missing}")
+    for name in (*_RECORD_KEYS, "misconception_id"):
+        if name != "steps" and not isinstance(rec.get(name, ""), str):
+            raise SchemaError(f"field '{name}' must be a string")
+    steps = rec["steps"]
+    if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
+        raise SchemaError("field 'steps' must be a list of strings")
     eq = parse_equation(rec["equation"])
     t = classify(eq)
     if t.name != rec["problem_type"]:
@@ -412,19 +393,7 @@ def verify_records(lines: list[str]) -> VerifyReport:
             continue
         report.total += 1
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            report.failures.append((lineno, f"bad JSON: {exc}"))
-            continue
-        if not isinstance(rec, dict):
-            report.failures.append((lineno, "not a JSON object"))
-            continue
-        missing = [k for k in _RECORD_KEYS if k not in rec]
-        if missing:
-            report.failures.append((lineno, f"missing fields: {missing}"))
-            continue
-        try:
-            _replay(rec)
+            _replay(decode_json_object(line))
         except (EngineError, SchemaError) as exc:
             report.failures.append((lineno, str(exc)))
             continue

@@ -361,55 +361,3 @@ def closed_form_solution(eq: Equation) -> Fraction:
         raise NoUniqueSolutionError(f"no unique solution: {eq}")
     return -d0 / slope
 
-
-# ---------------------------------------------------------------------------
-# Chain builders shared by samplers and rewrite rules
-# ---------------------------------------------------------------------------
-
-
-def append_term(chain: Expr | None, node: Expr, sign: int) -> Expr:
-    """Extend a left-associated +/- chain by one term.
-
-    For a leading term a negative sign is folded into the node itself; later
-    terms become Add/Sub links so rendering never produces ``a + -b``.
-    """
-    if chain is None:
-        return negate_node(node) if sign < 0 else node
-    return Add(chain, node) if sign > 0 else Sub(chain, node)
-
-
-def negate_node(node: Expr) -> Expr:
-    if isinstance(node, Const):
-        return Const(-node.value)
-    if isinstance(node, XTerm):
-        return XTerm(-node.coef)
-    if isinstance(node, Mul):
-        # fold the sign into the leading factor
-        left = node.left
-        if isinstance(left, Const):
-            return Mul(Const(-left.value), node.right)
-    return Neg(node)
-
-
-def chain(parts: list[tuple[int, Expr]]) -> Expr:
-    """Build a left-associated chain from (sign, node) pairs."""
-    if not parts:
-        raise ValueError("empty chain")
-    out: Expr | None = None
-    for sign, node in parts:
-        out = append_term(out, node, sign)
-    assert out is not None
-    return out
-
-
-def signed_const(value: Fraction) -> tuple[int, Expr]:
-    """A constant as a (sign, positive-node) pair for chain building."""
-    if value < 0:
-        return -1, Const(-value)
-    return 1, Const(value)
-
-
-def signed_x(coef: Fraction) -> tuple[int, Expr]:
-    if coef < 0:
-        return -1, XTerm(-coef)
-    return 1, XTerm(coef)

@@ -2,10 +2,13 @@
 
 ``EngineError`` covers domain failures (degenerate equations, rules that do
 not apply, sampling dead ends).  Input-format problems raise ``SchemaError``
-subclasses instead so callers can map them to a different exit code.
+subclasses instead so callers can map them to a different exit code;
+``decode_json_object`` is the one decoder of external JSON and raises it.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class EngineError(Exception):
@@ -72,3 +75,16 @@ class SchemaError(Exception):
 
 class EmptyBatchError(Exception):
     """An operation that needs at least one input record received none."""
+
+
+def decode_json_object(text: str) -> dict:
+    """The JSON object in ``text`` (a dataset or transcript line, a config
+    file).  Any failure raises ``SchemaError``, including nesting past the
+    recursion limit and integers past the int digit limit."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise SchemaError(f"bad JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SchemaError("not a JSON object")
+    return data

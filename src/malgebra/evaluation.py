@@ -9,13 +9,12 @@ rather than silently skewed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .equations import Const, Equation, XTerm, closed_form_solution, parse_equation
-from .errors import EmptyBatchError, EngineError, SchemaError
+from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object
 from .misconceptions import (
     _MAX_TRACE_STEPS,
     CATALOG,
@@ -71,13 +70,7 @@ def load_transcripts(path: str | Path) -> list[Transcript]:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-            raise SchemaError(f"line {lineno}: bad JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise SchemaError(f"line {lineno}: not a JSON object")
-        try:
-            out.append(transcript_from_dict(data))
+            out.append(transcript_from_dict(decode_json_object(line)))
         except SchemaError as exc:
             raise SchemaError(f"line {lineno}: {exc}") from None
     return out

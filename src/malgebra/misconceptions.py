@@ -136,7 +136,9 @@ def _rw_m4(eq: Equation, t: ProblemType) -> Equation | None:
     def interleave(s: int, g: GroupAtom) -> list[SignedAtom] | None:
         if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
             return None
-        factors = tuple(v for f in g.inner[0][1].factors for v in (g.multiplier, f))
+        s1, prod = g.inner[0]
+        head, *rest = prod.factors
+        factors = tuple(v for f in (s1 * head, *rest) for v in (g.multiplier, f))
         return [(s, ProdAtom(factors))]
 
     return at_first(eq, GroupAtom, interleave)

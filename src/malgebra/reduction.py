@@ -14,17 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Literal, Sequence
 
-from .equations import (
-    Const,
-    Equation,
-    Expr,
-    Mul,
-    Paren,
-    XTerm,
-    chain,
-    signed_const,
-    signed_x,
-)
+from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm
 from .errors import RuleNotApplicableError, ZeroCoefficientError
 from .taxonomy import (
     CAtom,
@@ -85,29 +75,46 @@ class ReductionTrace:
 # ---------------------------------------------------------------------------
 
 
-def _atoms_to_parts(atoms: list[SignedAtom]) -> list[tuple[int, Expr]]:
-    parts: list[tuple[int, Expr]] = []
+def rebuild(atoms: Sequence[SignedAtom]) -> Expr:
+    """The left-associated +/- chain for ``atoms``; every Expr chain the
+    engine builds comes from here.
+
+    X and C atoms render from their signed value, so ``(-1, CAtom(v))`` and
+    ``(1, CAtom(-v))`` give the same node.  Later terms join by ``+`` or
+    ``-``, so rendering never shows ``a + -b``.  A leading minus folds into
+    the first term: into its value, into a constant left factor, or else into
+    a ``Neg`` around it.
+    """
+    if not atoms:
+        raise ValueError("empty chain")
+    out: Expr | None = None
     for sign, atom in atoms:
-        if isinstance(atom, XAtom):
-            parts.append(signed_x(sign * atom.coef))
-        elif isinstance(atom, CAtom):
-            parts.append(signed_const(sign * atom.value))
+        if isinstance(atom, (XAtom, CAtom)):
+            is_x = isinstance(atom, XAtom)
+            value = atom.coef if is_x else atom.value
+            if sign < 0:
+                value = -value
+            sign = 1
+            if out is not None and value < 0:
+                sign, value = -1, -value
+            node: Expr = XTerm(value) if is_x else Const(value)
         elif isinstance(atom, ProdAtom):
             node = Const(atom.factors[0])
             for f in atom.factors[1:]:
                 node = Mul(node, Const(f))
-            parts.append((sign, node))
         elif isinstance(atom, GroupAtom):
-            parts.append((sign, Mul(Const(atom.multiplier), Paren(rebuild(atom.inner)))))
+            node = Mul(Const(atom.multiplier), Paren(rebuild(atom.inner)))
         else:
-            parts.append((sign, atom.node))
-    return parts
-
-
-def rebuild(atoms: Sequence[SignedAtom]) -> Expr:
-    """The chain for ``atoms``.  X and C atoms render from their signed value,
-    so ``(-1, CAtom(v))`` and ``(1, CAtom(-v))`` give the same node."""
-    return chain(_atoms_to_parts(atoms))
+            node = atom.node
+        if out is not None:
+            out = Add(out, node) if sign > 0 else Sub(out, node)
+        elif sign > 0:
+            out = node
+        elif isinstance(node, Mul) and isinstance(node.left, Const):
+            out = Mul(Const(-node.left.value), node.right)
+        else:
+            out = Neg(node)
+    return out
 
 
 def with_side(eq: Equation, side: str, atoms: Sequence[SignedAtom]) -> Equation:

@@ -4,23 +4,28 @@ Fifteen concrete equation shapes (T1-T12, T14-T16; there is no T13) form the
 nodes of a DAG whose correct edges each perform one algebraic operation and
 all converge on the base case T1 (``Ax = B``).
 
-Classification is two-pass.  The exact pass matches the surface structure of
-the fifteen canonical patterns.  The fallback pass normalizes forms that only
-arise from rewrites (bare parentheses spliced away, constant multiples of a
-parenthesized monomial folded, terms stably reordered x-first, flexible
-constant-chain widths) and retries, so erroneous rewrites land on the nearest
-pattern with zero slots, e.g. ``Ax = Bx`` classifies as T7 with a zero
-constant.
+Each type's shape comes from its pattern string alone (``ProblemType.pattern``,
+e.g. ``Ax = B(Cx + D)``): parsed with a digit for every coefficient letter,
+it gives the per-side signature of term kinds that the shape table maps to
+the type.
+
+Classification is two-pass.  The exact pass looks up the surface signature.
+The fallback pass normalizes forms that only arise from rewrites (bare
+parentheses spliced away, constant multiples of a parenthesized monomial
+folded, terms stably reordered x-first) and looks again.  A right-side
+constant chain of any width matches the two-constant shape, and ``Ax = Bx``
+is T7 with a zero constant, so erroneous rewrites land on the nearest pattern.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm
+from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm, parse_equation
 from .errors import UnclassifiableFormError
 
 
@@ -202,38 +207,27 @@ def _signature(atoms: list[SignedAtom]) -> tuple[str, ...]:
     return tuple(_kind(a) for _, a in atoms)
 
 
+def _shape(pattern: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The surface signatures of a pattern such as ``Ax = B(Cx + D)``, read
+    by parsing it with every coefficient letter set to a digit."""
+    eq = parse_equation(re.sub("[A-Z]", "2", pattern))
+    return _signature(surface_atoms(eq.lhs)), _signature(surface_atoms(eq.rhs))
+
+
+_SHAPES: dict[tuple[tuple[str, ...], tuple[str, ...]], ProblemType] = {
+    _shape(t.pattern): t for t in ORDERED_TYPES
+}
+# the one shape a rewrite reaches that no pattern spells: T7 with a zero constant
+_SHAPES[_shape("Ax = Bx")] = ProblemType.T7
+
+
 def _match_patterns(lhs: tuple[str, ...], rhs: tuple[str, ...]) -> ProblemType | None:
-    n = len(rhs)
-    if lhs == ("x",):
-        if n >= 1 and all(k == "c" for k in rhs):
-            return ProblemType.T1 if n == 1 else ProblemType.T2
-        if rhs == ("p",):
-            return ProblemType.T3
-        if rhs == ("g[p]",):
-            return ProblemType.T8
-        if rhs == ("g[x c]",):
-            return ProblemType.T9
-        if rhs == ("c", "p"):
-            return ProblemType.T10
-        if rhs == ("c", "g[x c]"):
-            return ProblemType.T12
-        if rhs and rhs[0] == "x" and all(k == "c" for k in rhs[1:]):
-            if n == 1:
-                return ProblemType.T7  # zero-constant variant, Ax = Bx
-            return ProblemType.T7 if n == 2 else ProblemType.T16
-    if lhs == ("x", "x"):
-        if n >= 1 and all(k == "c" for k in rhs):
-            return ProblemType.T4 if n == 1 else ProblemType.T15
-    if lhs == ("x", "c"):
-        if rhs == ("c",):
-            return ProblemType.T5
-        if rhs == ("x", "c"):
-            return ProblemType.T14
-    if lhs == ("c", "x") and rhs == ("c",):
-        return ProblemType.T6
-    if lhs == ("c", "x", "x") and rhs == ("c",):
-        return ProblemType.T11
-    return None
+    """The type of the shape ``(lhs, rhs)``; a trailing run of constants on
+    the right is cut to two first, so a constant chain of any width there
+    matches the two-constant shape."""
+    while rhs[-3:] == ("c", "c", "c"):
+        rhs = rhs[:-1]
+    return _SHAPES.get((lhs, rhs))
 
 
 def classify(eq: Equation) -> ProblemType:

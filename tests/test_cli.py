@@ -171,6 +171,57 @@ def test_verify_non_object_lines(capsys, tmp_path):
     assert out == f"{len(lines) - 2}/{len(lines)} records replay cleanly\n"
 
 
+_DEEP = "[" * 5000
+_HUGE = '{"seed": ' + "1" * 5000 + "}"
+
+
+def test_verify_bad_json_lines(capsys, tmp_path):
+    path = tmp_path / "ds.jsonl"
+    path.write_text(_DEEP + "\n" + _HUGE + "\n{\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (1, "0/3 records replay cleanly\n")
+    lines = err.splitlines()
+    assert [line.split(": bad JSON: ")[0] for line in lines] == ["line 1", "line 2", "line 3"]
+    assert "recursion" in lines[0] and "digits" in lines[1]
+
+
+@pytest.mark.parametrize("text", [_DEEP, _HUGE, "{", "[1, 2]"], ids=["deep", "huge", "cut", "list"])
+def test_gen_config_bad_json_exit_2(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "ds"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config {cfg}: ") and err.count("\n") == 1
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("equation", 5),
+    ("final_answer", 5),
+    ("problem_type", None),
+    ("label", ["correct"]),
+    ("id", 3),
+    ("seed", 0),
+    ("misconception_id", 5),
+    ("misconception_id", None),
+    ("steps", "2x = 4"),
+    ("steps", 5),
+    ("steps", [1, 2]),
+], ids=lambda v: json.dumps(v) if not isinstance(v, str) else v)
+def test_verify_field_types(capsys, tmp_path, field, value):
+    out_dir = tmp_path / "ds"
+    generate(DatasetConfig(seed=1, n_correct_per_type=1, test_per_type=0,
+                           out_dir=str(out_dir)))
+    path = out_dir / "train.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    want = "a list of strings" if field == "steps" else "a string"
+    assert (code, err) == (1, f"line 2: field '{field}' must be {want}\n")
+    assert out == f"{len(lines) - 1}/{len(lines)} records replay cleanly\n"
+
+
 def test_verify_empty_file_exit_3(capsys, tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

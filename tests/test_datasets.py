@@ -9,6 +9,7 @@ import pytest
 
 from malgebra.datasets import (
     DatasetConfig,
+    _build,
     InstanceSampler,
     config_from_dict,
     generate,
@@ -226,3 +227,14 @@ def test_manifest_counts_match_files(tmp_path):
     assert manifest["counts"]["test"]["total"] == len(test_lines)
     n_mal = sum(1 for l in train_lines if json.loads(l)["label"] == "misconception")
     assert manifest["counts"]["train"]["misconception"] == n_mal == 12
+
+
+def test_build_matches_pinned_digest():
+    """200 draws per type from ``_build``: the digest pins each type's draw
+    order and every node of the chains ``rebuild`` makes from the drawn atoms."""
+    h = hashlib.sha256()
+    for t in ORDERED_TYPES:
+        rng = random.Random(f"build:{t.name}")
+        for _ in range(200):
+            h.update(repr(_build(t, rng, -9, 9)).encode() + b"\n")
+    assert h.hexdigest() == "98ce689a84160dbca5ac5df08280862e97d8a9ad9cf26fc53bf8f664b1dd90aa"

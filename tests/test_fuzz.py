@@ -1,9 +1,11 @@
 """Seeded fuzzing of the CLI: every input ends in a documented exit code.
 
 Equation commands get mutated equation text, ``score`` and ``diagnose`` get
-transcript lines with random field values, and oversized inputs probe the
-parser's bounds.  ``cli.main`` runs in-process, so any exception escaping it
-fails the test with its traceback.
+transcript lines with random field values, ``verify`` gets dataset lines and
+``gen --config`` config files with random field values, and oversized inputs
+(long equations, deep JSON nesting, huge JSON numbers) probe the bounds.
+``cli.main`` runs in-process, so any exception escaping it fails the test
+with its traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import random
 
 from malgebra.cli import main
-from malgebra.datasets import InstanceSampler
+from malgebra.datasets import DatasetConfig, InstanceSampler, generate
 from malgebra.misconceptions import CATALOG
 from malgebra.taxonomy import ORDERED_TYPES
 
@@ -122,3 +124,68 @@ def test_fuzz_transcript_lines(capsys, tmp_path):
         command = rng.choice([["score", "--misconception", rng.choice(CATALOG).id], ["diagnose"]])
         codes.add(_run(capsys, [command[0], str(path), *command[1:]]))
     assert {1, 2} <= codes
+
+
+_BAD_JSON = ["[" * 5000, '{"seed": ' + "1" * 5000 + "}", "5", "null", '"x"', "[]", "{"]
+
+
+def test_fuzz_dataset_lines(capsys, tmp_path):
+    rng = random.Random(11)
+    generate(DatasetConfig(seed=3, misconception="M6", n_m=6, ratio=1.0, test_per_type=0,
+                           out_dir=str(tmp_path / "ds")))
+    lines = (tmp_path / "ds" / "train.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    texts = _seeds() + ["correct", "misconception", "M6", "M99"]
+    fields = sorted({f for r in records for f in r}) + ["extra"]
+    path = tmp_path / "fz.jsonl"
+    codes = set()
+    for _ in range(200):
+        lines = []
+        for _ in range(4):
+            rec = dict(rng.choice(records))
+            for f in rng.sample(fields, rng.randint(0, 3)):
+                roll = rng.random()
+                if roll < 0.15:
+                    rec.pop(f, None)
+                elif roll < 0.4:
+                    rec[f] = rng.choice(records).get(f)
+                else:
+                    rec[f] = _random_value(rng, texts)
+            lines.append(json.dumps(rec) if rng.random() < 0.9 else rng.choice(_BAD_JSON))
+        path.write_text("\n".join(lines) + "\n")
+        codes.add(_run(capsys, ["verify", str(path)]))
+    assert codes == {0, 1}
+
+
+def _config_value(rng: random.Random, field: str):
+    """A random value for one config field.  Counts stay small when they are
+    valid, so every generated dataset holds a few dozen records at most."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice([None, True, False, "", "5", 2.5, -1, 0, [], {}, [1], {"a": 1}, "M1"])
+    if field in ("seed", "coeff_min", "coeff_max") and kind == 1:
+        return rng.choice([10 ** 40, -10 ** 40, rng.randint(-12, 12)])
+    if field == "misconception":
+        return rng.choice([m.id for m in CATALOG] + ["M99", "m1", None])
+    if field == "ratio":
+        return rng.choice([0.0, 0.25, 0.5, 1.0, 1, 0, 0.3, -1.0, "0.5"])
+    return rng.randint(-2, 2)
+
+
+def test_fuzz_gen_configs(capsys, tmp_path):
+    rng = random.Random(13)
+    fields = ["seed", "misconception", "n_m", "ratio", "n_correct_per_type", "test_per_type",
+              "coeff_min", "coeff_max"]
+    path = tmp_path / "cfg.json"
+    codes = set()
+    for i in range(150):
+        config = {"seed": i, "misconception": rng.choice([None, rng.choice(CATALOG).id]),
+                  "n_m": 2, "ratio": 0.5, "n_correct_per_type": 1, "test_per_type": 1}
+        for f in rng.sample(fields, rng.randint(1, 3)):
+            config[f] = _config_value(rng, f)
+        if rng.random() < 0.1:
+            config["extra"] = 1
+        text = json.dumps(config) if rng.random() < 0.85 else rng.choice(_BAD_JSON)
+        path.write_text(text)
+        codes.add(_run(capsys, ["gen", "--config", str(path), "--out", str(tmp_path / "ds")]))
+    assert {0, 1, 2} <= codes

@@ -104,6 +104,10 @@ def test_apply_misconception_spot_anchors():
     assert label is SOLVED
     bad, label = apply_misconception("M20_S20", parse_equation("4x = 12"))
     assert str(bad) == "x = 12"
+    # the group's inner sign folds into the first factor, as the correct fold does
+    neg = parse_equation("2x = 3(-(4 * 5))")
+    assert str(apply_misconception("M4", neg)[0]) == "2x = 3 * -4 * 3 * 5"
+    assert reduce_with_misconceptions(neg, ["M4"]).answer == -90
 
 
 def test_apply_misconception_rejects_wrong_type():

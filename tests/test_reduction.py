@@ -18,8 +18,17 @@ from malgebra.equations import (
     parse_equation,
 )
 from malgebra.errors import RuleNotApplicableError, ZeroCoefficientError
-from malgebra.reduction import reduce, reduce_step, solve_terminal
-from malgebra.taxonomy import ORDERED_TYPES, ProblemType, SOLVED
+from malgebra.reduction import rebuild, reduce, reduce_step, solve_terminal
+from malgebra.taxonomy import (
+    CAtom,
+    GroupAtom,
+    ORDERED_TYPES,
+    OpaqueAtom,
+    ProblemType,
+    ProdAtom,
+    SOLVED,
+    XAtom,
+)
 
 T = ProblemType
 
@@ -137,3 +146,25 @@ def test_reduction_depth_bound(sampler):
             trace = reduce(eq)
             assert trace.reduction_count <= 5
             assert trace.steps[-1].label is SOLVED
+
+
+def test_rebuild_sign_rules():
+    F = Fraction
+    # later terms link by + or -, whatever sign the atom value carries
+    assert rebuild([(1, CAtom(F(2))), (-1, CAtom(F(-5))), (1, XAtom(F(-4)))]) == Sub(
+        Add(Const(F(2)), Const(F(5))), XTerm(F(4))
+    )
+    # a leading minus folds into an x or constant value, or a constant left factor ...
+    assert rebuild([(-1, XAtom(F(3)))]) == XTerm(F(-3))
+    assert rebuild([(-1, ProdAtom((F(3), F(4))))]) == Mul(Const(F(-3)), Const(F(4)))
+    group = GroupAtom(F(3), ((1, XAtom(F(1))),))
+    assert rebuild([(-1, group)]) == Mul(Const(F(-3)), Paren(XTerm(F(1))))
+    # ... and otherwise wraps the term in Neg
+    three = Mul(Mul(Const(F(3)), Const(F(4))), Const(F(5)))
+    assert rebuild([(-1, ProdAtom((F(3), F(4), F(5))))]) == Neg(three)
+    assert rebuild([(-1, OpaqueAtom(Paren(XTerm(F(1)))))]) == Neg(Paren(XTerm(F(1))))
+    with pytest.raises(ValueError):
+        rebuild([])
+    # a leading negated group reaches the two-factor fold through a correct step
+    trace = reduce(parse_equation("2x = -(3(4 * 5))"))
+    assert trace.steps[1].equation.rhs == Mul(Const(F(-3)), Const(F(20)))

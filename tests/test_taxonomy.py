@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from malgebra.equations import closed_form_solution, parse_equation
@@ -10,6 +12,7 @@ from malgebra.taxonomy import (
     CORRECT_EDGES,
     ORDERED_TYPES,
     ProblemType,
+    _match_patterns,
     classify,
     correct_successors,
     path_exists_to_T1,
@@ -139,3 +142,54 @@ def test_type_graph_records():
     # 15 rows of 4 solve-step rules + the type-specific entries
     assert {"source": "T9", "target": "T7", "kind": "correct", "id": "distribute"} in correct
     assert any(r["source"] == "T9" and r["id"] == "M8" for r in mal)
+
+
+def _if_chain_reference(lhs: tuple[str, ...], rhs: tuple[str, ...]) -> ProblemType | None:
+    """The shape matcher as an explicit if-chain, kept as the reference for
+    the table that ``taxonomy`` reads from the type patterns."""
+    n = len(rhs)
+    if lhs == ("x",):
+        if n >= 1 and all(k == "c" for k in rhs):
+            return T.T1 if n == 1 else T.T2
+        if rhs == ("p",):
+            return T.T3
+        if rhs == ("g[p]",):
+            return T.T8
+        if rhs == ("g[x c]",):
+            return T.T9
+        if rhs == ("c", "p"):
+            return T.T10
+        if rhs == ("c", "g[x c]"):
+            return T.T12
+        if rhs and rhs[0] == "x" and all(k == "c" for k in rhs[1:]):
+            if n == 1:
+                return T.T7  # zero-constant variant, Ax = Bx
+            return T.T7 if n == 2 else T.T16
+    if lhs == ("x", "x"):
+        if n >= 1 and all(k == "c" for k in rhs):
+            return T.T4 if n == 1 else T.T15
+    if lhs == ("x", "c"):
+        if rhs == ("c",):
+            return T.T5
+        if rhs == ("x", "c"):
+            return T.T14
+    if lhs == ("c", "x") and rhs == ("c",):
+        return T.T6
+    if lhs == ("c", "x", "x") and rhs == ("c",):
+        return T.T11
+    return None
+
+
+def test_shape_table_matches_if_chain_reference():
+    kinds = ("x", "c", "p", "g[p]", "g[x c]", "g[x]", "?")
+
+    def signatures(max_len: int) -> list[tuple[str, ...]]:
+        return [sig for n in range(max_len + 1) for sig in itertools.product(kinds, repeat=n)]
+
+    rhs_all = signatures(4)
+    pairs = 0
+    for lhs in signatures(3):
+        for rhs in rhs_all:
+            assert _match_patterns(lhs, rhs) is _if_chain_reference(lhs, rhs), (lhs, rhs)
+            pairs += 1
+    assert pairs == 400 * 2801
