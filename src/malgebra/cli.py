@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .datasets import (
@@ -20,7 +19,7 @@ from .datasets import (
     verify_dataset,
 )
 from .equations import parse_equation
-from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object
+from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .evaluation import diagnose, load_transcripts, score
 from .misconceptions import (
     CATALOG,
@@ -29,7 +28,7 @@ from .misconceptions import (
 )
 from .reduction import ReductionTrace, reduce
 from .solution_space import enumerate_tree, to_dot, to_json_dict
-from .taxonomy import ORDERED_TYPES, ProblemType, classify
+from .taxonomy import ORDERED_TYPES, classify
 
 
 def _threshold(text: str) -> Fraction:
@@ -113,19 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_diagnose)
 
     p = sub.add_parser("dump-graph", help="emit the type graph as JSON records")
-    p.add_argument("--seed", type=int, default=0, help="seed for computed targets")
     p.set_defaults(handler=_cmd_dump_graph)
 
     return parser
 
 
 def _trace_lines(trace: ReductionTrace) -> list[str]:
-    lines = []
-    for i, step in enumerate(trace.steps[:-1]):
-        nxt = trace.steps[i + 1].via
-        label = step.label.name if isinstance(step.label, ProblemType) else step.label
-        lines.append(f"{label} | {step.equation} | {nxt.rule_id}")
-    return lines
+    steps = trace.steps
+    return [f"{s.label} | {s.equation} | {nxt.via.rule_id}" for s, nxt in zip(steps, steps[1:])]
 
 
 def _print_trace_result(trace: ReductionTrace, show_trace: bool) -> None:
@@ -185,9 +179,10 @@ def _cmd_catalog(args) -> int:
 def _cmd_gen(args) -> int:
     base = {}
     if args.config:
+        text = read_input(args.config, "config")
         try:
-            base = decode_json_object(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, SchemaError) as exc:
+            base = decode_json_object(text)
+        except SchemaError as exc:
             raise SchemaError(f"cannot read config {args.config}: {exc}") from None
     overrides = {
         "n_m": args.n_m,
@@ -265,7 +260,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_dump_graph(args) -> int:
     graph = default_type_graph()
-    records = graph.to_records(misconception_targets(args.seed))
+    records = graph.to_records(misconception_targets())
     doc = {"nodes": [t.name for t in graph.nodes], "edges": records}
     print(json.dumps(doc, indent=2))
     return 0

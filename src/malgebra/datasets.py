@@ -20,7 +20,7 @@ from os import PathLike
 from pathlib import Path
 
 from .equations import Equation, closed_form_solution, parse_equation
-from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object
+from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_input
 from .misconceptions import (
     CATALOG,
     Misconception,
@@ -295,13 +295,11 @@ def generate(config: DatasetConfig) -> dict:
             rec["seed"] = f"{config.seed}:{key}"
             records.append(rec)
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    digests = {}
-    for pool, records in splits.items():
-        payload = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
-        (out / f"{pool}.jsonl").write_text(payload, encoding="utf-8")
-        digests[f"{pool}.jsonl"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    files = {
+        f"{pool}.jsonl": "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        for pool, records in splits.items()
+    }
+    digests = {name: hashlib.sha256(t.encode("utf-8")).hexdigest() for name, t in files.items()}
 
     # the manifest identifies the content, not its location
     echoed = {k: v for k, v in asdict(config).items() if k != "out_dir"}
@@ -314,9 +312,14 @@ def generate(config: DatasetConfig) -> dict:
         "counts": {pool: _count(records) for pool, records in splits.items()},
         "digests": digests,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+    out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write to output directory {out}: {exc}") from None
     return manifest
 
 
@@ -402,13 +405,13 @@ def verify_records(lines: list[str]) -> VerifyReport:
 
 
 def verify_dataset(path: str | Path) -> VerifyReport:
-    text = Path(path).read_text(encoding="utf-8")
-    return verify_records(text.splitlines())
+    return verify_records(read_input(path, "dataset").splitlines())
 
 
-def misconception_targets(seed: int = 0) -> dict[tuple[ProblemType, str], str]:
+def misconception_targets() -> dict[tuple[ProblemType, str], str]:
     """Computed target label per (type, misconception) edge, derived by
-    rewriting a conforming representative instance and reclassifying."""
+    rewriting a conforming representative instance and reclassifying.  A
+    target depends only on the instance's shape, so one fixed draw serves."""
     out: dict[tuple[ProblemType, str], str] = {}
     for m in CATALOG:
         for t in ORDERED_TYPES:
@@ -417,7 +420,7 @@ def misconception_targets(seed: int = 0) -> dict[tuple[ProblemType, str], str]:
             if m.at_solve:
                 out[(t, m.id)] = "solved"
                 continue
-            rng = random.Random(f"{seed}:target:{m.id}:{t.name}")
+            rng = random.Random(f"0:target:{m.id}:{t.name}")
             try:
                 eq, _ = sample_for_misconception(m, t, rng)
             except SamplingExhaustedError:
@@ -426,5 +429,5 @@ def misconception_targets(seed: int = 0) -> dict[tuple[ProblemType, str], str]:
             res = try_apply(m, eq, t)
             assert res is not None
             _, label = res
-            out[(t, m.id)] = label.name if isinstance(label, ProblemType) else label
+            out[(t, m.id)] = str(label)
     return out

@@ -3,12 +3,14 @@
 ``EngineError`` covers domain failures (degenerate equations, rules that do
 not apply, sampling dead ends).  Input-format problems raise ``SchemaError``
 subclasses instead so callers can map them to a different exit code;
-``decode_json_object`` is the one decoder of external JSON and raises it.
+``read_input`` is the one reader of input files and ``decode_json_object``
+the one decoder of external JSON, and both raise it.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 
 class EngineError(Exception):
@@ -88,3 +90,12 @@ def decode_json_object(text: str) -> dict:
     if not isinstance(data, dict):
         raise SchemaError("not a JSON object")
     return data
+
+
+def read_input(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the input file ``path``, a ``what`` such as "dataset";
+    any failure to read it raises ``SchemaError`` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {what} {path}: {exc}") from None

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .equations import Const, Equation, XTerm, closed_form_solution, parse_equation
-from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object
+from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .misconceptions import (
     _MAX_TRACE_STEPS,
     CATALOG,
@@ -66,7 +66,7 @@ def transcript_from_dict(data: dict) -> Transcript:
 
 def load_transcripts(path: str | Path) -> list[Transcript]:
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_input(path, "transcripts").splitlines(), 1):
         if not line.strip():
             continue
         try:

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
-from .equations import Const, Equation, Paren
+from .equations import Equation, Paren
 from .errors import (
     MisconceptionNotApplicableError,
     NonterminationError,
@@ -369,6 +369,47 @@ def apply_misconception(
 
 _MAX_TRACE_STEPS = 12
 
+# Node expansion, shared by the walk (one edge per node) and the tree (every
+# edge): a node's correct edges, the rules that fire there, terminal outcomes.
+_CORRECT = {t: tuple(EdgeRef("correct", rule_id) for _, rule_id in correct_successors(t))
+            or (EdgeRef("solve", "solve"),) for t in ProblemType}
+_RULE_EDGES = {m.id: EdgeRef("misconception", m.id) for m in CATALOG}
+
+
+def correct_edges(t: ProblemType) -> tuple[EdgeRef, ...]:
+    """The correct edges out of a ``t`` node: T1's solve step, else its
+    correct rules in canonical order, the default first."""
+    return _CORRECT[t]
+
+
+def follow(eq: Equation, t: ProblemType, edge: EdgeRef) -> tuple[Equation, ProblemType | str]:
+    """The state a correct edge leads to from ``eq``; solving ``0x = B``
+    raises ``ZeroCoefficientError``."""
+    if edge.kind == "solve":
+        return solved_equation(solve_t1(eq)), SOLVED
+    return apply_step(eq, t, edge.rule_id)
+
+
+def rule_edge(
+    mals: Sequence[Misconception], used: Collection[str], eq: Equation, t: ProblemType, i: int = 0
+) -> tuple[int, EdgeRef, Equation, ProblemType | str] | None:
+    """The first rule of ``mals[i:]`` not in ``used`` that fires on ``eq``, as
+    (index after it, its edge, result, label); None when none fires."""
+    for j in range(i, len(mals)):
+        m = mals[j]
+        if m.id not in used and (res := try_apply(m, eq, t)) is not None:
+            return j + 1, _RULE_EDGES[m.id], *res
+    return None
+
+
+def outcome(eq: Equation, label: ProblemType | str) -> tuple[Fraction | None, str | None] | None:
+    """(answer, dead-end reason) of a terminal state; None at a type."""
+    if label == SOLVED:
+        return eq.rhs.value, None  # type: ignore[union-attr]
+    if label == DEAD_END:
+        return None, "variable eliminated"
+    return None
+
 
 def reduce_with_misconceptions(
     eq: Equation, ms: Sequence["Misconception | str"]
@@ -380,37 +421,21 @@ def reduce_with_misconceptions(
     correct reduction.
     """
     mals = resolve_set(ms)
-    t = classify(eq)
-    steps = [TraceStep(eq, t, None)]
+    current, label = eq, classify(eq)
+    steps = [TraceStep(eq, label, None)]
     used: set[str] = set()
-    current = eq
     for _ in range(_MAX_TRACE_STEPS):
-        fired: tuple[Misconception, tuple[Equation, ProblemType | str]] | None = None
-        for m in mals:
-            if m.id in used:
-                continue
-            res = try_apply(m, current, t)
-            if res is not None:
-                fired = (m, res)
-                break
-        if fired is not None:
-            m, (new_eq, label) = fired
-            used.add(m.id)
-            steps.append(TraceStep(new_eq, label, EdgeRef("misconception", m.id)))
-            if label == SOLVED:
-                assert isinstance(new_eq.rhs, Const)
-                return ReductionTrace(tuple(steps), new_eq.rhs.value)
-            if label == DEAD_END:
-                return ReductionTrace(tuple(steps), None, dead_end="variable eliminated")
-            current, t = new_eq, label
-            continue
-        if t is ProblemType.T1:
-            value = solve_t1(current)
-            steps.append(TraceStep(solved_equation(value), SOLVED, EdgeRef("solve", "solve")))
-            return ReductionTrace(tuple(steps), value)
-        target, rule_id = correct_successors(t)[0]
-        current, t = apply_step(current, t, rule_id)
-        steps.append(TraceStep(current, t, EdgeRef("correct", rule_id)))
+        hit = rule_edge(mals, used, current, label)
+        if hit is None:
+            edge = correct_edges(label)[0]
+            current, label = follow(current, label, edge)
+        else:
+            _, edge, current, label = hit
+            used.add(edge.rule_id)
+        steps.append(TraceStep(current, label, edge))
+        end = outcome(current, label)
+        if end is not None:
+            return ReductionTrace(tuple(steps), *end)
     raise NonterminationError(f"trace exceeded {_MAX_TRACE_STEPS} steps: {eq}")
 
 

@@ -18,6 +18,7 @@ from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm
 from .errors import RuleNotApplicableError, ZeroCoefficientError
 from .taxonomy import (
     CAtom,
+    CORRECT_EDGES,
     DEAD_END,
     GroupAtom,
     ProblemType,
@@ -26,7 +27,6 @@ from .taxonomy import (
     SignedAtom,
     XAtom,
     classify,
-    correct_successors,
     view_atoms,
 )
 
@@ -263,6 +263,7 @@ _RULE_BODIES: dict[str, Callable[[Equation], Equation]] = {
     "move-x": _move_x,
     "distribute": _distribute,
 }
+_TARGETS = {(src, rule_id): dst for src, rule_id, dst in CORRECT_EDGES}
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +284,14 @@ def apply_step(eq: Equation, t: ProblemType, rule_id: str) -> tuple[Equation, Pr
     The input is trusted; the result is still classified and checked against
     the edge's target.
     """
-    edges = correct_successors(t)
-    match = [dst for dst, rid in edges if rid == rule_id]
-    if not match:
+    target = _TARGETS.get((t, rule_id))
+    if target is None:
         raise RuleNotApplicableError(f"no correct edge '{rule_id}' out of {t}")
     new_eq = _RULE_BODIES[rule_id](eq)
     new_t = classify(new_eq)
-    if new_t is not match[0]:
+    if new_t is not target:
         raise RuleNotApplicableError(
-            f"edge {t}->{match[0]} produced a {new_t} instance: {new_eq}"
+            f"edge {t}->{target} produced a {new_t} instance: {new_eq}"
         )
     return new_eq, new_t
 

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .equations import Equation
 from .errors import BudgetExceededError, ZeroCoefficientError
-from .misconceptions import Misconception, resolve_set, try_apply
-from .reduction import apply_step, solve_t1, solved_equation
-from .taxonomy import DEAD_END, ProblemType, SOLVED, classify, correct_successors
+from .misconceptions import Misconception, correct_edges, follow, outcome, resolve_set, rule_edge
+from .reduction import EdgeRef
+from .taxonomy import ProblemType, classify
 
 NODE_BUDGET = 100_000
 
@@ -52,23 +52,6 @@ class SolutionTree:
     leaves: tuple[Leaf, ...]
 
 
-class _Builder:
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nodes: list[TreeNode] = []
-        self.edges: list[TreeEdge] = []
-        self.leaves: list[Leaf] = []
-
-    def add_node(self, equation: Equation, label: ProblemType | str) -> int:
-        if len(self.nodes) >= self.budget:
-            raise BudgetExceededError(
-                f"solution tree exceeded the {self.budget}-node budget"
-            )
-        nid = len(self.nodes)
-        self.nodes.append(TreeNode(nid, equation, label))
-        return nid
-
-
 def enumerate_tree(
     eq: Equation,
     ms: list[Misconception | str],
@@ -77,54 +60,41 @@ def enumerate_tree(
 ) -> SolutionTree:
     """Build the full solution tree with at most the given number of
     misconception steps per path.  Children are ordered correct-edges-first,
-    then by position in ``ms``."""
+    then by position in ``ms``.  Unlike the walk, a T1 node with a zero x
+    coefficient becomes a leaf, and the rules are still tried there."""
     mals = resolve_set(ms)
     cap = max_misconceptions_per_path
-    b = _Builder(node_budget)
+    nodes: list[TreeNode] = []
+    edges: list[TreeEdge] = []
+    leaves: list[Leaf] = []
 
-    def walk(node_id: int, state: Equation, label: ProblemType | str,
+    def grow(parent: int, via: EdgeRef | None, state: Equation, label: ProblemType | str,
              used: tuple[str, ...], lines: tuple[str, ...]) -> None:
-        if label == SOLVED:
-            value = state.rhs.value  # type: ignore[union-attr]
-            b.leaves.append(Leaf(node_id, value, None, used, lines))
+        if len(nodes) >= node_budget:
+            raise BudgetExceededError(f"solution tree exceeded the {node_budget}-node budget")
+        nid = len(nodes)
+        nodes.append(TreeNode(nid, state, label))
+        if via is not None:
+            edges.append(TreeEdge(parent, nid, via.kind, via.rule_id))
+        lines += (str(state),)
+        end = outcome(state, label)
+        if end is not None:
+            leaves.append(Leaf(nid, *end, used, lines))
             return
-        if label == DEAD_END:
-            b.leaves.append(Leaf(node_id, None, "variable eliminated", used, lines))
-            return
-        assert isinstance(label, ProblemType)
-        if label is ProblemType.T1:
+        for edge in correct_edges(label):
             try:
-                value = solve_t1(state)
+                new_eq, new_label = follow(state, label, edge)
             except ZeroCoefficientError:
-                b.leaves.append(Leaf(node_id, None, "zero x coefficient", used, lines))
-            else:
-                solved = solved_equation(value)
-                child = b.add_node(solved, SOLVED)
-                b.edges.append(TreeEdge(node_id, child, "solve", "solve"))
-                walk(child, solved, SOLVED, used, lines + (str(solved),))
-        else:
-            for target, rule_id in correct_successors(label):
-                new_eq, new_t = apply_step(state, label, rule_id)
-                child = b.add_node(new_eq, new_t)
-                b.edges.append(TreeEdge(node_id, child, "correct", rule_id))
-                walk(child, new_eq, new_t, used, lines + (str(new_eq),))
-        if len(used) >= cap:
-            return
-        for m in mals:
-            if m.id in used:
+                leaves.append(Leaf(nid, None, "zero x coefficient", used, lines))
                 continue
-            res = try_apply(m, state, label) if isinstance(label, ProblemType) else None
-            if res is None:
-                continue
-            new_eq, new_label = res
-            child = b.add_node(new_eq, new_label)
-            b.edges.append(TreeEdge(node_id, child, "misconception", m.id))
-            walk(child, new_eq, new_label, used + (m.id,), lines + (str(new_eq),))
+            grow(nid, edge, new_eq, new_label, used, lines)
+        i = 0
+        while len(used) < cap and (hit := rule_edge(mals, used, state, label, i)):
+            i, edge, new_eq, new_label = hit
+            grow(nid, edge, new_eq, new_label, used + (edge.rule_id,), lines)
 
-    t0 = classify(eq)
-    root = b.add_node(eq, t0)
-    walk(root, eq, t0, (), (str(eq),))
-    return SolutionTree(root, tuple(b.nodes), tuple(b.edges), tuple(b.leaves))
+    grow(-1, None, eq, classify(eq), (), ())
+    return SolutionTree(0, tuple(nodes), tuple(edges), tuple(leaves))
 
 
 def leaf_answers(tree: SolutionTree) -> list[tuple[Fraction | None, tuple[str, ...]]]:
@@ -140,7 +110,7 @@ def to_json_dict(tree: SolutionTree) -> dict:
             {
                 "id": n.id,
                 "equation": str(n.equation),
-                "label": n.label.name if isinstance(n.label, ProblemType) else n.label,
+                "label": str(n.label),
             }
             for n in tree.nodes
         ],
@@ -166,15 +136,10 @@ def to_dot(tree: SolutionTree) -> str:
     out = ["digraph solution_space {"]
     out.append('  node [shape=box, fontname="monospace"];')
     for n in tree.nodes:
-        label = n.label.name if isinstance(n.label, ProblemType) else n.label
         text = str(n.equation).replace('"', '\\"')
-        out.append(f'  n{n.id} [label="{label}: {text}"];')
+        out.append(f'  n{n.id} [label="{n.label}: {text}"];')
     for e in tree.edges:
-        if e.kind == "misconception":
-            out.append(f'  n{e.parent} -> n{e.child} [style=dashed, color=red, label="{e.edge_id}"];')
-        elif e.kind == "solve":
-            out.append(f'  n{e.parent} -> n{e.child} [label="solve"];')
-        else:
-            out.append(f'  n{e.parent} -> n{e.child} [label="{e.edge_id}"];')
+        style = "style=dashed, color=red, " if e.kind == "misconception" else ""
+        out.append(f'  n{e.parent} -> n{e.child} [{style}label="{e.edge_id}"];')
     out.append("}")
     return "\n".join(out)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -312,6 +313,40 @@ def test_dump_graph(capsys):
     assert all(e["computed"] for e in m8)
     solve_rules = [e for e in mal if e["id"] == "M19"]
     assert len(solve_rules) == 15 and all(e["computed"] == "solved" for e in solve_rules)
+
+
+def test_dump_graph_matches_pinned_digest(capsys):
+    # a computed target depends only on the instance's shape: seeds 0-59 of
+    # the former --seed option all printed these bytes
+    code, out, _ = run(capsys, "dump-graph")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "fb8a486ad6cba32a8160cf89fb205c81854d866cd4442882ff6cca2028ca3621"
+
+
+_READERS = [["verify", "{path}"], ["score", "{path}", "--misconception", "M8"],
+            ["diagnose", "{path}"]]
+_GEN = ["gen", "--n-correct-per-type", "1", "--test-per-type", "0", "--out", "{path}"]
+
+
+@pytest.mark.parametrize(
+    "argv,kind",
+    [(c, k) for c in _READERS for k in ("missing", "directory", "not-utf8")] + [(_GEN, "file")],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_unreadable_input_or_unwritable_output_exit_2(capsys, tmp_path, argv, kind):
+    path = tmp_path / "f"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    elif kind == "file":
+        path.write_text("taken\n")
+    code, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+    if kind == "file":
+        assert path.read_text() == "taken\n"
 
 
 def test_version(capsys):

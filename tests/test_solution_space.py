@@ -99,6 +99,29 @@ def test_three_leaf_solve_rules():
     ]
 
 
+def test_zero_coefficient_walk_raises_tree_keeps_leaf():
+    # the one place the walk and the tree differ: on 0x = B the walk raises,
+    # while the tree records a leaf and still tries the rules at that node
+    with pytest.raises(ZeroCoefficientError):
+        reduce(parse_equation("0x = 5"))
+
+    def leaves(text, ms, cap):
+        tree = enumerate_tree(parse_equation(text), ms, cap)
+        return [(l.node_id, l.answer, l.dead_end, l.misconceptions) for l in tree.leaves]
+
+    assert leaves("0x = 5", ["M19", "M21"], 1) == [
+        (0, None, "zero x coefficient", ()),
+        (1, Fraction(5), None, ("M19",)),
+        (2, Fraction(-5), None, ("M21",)),
+    ]
+    assert leaves("4x = 3(4x + 5)", ["M8", "M19"], 2) == [
+        (3, Fraction(-15, 8), None, ()),
+        (4, Fraction(7), None, ("M19",)),
+        (6, None, "zero x coefficient", ("M8",)),
+        (7, Fraction(15), None, ("M8", "M19")),
+    ]
+
+
 def test_correct_leaf_matches_oracle_and_default_path_unique(sampler):
     for t in ORDERED_TYPES:
         eq = sampler.sample(t, f"tree:{t.name}")
