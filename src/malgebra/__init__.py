@@ -18,7 +18,6 @@ from .equations import (
 )
 from .taxonomy import (
     ProblemType,
-    TypeGraph,
     classify,
     correct_successors,
     path_exists_to_T1,
@@ -29,7 +28,6 @@ from .misconceptions import (
     Misconception,
     applicable,
     apply_misconception,
-    default_type_graph,
     get_misconception,
     reduce_with_misconceptions,
 )
@@ -55,13 +53,11 @@ __all__ = [
     "ReductionTrace",
     "SolutionTree",
     "Transcript",
-    "TypeGraph",
     "applicable",
     "apply_misconception",
     "classify",
     "closed_form_solution",
     "correct_successors",
-    "default_type_graph",
     "diagnose",
     "enumerate_tree",
     "evaluate_sides",

@@ -1,7 +1,8 @@
 """Command-line entry point wiring every subsystem.
 
 Exit codes: 0 success, 1 domain error (degenerate equation, inapplicable
-rule), 2 usage or schema error, 3 empty input.
+rule), 2 usage or schema error, 3 empty input, 4 internal error (an
+exception none of the others covers: a bug in malgebra).
 """
 
 from __future__ import annotations
@@ -15,17 +16,13 @@ from . import __version__
 from .datasets import (
     config_from_dict,
     generate,
-    misconception_targets,
+    type_graph,
     verify_dataset,
 )
 from .equations import parse_equation
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .evaluation import diagnose, load_transcripts, score
-from .misconceptions import (
-    CATALOG,
-    default_type_graph,
-    reduce_with_misconceptions,
-)
+from .misconceptions import CATALOG, reduce_with_misconceptions
 from .reduction import ReductionTrace, reduce
 from .solution_space import enumerate_tree, to_dot, to_json_dict
 from .taxonomy import ORDERED_TYPES, classify
@@ -259,10 +256,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_dump_graph(args) -> int:
-    graph = default_type_graph()
-    records = graph.to_records(misconception_targets())
-    doc = {"nodes": [t.name for t in graph.nodes], "edges": records}
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(type_graph(), indent=2))
     return 0
 
 
@@ -283,6 +277,9 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug, not bad input; SystemExit still passes
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

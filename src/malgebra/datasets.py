@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from os import PathLike
 from pathlib import Path
+from typing import Sequence
 
 from .equations import Equation, closed_form_solution, parse_equation
 from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_input
@@ -31,13 +32,16 @@ from .misconceptions import (
 from .reduction import ReductionTrace, rebuild, reduce
 from .taxonomy import (
     CAtom,
+    CORRECT_EDGES,
     GroupAtom,
     ORDERED_TYPES,
+    PATTERN_ATOMS,
     ProblemType,
     ProdAtom,
     SignedAtom,
     XAtom,
     classify,
+    letter_code,
 )
 
 MAX_TRIES = 1000
@@ -52,61 +56,42 @@ def _nz(rng: random.Random, lo: int, hi: int) -> Fraction:
             return Fraction(v)
 
 
+# where a type draws its letters other than alphabetically; the pinned digests
+# record these orders
+_DRAW_ORDER = {ProblemType.T9: "CDAB", ProblemType.T10: "BACD",
+               ProblemType.T12: "DEABC", ProblemType.T16: "BCDA"}
+_CODES = {t: [letter_code(c) for c in _DRAW_ORDER.get(t) or sorted(filter(str.isupper, t.pattern))]
+          for t in ORDERED_TYPES}
+
+
 def _build(t: ProblemType, rng: random.Random, lo: int, hi: int) -> Equation:
-    """One draw of type ``t``: its slots filled left to right, except that T9,
-    T10, T12 and T16 draw some right-side values before the left side."""
+    """One draw of type ``t``: a nonzero value per letter of its pattern, then
+    each side of the pattern's parse rebuilt with those values."""
+    values = {code: _nz(rng, lo, hi) for code in _CODES[t]}
+    lhs, rhs = PATTERN_ATOMS[t]
+    return Equation(rebuild(_fill(lhs, values)), rebuild(_fill(rhs, values)))
 
-    def n() -> Fraction:
-        return _nz(rng, lo, hi)
 
-    def x() -> SignedAtom:
-        return 1, XAtom(n())
-
-    def c() -> SignedAtom:
-        return 1, CAtom(n())
-
-    def signed_lead(make) -> SignedAtom:
-        # a later product or group term: its drawn leading factor's sign is the link
-        v = n()
-        return (-1 if v < 0 else 1), make(abs(v))
-
-    T = ProblemType
-    if t is T.T1:
-        lhs, rhs = [x()], [c()]
-    elif t is T.T2:
-        lhs, rhs = [x()], [c(), c()]
-    elif t is T.T3:
-        lhs, rhs = [x()], [(1, ProdAtom((n(), n())))]
-    elif t is T.T4:
-        lhs, rhs = [x(), x()], [c()]
-    elif t is T.T5:
-        lhs, rhs = [x(), c()], [c()]
-    elif t is T.T6:
-        lhs, rhs = [c(), x()], [c()]
-    elif t is T.T7:
-        lhs, rhs = [x()], [x(), c()]
-    elif t is T.T8:
-        lhs, rhs = [x()], [(1, GroupAtom(n(), ((1, ProdAtom((n(), n()))),)))]
-    elif t is T.T9:
-        inner = (x(), c())
-        lhs, rhs = [x()], [(1, GroupAtom(n(), inner))]
-    elif t is T.T10:
-        lead = c()
-        lhs, rhs = [x()], [lead, signed_lead(lambda v: ProdAtom((v, n())))]
-    elif t is T.T11:
-        lhs, rhs = [c(), x(), x()], [c()]
-    elif t is T.T12:
-        inner = (x(), c())
-        lhs, rhs = [x()], [c(), signed_lead(lambda v: GroupAtom(v, inner))]
-    elif t is T.T14:
-        lhs, rhs = [x(), c()], [x(), c()]
-    elif t is T.T15:
-        lhs, rhs = [x(), x()], [c(), c()]
-    elif t is T.T16:
-        rhs, lhs = [x(), c(), c()], [x()]
-    else:
-        raise ValueError(f"no builder for {t}")
-    return Equation(rebuild(lhs), rebuild(rhs))
+def _fill(atoms: Sequence[SignedAtom], values: dict[int, Fraction]) -> list[SignedAtom]:
+    """``atoms`` with each letter code ``c`` replaced by ``values[c.numerator]``
+    (an int key hashes much faster than a ``Fraction``); a later product or
+    group term links by minus when its leading factor is negative."""
+    out: list[SignedAtom] = []
+    for i, (s, a) in enumerate(atoms):
+        if isinstance(a, XAtom):
+            a = XAtom(values[a.coef.numerator])
+        elif isinstance(a, CAtom):
+            a = CAtom(values[a.value.numerator])
+        else:
+            lead = values[(a.factors[0] if isinstance(a, ProdAtom) else a.multiplier).numerator]
+            if i and lead < 0:
+                s, lead = -s, -lead
+            if isinstance(a, ProdAtom):
+                a = ProdAtom((lead, *(values[c.numerator] for c in a.factors[1:])))
+            else:
+                a = GroupAtom(lead, tuple(_fill(a.inner, values)))
+        out.append((s, a))
+    return out
 
 
 def sample_instance(
@@ -119,16 +104,17 @@ def sample_instance(
     """Draw a non-degenerate instance of exactly type ``t``, with its correct
     reduction trace.
 
-    Each draw is checked cheapest first: ``classify`` must give ``t``, the
-    optional ``accept`` hook must take it, and the closed form and the full
-    reduction must both succeed.  No check draws randomness and every check
-    must pass, so the order only decides how much work a rejected draw costs:
-    the accepted draw, and so the generated bytes, stay the same.
+    Each draw is checked in turn, the check that rejects most draws first:
+    the optional ``accept`` hook must take it, ``classify`` must give ``t``,
+    and the closed form and the full reduction must both succeed.  No check
+    draws randomness and every check must pass, so the order only decides how
+    much work a rejected draw costs: the accepted draw, and so the generated
+    bytes, stay the same.
     """
     for _ in range(MAX_TRIES):
         eq = _build(t, rng, coeff_min, coeff_max)
         try:
-            if classify(eq) is not t or (accept is not None and not accept(eq)):
+            if (accept is not None and not accept(eq)) or classify(eq) is not t:
                 continue
             closed_form_solution(eq)
             return eq, reduce(eq)
@@ -150,8 +136,8 @@ class InstanceSampler:
     def rng_for(self, key: str) -> random.Random:
         return random.Random(f"{self.seed}:{key}")
 
-    def sample(self, t: ProblemType, key: str, accept=None) -> Equation:
-        eq, _ = sample_instance(t, self.rng_for(key), self.coeff_min, self.coeff_max, accept)
+    def sample(self, t: ProblemType, key: str) -> Equation:
+        eq, _ = sample_instance(t, self.rng_for(key), self.coeff_min, self.coeff_max)
         return eq
 
 
@@ -408,26 +394,26 @@ def verify_dataset(path: str | Path) -> VerifyReport:
     return verify_records(read_input(path, "dataset").splitlines())
 
 
-def misconception_targets() -> dict[tuple[ProblemType, str], str]:
-    """Computed target label per (type, misconception) edge, derived by
-    rewriting a conforming representative instance and reclassifying.  A
-    target depends only on the instance's shape, so one fixed draw serves."""
-    out: dict[tuple[ProblemType, str], str] = {}
-    for m in CATALOG:
-        for t in ORDERED_TYPES:
-            if t not in m.applicable_types:
-                continue
-            if m.at_solve:
-                out[(t, m.id)] = "solved"
-                continue
-            rng = random.Random(f"0:target:{m.id}:{t.name}")
-            try:
-                eq, _ = sample_for_misconception(m, t, rng)
-            except SamplingExhaustedError:
-                out[(t, m.id)] = "none"
-                continue
-            res = try_apply(m, eq, t)
-            assert res is not None
-            _, label = res
-            out[(t, m.id)] = str(label)
-    return out
+def type_graph() -> dict:
+    """The ``dump-graph`` document: the types, every correct edge, and every
+    (type, misconception) edge with the label its rewrite reaches."""
+    edges = [{"source": src.name, "target": dst.name, "kind": "correct", "id": rule}
+             for src, rule, dst in CORRECT_EDGES]
+    edges += [{"source": t.name, "computed": _computed_target(m, t), "kind": "misconception",
+               "id": m.id} for m in CATALOG for t in ORDERED_TYPES if t in m.applicable_types]
+    return {"nodes": [t.name for t in ORDERED_TYPES], "edges": edges}
+
+
+def _computed_target(m: Misconception, t: ProblemType) -> str:
+    """The label ``m`` rewrites a ``t`` instance to, computed on one conforming
+    instance drawn from the stream ``0:target:{rule}:{type}``: a target depends
+    only on the instance's shape, so one fixed draw serves."""
+    if m.at_solve:
+        return "solved"
+    try:
+        eq, _ = sample_for_misconception(m, t, random.Random(f"0:target:{m.id}:{t.name}"))
+    except SamplingExhaustedError:
+        return "none"
+    res = try_apply(m, eq, t)
+    assert res is not None
+    return str(res[1])

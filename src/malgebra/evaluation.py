@@ -394,7 +394,7 @@ def diagnose(transcript: Transcript, max_candidates: int = 5) -> list[Diagnosis]
         return []
 
     reach = reachable(correct.steps[0].label)
-    relevant = [m for m in CATALOG if m.at_solve or (m.applicable_types & reach)]
+    relevant = [m for m in CATALOG if m.applicable_types & reach]
 
     def evaluate(ms: tuple[Misconception, ...], lines: list[str] | None) -> Diagnosis | None:
         # past the step guard the walk raises NonterminationError

@@ -39,7 +39,6 @@ from .reduction import (
 )
 from .taxonomy import (
     CAtom,
-    CORRECT_EDGES,
     DEAD_END,
     GroupAtom,
     OpaqueAtom,
@@ -48,7 +47,6 @@ from .taxonomy import (
     ProdAtom,
     SOLVED,
     SignedAtom,
-    TypeGraph,
     XAtom,
     classify,
     correct_successors,
@@ -438,9 +436,3 @@ def reduce_with_misconceptions(
             return ReductionTrace(tuple(steps), *end)
     raise NonterminationError(f"trace exceeded {_MAX_TRACE_STEPS} steps: {eq}")
 
-
-def default_type_graph() -> TypeGraph:
-    pairs = tuple(
-        (t, m.id) for m in CATALOG for t in ORDERED_TYPES if t in m.applicable_types
-    )
-    return TypeGraph(ORDERED_TYPES, CORRECT_EDGES, pairs)

@@ -5,9 +5,10 @@ nodes of a DAG whose correct edges each perform one algebraic operation and
 all converge on the base case T1 (``Ax = B``).
 
 Each type's shape comes from its pattern string alone (``ProblemType.pattern``,
-e.g. ``Ax = B(Cx + D)``): parsed with a digit for every coefficient letter,
-it gives the per-side signature of term kinds that the shape table maps to
-the type.
+e.g. ``Ax = B(Cx + D)``), parsed once with every coefficient letter standing
+as its own whole-number code.  The parse gives the surface atoms that the
+generator fills with drawn values, and the per-side signature of term kinds
+that the shape table maps to the type.
 
 Classification is two-pass.  The exact pass looks up the surface signature.
 The fallback pass normalizes forms that only arise from rewrites (bare
@@ -23,7 +24,6 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm, parse_equation
 from .errors import UnclassifiableFormError
@@ -52,6 +52,9 @@ class ProblemType(enum.Enum):
 
     def __str__(self) -> str:
         return self.name
+
+    # Enum compares members by identity; its own __hash__ runs in Python
+    __hash__ = object.__hash__
 
 
 ORDERED_TYPES: tuple[ProblemType, ...] = tuple(ProblemType)
@@ -207,18 +210,26 @@ def _signature(atoms: list[SignedAtom]) -> tuple[str, ...]:
     return tuple(_kind(a) for _, a in atoms)
 
 
-def _shape(pattern: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The surface signatures of a pattern such as ``Ax = B(Cx + D)``, read
-    by parsing it with every coefficient letter set to a digit."""
-    eq = parse_equation(re.sub("[A-Z]", "2", pattern))
-    return _signature(surface_atoms(eq.lhs)), _signature(surface_atoms(eq.rhs))
+def _parse_pattern(pattern: str) -> tuple[list[SignedAtom], list[SignedAtom]]:
+    """The surface atoms of each side of a pattern such as ``Ax = B(Cx + D)``,
+    every coefficient letter standing as its own whole-number code (A as 1,
+    B as 2, ...)."""
+    eq = parse_equation(re.sub("[A-Z]", lambda m: str(letter_code(m[0])), pattern))
+    return surface_atoms(eq.lhs), surface_atoms(eq.rhs)
 
 
-_SHAPES: dict[tuple[tuple[str, ...], tuple[str, ...]], ProblemType] = {
-    _shape(t.pattern): t for t in ORDERED_TYPES
-}
+def letter_code(letter: str) -> int:
+    """The whole number a coefficient letter stands as in ``PATTERN_ATOMS``."""
+    return ord(letter) - ord("A") + 1
+
+
+# each type's pattern, parsed once; the generator fills it with drawn values
+PATTERN_ATOMS = {t: _parse_pattern(t.pattern) for t in ORDERED_TYPES}
+
+
+_SHAPES = {(_signature(lhs), _signature(rhs)): t for t, (lhs, rhs) in PATTERN_ATOMS.items()}
 # the one shape a rewrite reaches that no pattern spells: T7 with a zero constant
-_SHAPES[_shape("Ax = Bx")] = ProblemType.T7
+_SHAPES[tuple(map(_signature, _parse_pattern("Ax = Bx")))] = ProblemType.T7
 
 
 def _match_patterns(lhs: tuple[str, ...], rhs: tuple[str, ...]) -> ProblemType | None:
@@ -305,29 +316,3 @@ def reachable(t: ProblemType) -> set[ProblemType]:
 
 def path_exists_to_T1(t: ProblemType) -> bool:
     return ProblemType.T1 in reachable(t)
-
-
-@dataclass(frozen=True)
-class TypeGraph:
-    """The full graph: correct edges plus misconception applicability."""
-
-    nodes: tuple[ProblemType, ...]
-    correct_edges: tuple[tuple[ProblemType, str, ProblemType], ...]
-    misconception_edges: tuple[tuple[ProblemType, str], ...]
-
-    def to_records(
-        self, computed_targets: Mapping[tuple[ProblemType, str], str] | None = None
-    ) -> list[dict]:
-        records = []
-        for src, rule, dst in self.correct_edges:
-            records.append(
-                {"source": src.name, "target": dst.name, "kind": "correct", "id": rule}
-            )
-        for src, mid in self.misconception_edges:
-            computed = None
-            if computed_targets is not None:
-                computed = computed_targets.get((src, mid))
-            records.append(
-                {"source": src.name, "computed": computed, "kind": "misconception", "id": mid}
-            )
-        return records

@@ -28,6 +28,20 @@ def test_classify_domain_error_exit_code(capsys):
     assert code == 1 and "error" in err
 
 
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def boom(eq):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("malgebra.cli.classify", boom)
+    code, out, err = run(capsys, "classify", "2x = 3")
+    # one line on stderr, no traceback
+    assert (code, out, err) == (4, "", "error: internal error: RuntimeError: boom\n")
+    # argparse's own exit still passes through
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 2
+
+
 def test_solve(capsys):
     code, out, _ = run(capsys, "solve", "3x = 12")
     assert code == 0 and out.strip() == "x = 4"

@@ -231,10 +231,27 @@ def test_manifest_counts_match_files(tmp_path):
 
 def test_build_matches_pinned_digest():
     """200 draws per type from ``_build``: the digest pins each type's draw
-    order and every node of the chains ``rebuild`` makes from the drawn atoms."""
-    h = hashlib.sha256()
+    order and every node of the chains ``rebuild`` makes from the drawn atoms.
+    Coefficients in [-2, 1] make x, -x and the minus link of a later product
+    or group common."""
+    for lo, hi, digest in (
+        (-9, 9, "98ce689a84160dbca5ac5df08280862e97d8a9ad9cf26fc53bf8f664b1dd90aa"),
+        (-2, 1, "5cb82af3df62568c12341a7c2af5e239be6107f35c42287c48a1e82ed2da0615"),
+    ):
+        h = hashlib.sha256()
+        for t in ORDERED_TYPES:
+            rng = random.Random(f"build:{t.name}")
+            for _ in range(200):
+                h.update(repr(_build(t, rng, lo, hi)).encode() + b"\n")
+        assert h.hexdigest() == digest, (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (-2, 1)])
+def test_every_build_draw_classifies_as_its_type(lo, hi):
+    # sample_instance runs the pool check before classify, the cheaper order
+    # only while classify rejects no draw of the builder
     for t in ORDERED_TYPES:
-        rng = random.Random(f"build:{t.name}")
-        for _ in range(200):
-            h.update(repr(_build(t, rng, -9, 9)).encode() + b"\n")
-    assert h.hexdigest() == "98ce689a84160dbca5ac5df08280862e97d8a9ad9cf26fc53bf8f664b1dd90aa"
+        rng = random.Random(f"build-class:{t.name}")
+        for _ in range(500):
+            eq = _build(t, rng, lo, hi)
+            assert classify(eq) is t, eq

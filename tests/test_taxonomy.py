@@ -6,7 +6,7 @@ import pytest
 
 from malgebra.equations import closed_form_solution, parse_equation
 from malgebra.errors import UnclassifiableFormError
-from malgebra.misconceptions import default_type_graph
+from malgebra.datasets import type_graph
 from malgebra.reduction import apply_step
 from malgebra.taxonomy import (
     CORRECT_EDGES,
@@ -134,8 +134,7 @@ def test_every_correct_edge_preserves_the_solution(sampler):
 
 
 def test_type_graph_records():
-    graph = default_type_graph()
-    records = graph.to_records()
+    records = type_graph()["edges"]
     correct = [r for r in records if r["kind"] == "correct"]
     mal = [r for r in records if r["kind"] == "misconception"]
     assert len(correct) == len(CORRECT_EDGES)
