@@ -15,17 +15,10 @@ from pathlib import Path
 
 from .equations import Const, Equation, XTerm, closed_form_solution, parse_equation
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
-from .misconceptions import (
-    _MAX_TRACE_STEPS,
-    CATALOG,
-    Misconception,
-    get_misconception,
-    reduce_with_misconceptions,
-    try_apply,
-)
+from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
 from .reduction import ReductionTrace, reduce
 from .solution_space import enumerate_tree
-from .taxonomy import DEAD_END, ORDERED_TYPES, SOLVED, ProblemType, reachable
+from .taxonomy import ORDERED_TYPES, classify, reachable
 
 GRADE_CORRECT = "correct"
 GRADE_MATCH = "misconception-match"
@@ -106,10 +99,11 @@ def _steps_match(model_steps, trace_lines: list[str]) -> bool:
         return False
 
 
-def _mal_outcomes(eq: Equation, m: Misconception) -> list[tuple[Fraction | Equation, tuple[str, ...]]]:
+def _mal_outcomes(
+    eq: Equation, m: Misconception, correct: Fraction
+) -> list[tuple[Fraction | Equation, tuple[str, ...]]]:
     """Every terminal reachable with exactly one firing of ``m``, paired with
-    its step lines; outcomes equal to the correct answer are excluded."""
-    correct = closed_form_solution(eq)
+    its step lines; outcomes equal to ``correct``, the answer, are excluded."""
     tree = enumerate_tree(eq, [m], max_misconceptions_per_path=1)
     out = []
     for leaf in tree.leaves:
@@ -131,13 +125,17 @@ def grade(
 
     ``answer`` mode compares final answers as exact rationals;
     ``steps`` mode additionally requires the step sequence to replay the
-    corresponding engine trace line for line.
+    corresponding engine trace line for line.  A transcript whose equation
+    is of another type than it claims raises ``SchemaError``.
     """
     if mode not in ("answer", "steps"):
         raise SchemaError(f"unknown grading mode {mode!r}")
     m = get_misconception(m) if isinstance(m, str) else m
     try:
         eq = parse_equation(transcript.equation)
+        if (t := classify(eq).name) != transcript.problem_type:  # passes the except below
+            raise SchemaError(f"transcript claims {transcript.problem_type} for a {t} "
+                              f"equation: {transcript.equation}")
         answer = parse_answer(transcript.model_answer)
         correct = closed_form_solution(eq)
     except (EngineError, TranscriptError) as exc:
@@ -148,7 +146,7 @@ def grade(
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:
-        for outcome, lines in _mal_outcomes(eq, m):
+        for outcome, lines in _mal_outcomes(eq, m, correct):
             if answer == outcome:
                 if mode == "answer" or _steps_match(transcript.model_steps, list(lines)):
                     return GRADE_MATCH
@@ -329,135 +327,62 @@ def _prefix_len(
     return n
 
 
-def _first_event(
-    m: Misconception, trace: ReductionTrace
-) -> tuple[int, tuple[Equation, ProblemType | str] | None] | None:
-    """The first node of ``trace`` (a state before its last) where ``m``
-    fires or raises, with what ``try_apply`` returned there (None if it
-    raised); None when ``m`` never fires on the trace."""
-    for i, step in enumerate(trace.steps[:-1]):
-        try:
-            res = try_apply(m, step.equation, step.label)
-        except EngineError:
-            return i, None
-        if res is not None:
-            return i, res
-    return None
-
-
-def _rest(
-    res: tuple[Equation, ProblemType | str],
-) -> tuple[list[str], ReductionTrace | None] | None:
-    """The lines from a rule's result to the end of the walk, with the
-    correct trace they follow (None after a solved or dead-end result);
-    None when that trace raises."""
-    new_eq, label = res
-    if label in (SOLVED, DEAD_END):
-        return [str(new_eq)], None
-    try:
-        trace = reduce(new_eq)
-    except EngineError:
-        return None
-    return trace.equation_lines(), trace
-
-
 def diagnose(transcript: Transcript, max_candidates: int = 5) -> list[Diagnosis]:
     """Rank misconception sets (size <= 2) by how well their traces replay
     the transcript's steps: longest exact prefix first, then fewest
     misconceptions.  Empty when the all-correct trace matches fully.
 
-    A set's trace is the one ``reduce_with_misconceptions(eq, ms)`` walks;
-    it is built from pieces shared between sets rather than walked per set.
-    A rule's *event* on a trace is the first node (a state before the last)
-    where ``try_apply`` fires or raises; the correct trace is ``reduce(eq)``.
-
-    * Single ``(m)``: m's event on the correct trace must fire, at node i.
-      The trace is the correct one up to node i, m's step, then ``reduce``
-      of m's result (nothing after a solved or dead-end result).
-    * Pair ``(m1, m2)``: m1's single must fire with a result that is neither
-      solved nor a dead end, and m2's event on the correct trace must not
-      come before node i (at node i, m1 is tried first).  m2's event on
-      m1's correct tail must fire, at node j.  The trace is m1's, cut after
-      node j of the tail, then m2's step and ``reduce`` of m2's result.
-    * A raise anywhere on the way, or more than 12 steps after the initial
-      state, leaves the set without a candidate.
+    A set's trace is its walk, the one ``reduce_with_misconceptions(eq, ms)``
+    takes; a set whose walk raises, or does not use exactly its rules in
+    order, has no trace.  All walks start from one root, so a state or a
+    rule attempt shared by several sets is computed once.
     """
     if transcript.model_steps is None:
         raise SchemaError("diagnosis needs model_steps")
     eq = parse_equation(transcript.equation)
     model = [parse_equation(s) for s in transcript.model_steps]
     parsed: dict[str, Equation | None] = dict(zip(transcript.model_steps, model))
+    root = Node(eq, classify(eq))
 
-    correct = reduce(eq)
-    correct_lines = correct.equation_lines()
+    correct_lines = walk(root, ()).equation_lines()
     if _prefix_len(model, correct_lines, parsed) == len(model) == len(correct_lines):
         return []
 
-    reach = reachable(correct.steps[0].label)
-    relevant = [m for m in CATALOG if m.applicable_types & reach]
-
-    def evaluate(ms: tuple[Misconception, ...], lines: list[str] | None) -> Diagnosis | None:
-        # past the step guard the walk raises NonterminationError
-        if lines is None or len(lines) - 1 > _MAX_TRACE_STEPS:
-            return None
+    def run(ms: tuple[Misconception, ...]) -> tuple[ReductionTrace | None, Diagnosis | None]:
+        try:
+            trace = walk(root, ms)
+        except EngineError:
+            return None, None
+        ids = tuple(m.id for m in ms)
+        if trace.misconceptions_used != ids:
+            return trace, None
+        lines = trace.equation_lines()
         k = _prefix_len(model, lines, parsed)
-        if k == len(model) == len(lines):
-            quality = "full"
-        else:
-            quality = f"prefix {k}/{len(lines)}"
-        return Diagnosis(tuple(m.id for m in ms), quality, k, len(lines))
+        quality = "full" if k == len(model) == len(lines) else f"prefix {k}/{len(lines)}"
+        return trace, Diagnosis(ids, quality, k, len(lines))
 
-    events = {m.id: _first_event(m, correct) for m in relevant}
-    # m.id -> (node m fires at, the correct tail of its result, the tail's
-    # lines), or None when that tail raises; a rule missing here leads no pair
-    heads: dict[str, tuple[int, ReductionTrace, list[str]] | None] = {}
-    singles = []
+    reach = reachable(root.label)
+    relevant = [m for m in CATALOG if m.applicable_types & reach]
+    singles, leaders = [], []
     for m in relevant:
-        event = events[m.id]
-        if event is None or event[1] is None:
-            continue
-        i, res = event
-        rest = _rest(res)
-        if rest is None:
-            heads[m.id] = None
-            continue
-        lines, tail = rest
-        if tail is not None:
-            heads[m.id] = (i, tail, lines)
-        if (d := evaluate((m,), correct_lines[: i + 1] + lines)) is not None:
+        trace, d = run((m,))
+        if d is not None:
             singles.append(d)
+        # a pair's walk follows m's single walk until m fires (m2 firing
+        # first breaks the order), so a walk that ends without m, or with
+        # m's own step, leaves m no pair
+        if trace is None or d is not None and trace.steps[-1].via.rule_id != m.id:
+            leaders.append(m)
     full_singles = [d for d in singles if d.quality == "full"]
     if full_singles:
         return full_singles
 
-    def pair_lines(m1: Misconception, m2: Misconception) -> list[str] | None:
-        head = heads[m1.id]
-        if head is None:
-            # m2 may still fire on m1's tail up to the node that raises, which
-            # the raise hides: walk the pair in full
-            try:
-                tr = reduce_with_misconceptions(eq, [m1, m2])
-            except EngineError:
-                return None
-            return tr.equation_lines() if tr.misconceptions_used == (m1.id, m2.id) else None
-        i, tail, tail_lines = head
-        before = events[m2.id]
-        if before is not None and before[0] < i:  # m2 fires or raises first
-            return None
-        event = _first_event(m2, tail)
-        if event is None or event[1] is None:
-            return None
-        j, res = event
-        rest = _rest(res)
-        return None if rest is None else correct_lines[: i + 1] + tail_lines[: j + 1] + rest[0]
-
     pairs = [
         d
-        for m1 in relevant if m1.id in heads
-        for m2 in relevant if m2.id != m1.id
-        if (d := evaluate((m1, m2), pair_lines(m1, m2))) is not None
+        for m1 in leaders
+        for m2 in relevant if m2 is not m1
+        if (d := run((m1, m2))[1]) is not None
     ]
-
     ranked = sorted(
         singles + pairs,
         key=lambda d: (-d.matched, len(d.misconceptions)),

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 from .equations import Equation, Paren
 from .errors import (
+    EngineError,
     MisconceptionNotApplicableError,
     NonterminationError,
     UnclassifiableFormError,
@@ -27,7 +28,6 @@ from .errors import (
 from .reduction import (
     EdgeRef,
     ReductionTrace,
-    TraceStep,
     apply_step,
     at_first,
     rebuild,
@@ -328,13 +328,7 @@ def try_apply(
     if t not in m.applicable_types:
         return None
     if m.at_solve:
-        if t is not ProblemType.T1:
-            return None
-        a, b = t1_parts(eq)
-        if m.id == "M22_S1" and b == 0:
-            return None
-        value = _SOLVE_FORMULAS[m.id](a, b)
-        return solved_equation(value), SOLVED
+        return _solve_rule(m, t1_parts(eq)) if t is T.T1 else None
     result = _REWRITES[m.id](eq, t)
     if result is None:
         return None
@@ -347,6 +341,14 @@ def try_apply(
             f"{m.id} on {eq} produced an unclassifiable form: {result}"
         ) from exc
     return result, label
+
+
+def _solve_rule(m: Misconception, parts: tuple[Fraction, Fraction]) -> tuple[Equation, str] | None:
+    """A solve-step rule on the (A, B) of ``Ax = B``; None where it does not fire."""
+    a, b = parts
+    if m.id == "M22_S1" and b == 0:
+        return None
+    return solved_equation(_SOLVE_FORMULAS[m.id](a, b)), SOLVED
 
 
 def apply_misconception(
@@ -367,8 +369,8 @@ def apply_misconception(
 
 _MAX_TRACE_STEPS = 12
 
-# Node expansion, shared by the walk (one edge per node) and the tree (every
-# edge): a node's correct edges, the rules that fire there, terminal outcomes.
+# Node expansion, shared by the walk (one edge per node), the tree (every
+# edge) and diagnose (many walks from one root).
 _CORRECT = {t: tuple(EdgeRef("correct", rule_id) for _, rule_id in correct_successors(t))
             or (EdgeRef("solve", "solve"),) for t in ProblemType}
 _RULE_EDGES = {m.id: EdgeRef("misconception", m.id) for m in CATALOG}
@@ -380,24 +382,83 @@ def correct_edges(t: ProblemType) -> tuple[EdgeRef, ...]:
     return _CORRECT[t]
 
 
-def follow(eq: Equation, t: ProblemType, edge: EdgeRef) -> tuple[Equation, ProblemType | str]:
-    """The state a correct edge leads to from ``eq``; solving ``0x = B``
-    raises ``ZeroCoefficientError``."""
-    if edge.kind == "solve":
-        return solved_equation(solve_t1(eq)), SOLVED
-    return apply_step(eq, t, edge.rule_id)
+def misconception_edges(mals: Sequence[Misconception]) -> list[EdgeRef]:
+    """The edge of each rule, in order."""
+    return [_RULE_EDGES[m.id] for m in mals]
 
 
-def rule_edge(
-    mals: Sequence[Misconception], used: Collection[str], eq: Equation, t: ProblemType, i: int = 0
-) -> tuple[int, EdgeRef, Equation, ProblemType | str] | None:
-    """The first rule of ``mals[i:]`` not in ``used`` that fires on ``eq``, as
-    (index after it, its edge, result, label); None when none fires."""
-    for j in range(i, len(mals)):
-        m = mals[j]
-        if m.id not in used and (res := try_apply(m, eq, t)) is not None:
-            return j + 1, _RULE_EDGES[m.id], *res
-    return None
+class Node:
+    """A walk state: its equation, its label and the edge that reached it
+    (None at a root).
+
+    ``child`` runs each edge out of a node at most once and keeps what it
+    gave, an engine error included, so walks from one root share every
+    state and every rule attempt they have in common.  A node keeps no link
+    to its parent: with the kept children that would make every walk a
+    reference cycle, freed only by the garbage collector.  A node is a step
+    of a ``ReductionTrace`` and compares as one: by equation, label and edge.
+    """
+
+    __slots__ = ("equation", "label", "via", "_kids", "_line", "_parts")
+
+    def __init__(self, equation: Equation, label: ProblemType | str,
+                 via: EdgeRef | None = None) -> None:
+        self.equation = equation
+        self.label = label
+        self.via = via
+        self._kids: dict[str, Node | EngineError | None] = {}
+        self._line: str | None = None
+        self._parts: tuple[Fraction, Fraction] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        return (self.equation, self.label, self.via) == (other.equation, other.label, other.via)
+
+    def __hash__(self) -> int:
+        return hash((self.equation, self.label, self.via))
+
+    def __repr__(self) -> str:
+        return f"Node({self.line!r}, {self.label}, via={self.via})"
+
+    @property
+    def line(self) -> str:
+        """The equation as printed, rendered once."""
+        if self._line is None:
+            self._line = str(self.equation)
+        return self._line
+
+    def _t1_parts(self) -> tuple[Fraction, Fraction]:
+        if self._parts is None:
+            self._parts = t1_parts(self.equation)
+        return self._parts
+
+    def child(self, edge: EdgeRef) -> "Node | None":
+        """The node ``edge`` leads to: a correct or solve edge's target, or a
+        misconception's result, None where the rule does not fire.  Solving
+        ``0x = B`` raises ``ZeroCoefficientError``; a later call for the same
+        edge gives back the same node, or raises the same error."""
+        key, kids = edge.rule_id, self._kids
+        if key in kids:
+            kid = kids[key]
+            if isinstance(kid, EngineError):
+                raise kid.with_traceback(None)
+            return kid
+        eq, t = self.equation, self.label
+        try:
+            if edge.kind == "correct":
+                res = apply_step(eq, t, key)
+            elif edge.kind == "solve":
+                res = solved_equation(solve_t1(self._t1_parts(), eq)), SOLVED
+            elif not (m := _BY_ID[key]).at_solve:
+                res = try_apply(m, eq, t)
+            else:  # (A, B) is read once per T1 node, not once per rule
+                res = _solve_rule(m, self._t1_parts()) if t is T.T1 else None
+        except EngineError as exc:
+            kids[key] = exc
+            raise
+        kid = kids[key] = None if res is None else Node(res[0], res[1], edge)
+        return kid
 
 
 def outcome(eq: Equation, label: ProblemType | str) -> tuple[Fraction | None, str | None] | None:
@@ -407,6 +468,27 @@ def outcome(eq: Equation, label: ProblemType | str) -> tuple[Fraction | None, st
     if label == DEAD_END:
         return None, "variable eliminated"
     return None
+
+
+def walk(root: Node, mals: Sequence[Misconception]) -> ReductionTrace:
+    """The walk from ``root``: at each node the first rule of ``mals`` not yet
+    used that fires there, else the default correct edge, up to a terminal
+    state.  Raises ``NonterminationError`` past the step guard."""
+    todo = misconception_edges(mals)
+    node, steps = root, [root]
+    for _ in range(_MAX_TRACE_STEPS):
+        for i, edge in enumerate(todo):
+            if (kid := node.child(edge)) is not None:
+                del todo[i]
+                break
+        else:
+            kid = node.child(_CORRECT[node.label][0])
+        node = kid
+        steps.append(node)
+        end = outcome(node.equation, node.label)
+        if end is not None:
+            return ReductionTrace(tuple(steps), *end)
+    raise NonterminationError(f"trace exceeded {_MAX_TRACE_STEPS} steps: {root.equation}")
 
 
 def reduce_with_misconceptions(
@@ -419,20 +501,4 @@ def reduce_with_misconceptions(
     correct reduction.
     """
     mals = resolve_set(ms)
-    current, label = eq, classify(eq)
-    steps = [TraceStep(eq, label, None)]
-    used: set[str] = set()
-    for _ in range(_MAX_TRACE_STEPS):
-        hit = rule_edge(mals, used, current, label)
-        if hit is None:
-            edge = correct_edges(label)[0]
-            current, label = follow(current, label, edge)
-        else:
-            _, edge, current, label = hit
-            used.add(edge.rule_id)
-        steps.append(TraceStep(current, label, edge))
-        end = outcome(current, label)
-        if end is not None:
-            return ReductionTrace(tuple(steps), *end)
-    raise NonterminationError(f"trace exceeded {_MAX_TRACE_STEPS} steps: {eq}")
-
+    return walk(Node(eq, classify(eq)), mals)

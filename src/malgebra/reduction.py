@@ -4,15 +4,15 @@ Each rule performs exactly one algebraic operation and strictly shrinks the
 AST, so every correct trace reaches T1 within five rewrites and ends with the
 divide-through solve step ``x = B/A``.  Misconception handling lives
 elsewhere; everything here is solution-preserving and serves as the oracle
-side of the engine.  The step loop itself is the one in
-``misconceptions.reduce_with_misconceptions``, run with an empty set.
+side of the engine.  The step loop itself is ``misconceptions.walk``, run
+with an empty set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Literal, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Literal, Sequence
 
 from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm
 from .errors import RuleNotApplicableError, ZeroCoefficientError
@@ -30,7 +30,8 @@ from .taxonomy import (
     view_atoms,
 )
 
-TraceLabel = ProblemType | Literal["solved", "dead-end"]
+if TYPE_CHECKING:
+    from .misconceptions import Node
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,8 @@ class EdgeRef:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    equation: Equation
-    label: TraceLabel
-    via: EdgeRef | None  # None for the initial state
-
-
-@dataclass(frozen=True)
 class ReductionTrace:
-    steps: tuple[TraceStep, ...]
+    steps: tuple[Node, ...]  # each has .equation, .label and .via (None first)
     answer: Fraction | None
     dead_end: str | None = None
 
@@ -62,7 +56,7 @@ class ReductionTrace:
         )
 
     def equation_lines(self) -> list[str]:
-        return [str(s.equation) for s in self.steps]
+        return [s.line for s in self.steps]
 
     @property
     def reduction_count(self) -> int:
@@ -300,12 +294,12 @@ def solve_terminal(eq: Equation) -> Fraction:
     """The divide-through step on a T1 instance: x = B/A."""
     if classify(eq) is not ProblemType.T1:
         raise RuleNotApplicableError(f"solve step requires a T1 instance, got: {eq}")
-    return solve_t1(eq)
+    return solve_t1(t1_parts(eq), eq)
 
 
-def solve_t1(eq: Equation) -> Fraction:
-    """``solve_terminal`` for a walk that has already classified ``eq`` as T1."""
-    coef, value = t1_parts(eq)
+def solve_t1(parts: tuple[Fraction, Fraction], eq: Equation) -> Fraction:
+    """x = B/A from the (A, B) of the T1 instance ``eq``."""
+    coef, value = parts
     if coef == 0:
         raise ZeroCoefficientError(f"zero coefficient on x: {eq}")
     return value / coef

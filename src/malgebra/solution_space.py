@@ -13,8 +13,14 @@ from fractions import Fraction
 
 from .equations import Equation
 from .errors import BudgetExceededError, ZeroCoefficientError
-from .misconceptions import Misconception, correct_edges, follow, outcome, resolve_set, rule_edge
-from .reduction import EdgeRef
+from .misconceptions import (
+    Misconception,
+    Node,
+    correct_edges,
+    misconception_edges,
+    outcome,
+    resolve_set,
+)
 from .taxonomy import ProblemType, classify
 
 NODE_BUDGET = 100_000
@@ -62,38 +68,37 @@ def enumerate_tree(
     misconception steps per path.  Children are ordered correct-edges-first,
     then by position in ``ms``.  Unlike the walk, a T1 node with a zero x
     coefficient becomes a leaf, and the rules are still tried there."""
-    mals = resolve_set(ms)
+    rules = misconception_edges(resolve_set(ms))
     cap = max_misconceptions_per_path
     nodes: list[TreeNode] = []
     edges: list[TreeEdge] = []
     leaves: list[Leaf] = []
 
-    def grow(parent: int, via: EdgeRef | None, state: Equation, label: ProblemType | str,
-             used: tuple[str, ...], lines: tuple[str, ...]) -> None:
+    def grow(parent: int, node: Node, used: tuple[str, ...], lines: tuple[str, ...]) -> None:
         if len(nodes) >= node_budget:
             raise BudgetExceededError(f"solution tree exceeded the {node_budget}-node budget")
         nid = len(nodes)
-        nodes.append(TreeNode(nid, state, label))
-        if via is not None:
-            edges.append(TreeEdge(parent, nid, via.kind, via.rule_id))
-        lines += (str(state),)
-        end = outcome(state, label)
+        nodes.append(TreeNode(nid, node.equation, node.label))
+        if node.via is not None:
+            edges.append(TreeEdge(parent, nid, node.via.kind, node.via.rule_id))
+        lines += (node.line,)
+        end = outcome(node.equation, node.label)
         if end is not None:
             leaves.append(Leaf(nid, *end, used, lines))
             return
-        for edge in correct_edges(label):
+        for edge in correct_edges(node.label):
             try:
-                new_eq, new_label = follow(state, label, edge)
+                kid = node.child(edge)
             except ZeroCoefficientError:
                 leaves.append(Leaf(nid, None, "zero x coefficient", used, lines))
                 continue
-            grow(nid, edge, new_eq, new_label, used, lines)
-        i = 0
-        while len(used) < cap and (hit := rule_edge(mals, used, state, label, i)):
-            i, edge, new_eq, new_label = hit
-            grow(nid, edge, new_eq, new_label, used + (edge.rule_id,), lines)
+            grow(nid, kid, used, lines)
+        if len(used) < cap:
+            for edge in rules:
+                if edge.rule_id not in used and (kid := node.child(edge)) is not None:
+                    grow(nid, kid, used + (edge.rule_id,), lines)
 
-    grow(-1, None, eq, classify(eq), (), ())
+    grow(-1, Node(eq, classify(eq)), (), ())
     return SolutionTree(0, tuple(nodes), tuple(edges), tuple(leaves))
 
 

@@ -276,6 +276,15 @@ def test_score_schema_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_score_type_mismatch_exit_2(capsys, tmp_path):
+    # a T9 equation claimed as T1 would count under T1 (there with CA 100)
+    path = tmp_path / "tr.jsonl"
+    path.write_text('{"problem_type": "T1", "equation": "2x = 3(4x + 5)", "model_answer": "-3/2"}\n')
+    code, out, err = run(capsys, "score", str(path), "--misconception", "M8")
+    assert (code, out) == (2, "")
+    assert err == "error: transcript claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
+
+
 @pytest.mark.parametrize("command", [["score", "--misconception", "M8"], ["diagnose"]])
 @pytest.mark.parametrize("line", ["[1, 2]", "5", '"x"', "null"])
 def test_transcript_line_not_an_object_exit_2(capsys, tmp_path, command, line):

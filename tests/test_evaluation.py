@@ -78,7 +78,8 @@ def test_unparsable_counts_as_other_in_batches():
     ]
     # direct grade raises, batch mode folds it into "other"
     weird = _tr("T1", "4x = 12", "three")
-    report = score([weird], "M19")
+    no_type = _tr("T1", "2(x + 1) = 4", "1")  # parses, but matches no type
+    report = score([weird, no_type], "M19")
     assert report.per_type_correct["T1"] == 0
 
 
@@ -334,7 +335,6 @@ def test_diagnose_step_guard_matches_exhaustive_search(monkeypatch):
     corpus = _diagnose_corpus()[::8]
     unguarded = [_outcome(diagnose, t, 1000) for t in corpus]
     monkeypatch.setattr("malgebra.misconceptions._MAX_TRACE_STEPS", 3)
-    monkeypatch.setattr("malgebra.evaluation._MAX_TRACE_STEPS", 3)
     walks = {}
     results = []
     for transcript in corpus:

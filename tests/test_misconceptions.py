@@ -10,14 +10,16 @@ from fractions import Fraction
 import pytest
 
 from malgebra.equations import parse_equation
-from malgebra.errors import MisconceptionNotApplicableError
+from malgebra.errors import EngineError, MisconceptionNotApplicableError, ZeroCoefficientError
 from malgebra.misconceptions import (
     CATALOG,
+    Node,
     apply_misconception,
     applicable,
     get_misconception,
     reduce_with_misconceptions,
     resolve_set,
+    walk,
 )
 from malgebra.reduction import reduce
 from malgebra.taxonomy import DEAD_END, ORDERED_TYPES, ProblemType, SOLVED, classify
@@ -138,6 +140,29 @@ def test_empty_set_degenerates_to_plain_reduce(sampler):
         for i in range(20):
             eq = sampler.sample(t, f"degen:{t.name}:{i}")
             assert reduce_with_misconceptions(eq, []) == reduce(eq)
+
+
+def test_walks_from_one_root_equal_walks_from_fresh_roots(sampler):
+    def result(fn, *args):
+        try:
+            return fn(*args)
+        except EngineError as exc:
+            return type(exc)
+
+    # M8 leaves 0x = 15: the kept raise of the solve edge is raised again on
+    # every walk through that node, while M19 still fires there
+    eq = parse_equation("4x = 3(4x + 5)")
+    root = Node(eq, classify(eq))
+    for _ in range(3):
+        with pytest.raises(ZeroCoefficientError):
+            walk(root, resolve_set(["M8"]))
+        assert walk(root, resolve_set(["M8", "M19"])).misconceptions_used == ("M8", "M19")
+
+    sets = [()] + [(m,) for m in CATALOG] + [(a, b) for a in CATALOG for b in CATALOG if a is not b]
+    for eq in [eq] + [sampler.sample(t, f"shared-root:{t.name}") for t in ORDERED_TYPES]:
+        root = Node(eq, classify(eq))
+        for ms in sets + sets[::-1]:
+            assert result(walk, root, ms) == result(reduce_with_misconceptions, eq, ms), (eq, ms)
 
 
 def test_m20_answer_is_rhs():
