@@ -22,13 +22,7 @@ from typing import Sequence
 
 from .equations import Equation, closed_form_solution, parse_equation
 from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_input
-from .misconceptions import (
-    CATALOG,
-    Misconception,
-    get_misconception,
-    reduce_with_misconceptions,
-    try_apply,
-)
+from .misconceptions import CATALOG, Misconception, get_misconception, reduce_with_misconceptions
 from .reduction import ReductionTrace, rebuild, reduce
 from .taxonomy import (
     CAtom,
@@ -151,7 +145,7 @@ def sample_for_misconception(
 ) -> tuple[Equation, ReductionTrace]:
     """An instance of ``t`` whose single-misconception trace actually uses
     ``m`` and ends somewhere distinguishable from the correct answer."""
-    m = m if isinstance(m, Misconception) else get_misconception(m)
+    m = get_misconception(m)
     for _ in range(MAX_TRIES):
         eq, correct = sample_instance(t, rng, coeff_min, coeff_max)
         try:
@@ -411,9 +405,8 @@ def _computed_target(m: Misconception, t: ProblemType) -> str:
     if m.at_solve:
         return "solved"
     try:
-        eq, _ = sample_for_misconception(m, t, random.Random(f"0:target:{m.id}:{t.name}"))
+        _, trace = sample_for_misconception(m, t, random.Random(f"0:target:{m.id}:{t.name}"))
     except SamplingExhaustedError:
         return "none"
-    res = try_apply(m, eq, t)
-    assert res is not None
-    return str(res[1])
+    assert trace.steps[1].via.rule_id == m.id  # m fired on the drawn instance itself
+    return str(trace.steps[1].label)

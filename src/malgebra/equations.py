@@ -161,9 +161,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_NUMERAL_DIGITS:
                 raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} digits", i)
@@ -295,17 +295,18 @@ class _Parser:
         return Fraction(value)
 
 
-def _degree(e: Expr) -> int:
+def degree(e: Expr) -> int:
+    """The degree in x of an expression: 0 exactly when it has no unknown."""
     if isinstance(e, Const):
         return 0
     if isinstance(e, XTerm):
         return 1
     if isinstance(e, (Neg, Paren)):
-        return _degree(e.inner)
+        return degree(e.inner)
     if isinstance(e, (Add, Sub)):
-        return max(_degree(e.left), _degree(e.right))
+        return max(degree(e.left), degree(e.right))
     if isinstance(e, Mul):
-        return _degree(e.left) + _degree(e.right)
+        return degree(e.left) + degree(e.right)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -317,7 +318,7 @@ def parse_equation(text: str) -> Equation:
     rhs = parser.parse_expr()
     parser.expect(_END)
     eq = Equation(lhs, rhs)
-    if _degree(lhs) > 1 or _degree(rhs) > 1:
+    if degree(lhs) > 1 or degree(rhs) > 1:
         raise NonlinearEquationError(f"equation is not linear in {VARIABLE}: {text!r}")
     return eq
 

@@ -18,13 +18,16 @@ from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_objec
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
 from .reduction import ReductionTrace, reduce
 from .solution_space import enumerate_tree
-from .taxonomy import ORDERED_TYPES, classify, reachable
+from .taxonomy import ORDERED_TYPES, ProblemType, classify, reachable
 
 GRADE_CORRECT = "correct"
 GRADE_MATCH = "misconception-match"
 GRADE_OTHER = "other"
 
 DEFAULT_THETA = Fraction(90)
+
+# how many partial explanations ``diagnose`` lists when none is full
+MAX_CANDIDATES = 5
 
 
 @dataclass(frozen=True)
@@ -87,16 +90,15 @@ def parse_answer(text: str) -> Fraction | Equation:
         raise TranscriptError(f"unparsable answer {text!r}") from exc
 
 
-def _steps_match(model_steps, trace_lines: list[str]) -> bool:
-    if model_steps is None or len(model_steps) != len(trace_lines):
-        return False
-    try:
-        return all(
-            parse_equation(a) == parse_equation(b)
-            for a, b in zip(model_steps, trace_lines)
-        )
-    except EngineError:
-        return False
+def _typed_equation(transcript: Transcript) -> tuple[Equation, ProblemType]:
+    """The transcript's equation, parsed, and its type.  Raises
+    ``SchemaError`` when the transcript claims another type."""
+    eq = parse_equation(transcript.equation)
+    t = classify(eq)
+    if t.name != transcript.problem_type:
+        raise SchemaError(f"transcript claims {transcript.problem_type} for a {t.name} "
+                          f"equation: {transcript.equation}")
+    return eq, t
 
 
 def _mal_outcomes(
@@ -130,26 +132,33 @@ def grade(
     """
     if mode not in ("answer", "steps"):
         raise SchemaError(f"unknown grading mode {mode!r}")
-    m = get_misconception(m) if isinstance(m, str) else m
+    m = None if m is None else get_misconception(m)
     try:
-        eq = parse_equation(transcript.equation)
-        if (t := classify(eq).name) != transcript.problem_type:  # passes the except below
-            raise SchemaError(f"transcript claims {transcript.problem_type} for a {t} "
-                              f"equation: {transcript.equation}")
+        eq, _ = _typed_equation(transcript)  # its SchemaError passes the except below
         answer = parse_answer(transcript.model_answer)
         correct = closed_form_solution(eq)
     except (EngineError, TranscriptError) as exc:
         raise TranscriptError(str(exc)) from None
 
+    model = None
+    if mode == "steps" and transcript.model_steps is not None:
+        try:
+            model = [parse_equation(s) for s in transcript.model_steps]
+        except EngineError:
+            pass  # an unparsable step replays no trace
+    parsed = {} if model is None else dict(zip(transcript.model_steps, model))
+
+    def replays(lines: list[str]) -> bool:
+        return model is not None and len(model) == len(lines) == _prefix_len(model, lines, parsed)
+
     if answer == correct:
-        if mode == "answer" or _steps_match(transcript.model_steps, reduce(eq).equation_lines()):
+        if mode == "answer" or replays(reduce(eq).equation_lines()):
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:
         for outcome, lines in _mal_outcomes(eq, m, correct):
-            if answer == outcome:
-                if mode == "answer" or _steps_match(transcript.model_steps, list(lines)):
-                    return GRADE_MATCH
+            if answer == outcome and (mode == "answer" or replays(list(lines))):
+                return GRADE_MATCH
     return GRADE_OTHER
 
 
@@ -251,7 +260,7 @@ def score(
     two-property verdict at the given thresholds."""
     if not transcripts:
         raise EmptyBatchError("no transcripts to score")
-    m = get_misconception(m) if isinstance(m, str) else m
+    m = get_misconception(m)
     counts: dict[str, dict[str, int]] = {
         t.name: {"n": 0, "correct": 0, "match": 0, "other": 0} for t in ORDERED_TYPES
     }
@@ -327,10 +336,12 @@ def _prefix_len(
     return n
 
 
-def diagnose(transcript: Transcript, max_candidates: int = 5) -> list[Diagnosis]:
+def diagnose(transcript: Transcript) -> list[Diagnosis]:
     """Rank misconception sets (size <= 2) by how well their traces replay
     the transcript's steps: longest exact prefix first, then fewest
-    misconceptions.  Empty when the all-correct trace matches fully.
+    misconceptions.  Empty when the all-correct trace matches fully.  A
+    transcript whose equation is of another type than it claims raises
+    ``SchemaError``.
 
     A set's trace is its walk, the one ``reduce_with_misconceptions(eq, ms)``
     takes; a set whose walk raises, or does not use exactly its rules in
@@ -339,10 +350,9 @@ def diagnose(transcript: Transcript, max_candidates: int = 5) -> list[Diagnosis]
     """
     if transcript.model_steps is None:
         raise SchemaError("diagnosis needs model_steps")
-    eq = parse_equation(transcript.equation)
+    root = Node(*_typed_equation(transcript))
     model = [parse_equation(s) for s in transcript.model_steps]
     parsed: dict[str, Equation | None] = dict(zip(transcript.model_steps, model))
-    root = Node(eq, classify(eq))
 
     correct_lines = walk(root, ()).equation_lines()
     if _prefix_len(model, correct_lines, parsed) == len(model) == len(correct_lines):
@@ -390,4 +400,4 @@ def diagnose(transcript: Transcript, max_candidates: int = 5) -> list[Diagnosis]
     full = [d for d in ranked if d.quality == "full"]
     if full:
         return full
-    return [d for d in ranked if d.matched > 0][:max_candidates]
+    return [d for d in ranked if d.matched > 0][:MAX_CANDIDATES]

@@ -1,10 +1,10 @@
 """The misconception catalog: 19 buggy rewrite rules and the error-aware walk.
 
-Each rule carries the set of problem types it can fire on and a rewrite that
-edits the matched subterm in place, exactly following the rule's expression.
-A misconception step replaces the correct step at its node; the result is
-reclassified structurally, so the target of an erroneous edge is computed,
-never hardcoded.
+Each catalog row is the whole rule: the set of problem types it can fire on
+and a rewrite that edits the matched subterm in place, exactly following the
+rule's expression.  A misconception step replaces the correct step at its
+node; the result is reclassified structurally, so the target of an erroneous
+edge is computed, never hardcoded.
 
 Four rules (M19, M20_S20, M21, M22_S1) apply to every type because they fire
 at the terminal solve step rather than at a reduction node.
@@ -12,12 +12,12 @@ at the terminal solve step rather than at a reduction node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .equations import Equation, Paren
+from .equations import Equation, Paren, degree
 from .errors import (
     EngineError,
     MisconceptionNotApplicableError,
@@ -50,7 +50,6 @@ from .taxonomy import (
     XAtom,
     classify,
     correct_successors,
-    has_unknown,
     view_atoms,
 )
 
@@ -59,11 +58,25 @@ T = ProblemType
 
 @dataclass(frozen=True)
 class Misconception:
+    """One catalog row: the rule's id, expression, applicable types and
+    description, with its body.  A rewrite rule sets ``rewrite``, which edits
+    an instance of one of its types or returns None where the instance has
+    no site; a solve-step rule sets ``solve``, x's value from the (A, B) of
+    ``Ax = B``, or None where the rule does not fire."""
+
     id: str
     expression: str
     applicable_types: frozenset[ProblemType]
     description: str
-    at_solve: bool = False
+    rewrite: Callable[[Equation, ProblemType], Equation | None] | None = field(
+        default=None, compare=False, repr=False)
+    solve: Callable[[Fraction, Fraction], Fraction | None] | None = field(
+        default=None, compare=False, repr=False)
+
+    @property
+    def at_solve(self) -> bool:
+        """Fires at the terminal solve step rather than at a reduction node."""
+        return self.solve is not None
 
     def __str__(self) -> str:
         return self.id
@@ -220,90 +233,72 @@ def _rw_m16(eq: Equation, t: ProblemType) -> Equation | None:
     return at_first(eq, ProdAtom, spread)
 
 
-# solve-step rules: value of x as a function of (A, B) in Ax = B
-_SOLVE_FORMULAS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
-    "M19": lambda a, b: a + b,
-    "M20_S20": lambda a, b: b,
-    "M21": lambda a, b: a - b,
-    "M22_S1": lambda a, b: a / b,
-}
-
-_REWRITES: dict[str, Callable[[Equation, ProblemType], Equation | None]] = {
-    "M1": _rw_m1,
-    "M2_S3": _rw_m2,
-    "M3": _rw_m3,
-    "M4": _rw_m4,
-    "M5": _rw_m5,
-    "M6": _rw_m6,
-    "M8": _rw_m8,
-    "M11": _rw_m11,
-    "M12_S15": partial(_rw_factor, atom=XAtom),
-    "M13": partial(_rw_factor, atom=CAtom),
-    "M14": partial(_rw_op, want=1, edit=_flip),
-    "M15": partial(_rw_op, want=-1, edit=_flip),
-    "M16": _rw_m16,
-    "M17": partial(_rw_op, want=1, edit=_swap),
-    "M18": partial(_rw_op, want=-1, edit=_swap),
-}
-
 def _types(*names: str) -> frozenset[ProblemType]:
     return frozenset(ProblemType[n] for n in names)
 
 
 CATALOG: tuple[Misconception, ...] = (
     Misconception("M1", "A(part) → A + (part)", _types("T8", "T9", "T10", "T12"),
-                  "Treating distribution as addition"),
+                  "Treating distribution as addition", rewrite=_rw_m1),
     Misconception("M2_S3", "A(Bx ± C) → ABx ± C", _types("T9", "T12"),
-                  "Ignoring distribution"),
+                  "Ignoring distribution", rewrite=_rw_m2),
     Misconception("M3", "A ± B(part) → (A ± B)(part)", _types("T10", "T12"),
-                  "Misapplying parentheses"),
+                  "Misapplying parentheses", rewrite=_rw_m3),
     Misconception("M4", "A(B*C) → A*B*A*C", _types("T8"),
-                  "Incorrectly distributing multiplication"),
+                  "Incorrectly distributing multiplication", rewrite=_rw_m4),
     Misconception("M5", "A(Bx ± C) → A(A*Bx ± A*C)", _types("T9", "T12"),
-                  "Over-distribution"),
+                  "Over-distribution", rewrite=_rw_m5),
     Misconception("M6", "-A(Bx - C) → -A*Bx - A*C", _types("T9", "T12"),
-                  "Incorrect sign distribution"),
+                  "Incorrect sign distribution", rewrite=_rw_m6),
     Misconception("M8", "A(Bx ± C) → Bx ± A*C", _types("T9", "T12"),
-                  "Incorrect distribution on x term"),
+                  "Incorrect distribution on x term", rewrite=_rw_m8),
     Misconception("M11", "Ax ± B = Cx ± D → Ax + Cx = B + D", _types("T14"),
-                  "Incorrectly combining terms"),
+                  "Incorrectly combining terms", rewrite=_rw_m11),
     Misconception("M12_S15", "Ax ± B → (A ± B)x", _types("T5", "T6", "T7", "T9", "T12"),
-                  "Incorrectly factoring x"),
+                  "Incorrectly factoring x", rewrite=partial(_rw_factor, atom=XAtom)),
     Misconception("M13", "Ax ± B → (A ± B)", _types("T5", "T6", "T7", "T9", "T12"),
-                  "Incorrectly factoring x"),
+                  "Incorrectly factoring x", rewrite=partial(_rw_factor, atom=CAtom)),
     Misconception("M14", "part1 + part2 → part1 - part2", _types("T2", "T4"),
-                  "Incorrectly swapping addition and subtraction"),
+                  "Incorrectly swapping addition and subtraction",
+                  rewrite=partial(_rw_op, want=1, edit=_flip)),
     Misconception("M15", "part1 - part2 → part1 + part2", _types("T2", "T4"),
-                  "Incorrectly swapping addition and subtraction"),
+                  "Incorrectly swapping addition and subtraction",
+                  rewrite=partial(_rw_op, want=-1, edit=_flip)),
     Misconception("M16", "part1 * part2 → part1 + part2", _types("T3", "T10"),
-                  "Treating multiplication as addition"),
+                  "Treating multiplication as addition", rewrite=_rw_m16),
     Misconception("M17", "A + B → B - A", _types("T2", "T4"),
-                  "Incorrectly swapping order of addition and subtraction"),
+                  "Incorrectly swapping order of addition and subtraction",
+                  rewrite=partial(_rw_op, want=1, edit=_swap)),
     Misconception("M18", "A - B → B - A", _types("T2", "T4"),
-                  "Incorrectly swapping order of addition and subtraction"),
+                  "Incorrectly swapping order of addition and subtraction",
+                  rewrite=partial(_rw_op, want=-1, edit=_swap)),
     Misconception("M19", "Ax = B → x = A + B", _ALL_TYPES,
-                  "Treat division as addition", at_solve=True),
+                  "Treat division as addition", solve=lambda a, b: a + b),
     Misconception("M20_S20", "Ax = B → x = B", _ALL_TYPES,
-                  "Divide only on one side", at_solve=True),
+                  "Divide only on one side", solve=lambda a, b: b),
     Misconception("M21", "Ax = B → x = A - B", _ALL_TYPES,
-                  "Treat division as subtraction", at_solve=True),
+                  "Treat division as subtraction", solve=lambda a, b: a - b),
+    # A/B is undefined on Ax = 0, where the rule stands down
     Misconception("M22_S1", "Ax = B → x = A/B", _ALL_TYPES,
-                  "Incorrect numerator and denominator", at_solve=True),
+                  "Incorrect numerator and denominator", solve=lambda a, b: a / b if b else None),
 )
 
 _BY_ID = {m.id: m for m in CATALOG}
 
 
-def get_misconception(mid: str) -> Misconception:
+def get_misconception(m: "Misconception | str") -> Misconception:
+    """The catalog row ``m`` names; a row is its own answer."""
+    if isinstance(m, Misconception):
+        return m
     try:
-        return _BY_ID[mid]
+        return _BY_ID[m]
     except KeyError:
-        raise MisconceptionNotApplicableError(f"unknown misconception id: {mid}") from None
+        raise MisconceptionNotApplicableError(f"unknown misconception id: {m}") from None
 
 
 def resolve_set(ms: Sequence["Misconception | str"]) -> list[Misconception]:
     """Validate an ordered misconception set: known ids, no duplicates."""
-    out = [m if isinstance(m, Misconception) else get_misconception(m) for m in ms]
+    out = [get_misconception(m) for m in ms]
     ids = [m.id for m in out]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate misconception ids: {ids}")
@@ -311,8 +306,7 @@ def resolve_set(ms: Sequence["Misconception | str"]) -> list[Misconception]:
 
 
 def applicable(m: "Misconception | str", t: ProblemType) -> bool:
-    m = m if isinstance(m, Misconception) else get_misconception(m)
-    return t in m.applicable_types
+    return t in get_misconception(m).applicable_types
 
 
 def try_apply(
@@ -327,12 +321,12 @@ def try_apply(
     """
     if t not in m.applicable_types:
         return None
-    if m.at_solve:
+    if m.solve is not None:
         return _solve_rule(m, t1_parts(eq)) if t is T.T1 else None
-    result = _REWRITES[m.id](eq, t)
+    result = m.rewrite(eq, t)
     if result is None:
         return None
-    if not (has_unknown(result.lhs) or has_unknown(result.rhs)):
+    if not (degree(result.lhs) or degree(result.rhs)):
         return result, DEAD_END
     try:
         label = classify(result)
@@ -345,17 +339,15 @@ def try_apply(
 
 def _solve_rule(m: Misconception, parts: tuple[Fraction, Fraction]) -> tuple[Equation, str] | None:
     """A solve-step rule on the (A, B) of ``Ax = B``; None where it does not fire."""
-    a, b = parts
-    if m.id == "M22_S1" and b == 0:
-        return None
-    return solved_equation(_SOLVE_FORMULAS[m.id](a, b)), SOLVED
+    x = m.solve(*parts)
+    return None if x is None else (solved_equation(x), SOLVED)
 
 
 def apply_misconception(
     m: "Misconception | str", eq: Equation
 ) -> tuple[Equation, ProblemType | str]:
     """Apply one misconception to an equation it is applicable to."""
-    m = m if isinstance(m, Misconception) else get_misconception(m)
+    m = get_misconception(m)
     t = classify(eq)
     if t not in m.applicable_types:
         raise MisconceptionNotApplicableError(f"{m.id} is not applicable to {t}")
@@ -370,21 +362,12 @@ def apply_misconception(
 _MAX_TRACE_STEPS = 12
 
 # Node expansion, shared by the walk (one edge per node), the tree (every
-# edge) and diagnose (many walks from one root).
-_CORRECT = {t: tuple(EdgeRef("correct", rule_id) for _, rule_id in correct_successors(t))
-            or (EdgeRef("solve", "solve"),) for t in ProblemType}
-_RULE_EDGES = {m.id: EdgeRef("misconception", m.id) for m in CATALOG}
-
-
-def correct_edges(t: ProblemType) -> tuple[EdgeRef, ...]:
-    """The correct edges out of a ``t`` node: T1's solve step, else its
-    correct rules in canonical order, the default first."""
-    return _CORRECT[t]
-
-
-def misconception_edges(mals: Sequence[Misconception]) -> list[EdgeRef]:
-    """The edge of each rule, in order."""
-    return [_RULE_EDGES[m.id] for m in mals]
+# edge) and diagnose (many walks from one root).  The correct edges out of a
+# node of each type: T1's solve step, else its correct rules in canonical
+# order, the default first; and each rule's edge, by id.
+CORRECT_OUT = {t: tuple(EdgeRef("correct", rule_id) for _, rule_id in correct_successors(t))
+               or (EdgeRef("solve", "solve"),) for t in ProblemType}
+RULE_EDGE = {m.id: EdgeRef("misconception", m.id) for m in CATALOG}
 
 
 class Node:
@@ -450,7 +433,7 @@ class Node:
                 res = apply_step(eq, t, key)
             elif edge.kind == "solve":
                 res = solved_equation(solve_t1(self._t1_parts(), eq)), SOLVED
-            elif not (m := _BY_ID[key]).at_solve:
+            elif (m := _BY_ID[key]).solve is None:
                 res = try_apply(m, eq, t)
             else:  # (A, B) is read once per T1 node, not once per rule
                 res = _solve_rule(m, self._t1_parts()) if t is T.T1 else None
@@ -474,7 +457,7 @@ def walk(root: Node, mals: Sequence[Misconception]) -> ReductionTrace:
     """The walk from ``root``: at each node the first rule of ``mals`` not yet
     used that fires there, else the default correct edge, up to a terminal
     state.  Raises ``NonterminationError`` past the step guard."""
-    todo = misconception_edges(mals)
+    todo = [RULE_EDGE[m.id] for m in mals]
     node, steps = root, [root]
     for _ in range(_MAX_TRACE_STEPS):
         for i, edge in enumerate(todo):
@@ -482,7 +465,7 @@ def walk(root: Node, mals: Sequence[Misconception]) -> ReductionTrace:
                 del todo[i]
                 break
         else:
-            kid = node.child(_CORRECT[node.label][0])
+            kid = node.child(CORRECT_OUT[node.label][0])
         node = kid
         steps.append(node)
         end = outcome(node.equation, node.label)

@@ -13,14 +13,7 @@ from fractions import Fraction
 
 from .equations import Equation
 from .errors import BudgetExceededError, ZeroCoefficientError
-from .misconceptions import (
-    Misconception,
-    Node,
-    correct_edges,
-    misconception_edges,
-    outcome,
-    resolve_set,
-)
+from .misconceptions import CORRECT_OUT, RULE_EDGE, Misconception, Node, outcome, resolve_set
 from .taxonomy import ProblemType, classify
 
 NODE_BUDGET = 100_000
@@ -68,7 +61,7 @@ def enumerate_tree(
     misconception steps per path.  Children are ordered correct-edges-first,
     then by position in ``ms``.  Unlike the walk, a T1 node with a zero x
     coefficient becomes a leaf, and the rules are still tried there."""
-    rules = misconception_edges(resolve_set(ms))
+    rules = [RULE_EDGE[m.id] for m in resolve_set(ms)]
     cap = max_misconceptions_per_path
     nodes: list[TreeNode] = []
     edges: list[TreeEdge] = []
@@ -86,7 +79,7 @@ def enumerate_tree(
         if end is not None:
             leaves.append(Leaf(nid, *end, used, lines))
             return
-        for edge in correct_edges(node.label):
+        for edge in CORRECT_OUT[node.label]:
             try:
                 kid = node.child(edge)
             except ZeroCoefficientError:

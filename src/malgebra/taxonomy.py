@@ -260,16 +260,6 @@ def classify(eq: Equation) -> ProblemType:
     raise UnclassifiableFormError(f"no problem type matches: {eq}")
 
 
-def has_unknown(e: Expr) -> bool:
-    if isinstance(e, XTerm):
-        return True
-    if isinstance(e, (Neg, Paren)):
-        return has_unknown(e.inner)
-    if isinstance(e, (Add, Sub, Mul)):
-        return has_unknown(e.left) or has_unknown(e.right)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Correct-edge table and graph queries
 # ---------------------------------------------------------------------------

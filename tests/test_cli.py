@@ -9,7 +9,7 @@ import pytest
 from malgebra.cli import build_parser, main
 from malgebra.datasets import DatasetConfig, generate
 from malgebra.equations import closed_form_solution, parse_equation
-from malgebra.misconceptions import CATALOG
+from malgebra.misconceptions import CATALOG, reduce_with_misconceptions
 
 
 def run(capsys, *argv):
@@ -283,6 +283,44 @@ def test_score_type_mismatch_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "score", str(path), "--misconception", "M8")
     assert (code, out) == (2, "")
     assert err == "error: transcript claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
+
+
+def test_diagnose_type_mismatch_exit_2(capsys, tmp_path):
+    # the M2_S3 walk of a T9 equation claimed as T1: score rejects the line
+    eq = parse_equation("2x = 3(4x + 5)")
+    lines = reduce_with_misconceptions(eq, ["M2_S3"]).equation_lines()
+    row = {"problem_type": "T1", "equation": lines[0], "model_answer": lines[-1],
+           "model_steps": lines}
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    code, out, err = run(capsys, "diagnose", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: transcript claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
+    path.write_text(json.dumps({**row, "equation": "2x = 3(4x +"}) + "\n")
+    code, out, err = run(capsys, "diagnose", str(path))
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_only_ascii_digits_are_numerals(capsys, tmp_path, digit):
+    text = f"x = {digit}"
+    code, out, err = run(capsys, "classify", text)
+    assert (code, out) == (1, "")
+    assert err == f"error: unexpected character '{digit}' (at position 4)\n"
+
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps({"problem_type": "T1", "equation": text, "model_answer": "3"},
+                               ensure_ascii=False) + "\n")
+    code, out, _ = run(capsys, "score", str(path), "--misconception", "M19", "--report", "json")
+    assert code == 0
+    assert json.loads(out)["per_type"]["T1"] == {"CA": 0.0, "MA": 0.0, "n": 1}
+
+    rec = {"id": "train-000000", "problem_type": "T1", "equation": text, "steps": [text],
+           "final_answer": text, "label": "correct", "seed": "0:k"}
+    path.write_text(json.dumps(rec, ensure_ascii=False) + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == "0/1 records replay cleanly\n"
+    assert err == f"line 1: unexpected character '{digit}' (at position 4)\n"
 
 
 @pytest.mark.parametrize("command", [["score", "--misconception", "M8"], ["diagnose"]])

@@ -311,7 +311,7 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def test_diagnose_matches_exhaustive_search():
+def test_diagnose_matches_exhaustive_search(monkeypatch):
     # M8 leaves 0x = 15, so M8's correct tail raises at the solve step, where
     # M19 still fires: the pair is a candidate although M8's single is not
     eq = parse_equation("4x = 3(4x + 5)")
@@ -326,21 +326,24 @@ def test_diagnose_matches_exhaustive_search():
     walks = {}
     for transcript in corpus:
         for cap in (5, 1000):
+            monkeypatch.setattr("malgebra.evaluation.MAX_CANDIDATES", cap)
             want = _outcome(_exhaustive_diagnose, transcript, walks, cap)
-            assert _outcome(diagnose, transcript, cap) == want, (transcript, cap)
+            assert _outcome(diagnose, transcript) == want, (transcript, cap)
 
 
 def test_diagnose_step_guard_matches_exhaustive_search(monkeypatch):
     # no catalog walk comes near 12 steps, so lower the guard until it cuts
     corpus = _diagnose_corpus()[::8]
-    unguarded = [_outcome(diagnose, t, 1000) for t in corpus]
+    monkeypatch.setattr("malgebra.evaluation.MAX_CANDIDATES", 1000)
+    unguarded = [_outcome(diagnose, t) for t in corpus]
     monkeypatch.setattr("malgebra.misconceptions._MAX_TRACE_STEPS", 3)
     walks = {}
     results = []
     for transcript in corpus:
         for cap in (5, 1000):
+            monkeypatch.setattr("malgebra.evaluation.MAX_CANDIDATES", cap)
             want = _outcome(_exhaustive_diagnose, transcript, walks, cap)
-            assert _outcome(diagnose, transcript, cap) == want, (transcript, cap)
+            assert _outcome(diagnose, transcript) == want, (transcript, cap)
         results.append(want)
     cut = [a != b and b is not NonterminationError for a, b in zip(unguarded, results)]
     assert sum(cut) > 10

@@ -19,7 +19,7 @@ from malgebra.misconceptions import CATALOG
 from malgebra.taxonomy import ORDERED_TYPES
 
 EXIT_CODES = {0, 1, 2, 3}
-_ALPHABET = "0123456789x+-*/=() .a"
+_ALPHABET = "0123456789x+-*/=() .a²٣é\u00a0"
 
 
 def _seeds() -> list[str]:

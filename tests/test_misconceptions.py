@@ -95,6 +95,9 @@ def test_applicability_matches_the_table():
     assert len(CATALOG) == 19
     for m in CATALOG:
         assert {t.name for t in m.applicable_types} == expected[m.id]
+        # each row carries its one body: a rewrite, or a solve-step formula
+        assert (m.rewrite is None) != (m.solve is None), m.id
+        assert m.at_solve == (m.id in {"M19", "M20_S20", "M21", "M22_S1"}), m.id
 
 
 def test_apply_misconception_spot_anchors():
