@@ -22,7 +22,9 @@ from typing import Sequence
 
 from .equations import Equation, closed_form_solution, parse_equation
 from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_input
-from .misconceptions import CATALOG, Misconception, get_misconception, reduce_with_misconceptions
+from .misconceptions import (
+    CATALOG, Misconception, Node, get_misconception, reduce_with_misconceptions, walk,
+)
 from .reduction import ReductionTrace, rebuild, reduce
 from .taxonomy import (
     CAtom,
@@ -94,28 +96,39 @@ def sample_instance(
     coeff_min: int = -9,
     coeff_max: int = 9,
     accept=None,
+    m: Misconception | str | None = None,
 ) -> tuple[Equation, ReductionTrace]:
-    """Draw a non-degenerate instance of exactly type ``t``, with its correct
-    reduction trace.
+    """Draw a non-degenerate instance of exactly type ``t`` with its correct
+    reduction trace or, given a misconception ``m``, with the trace firing it.
 
     Each draw is checked in turn, the check that rejects most draws first:
     the optional ``accept`` hook must take it, ``classify`` must give ``t``,
-    and the closed form and the full reduction must both succeed.  No check
-    draws randomness and every check must pass, so the order only decides how
-    much work a rejected draw costs: the accepted draw, and so the generated
-    bytes, stay the same.
+    and the closed form and the correct walk must both succeed.  With ``m``,
+    the walk firing ``m`` then starts from the root the correct walk built;
+    it must use exactly ``m`` and end somewhere distinguishable from the
+    correct answer.  No check draws randomness and every check must pass, so
+    the order only decides how much work a rejected draw costs: the accepted
+    draw, and so the generated bytes, stay the same.  At most ``MAX_TRIES``
+    draws are made.
     """
+    mals = () if m is None else (get_misconception(m),)
     for _ in range(MAX_TRIES):
         eq = _build(t, rng, coeff_min, coeff_max)
         try:
             if (accept is not None and not accept(eq)) or classify(eq) is not t:
                 continue
             closed_form_solution(eq)
-            return eq, reduce(eq)
+            trace = correct = walk(root := Node(eq, t), ())
+            if mals:
+                trace = walk(root, mals)
         except EngineError:
             continue
+        if not mals or (trace.misconceptions_used == (mals[0].id,)
+                        and (trace.dead_end is not None or trace.answer != correct.answer)):
+            return eq, trace
+    what = f"acceptable {t}" if m is None else f"conforming ({m}, {t})"
     raise SamplingExhaustedError(
-        f"no acceptable {t} instance in [{coeff_min}, {coeff_max}] after {MAX_TRIES} draws"
+        f"no {what} instance in [{coeff_min}, {coeff_max}] after {MAX_TRIES} draws"
     )
 
 
@@ -143,24 +156,14 @@ def sample_for_misconception(
     coeff_max: int = 9,
     accept=None,
 ) -> tuple[Equation, ReductionTrace]:
-    """An instance of ``t`` whose single-misconception trace actually uses
-    ``m`` and ends somewhere distinguishable from the correct answer."""
-    m = get_misconception(m)
+    """``sample_instance`` of ``t`` firing ``m``, drawn again until the
+    optional ``accept(eq, trace)`` hook takes the instance and its trace."""
     for _ in range(MAX_TRIES):
-        eq, correct = sample_instance(t, rng, coeff_min, coeff_max)
-        try:
-            trace = reduce_with_misconceptions(eq, [m])
-        except EngineError:
-            continue
-        if trace.misconceptions_used != (m.id,):
-            continue
-        if trace.dead_end is None and trace.answer == correct.answer:
-            continue
-        if accept is not None and not accept(eq, trace):
-            continue
-        return eq, trace
+        eq, trace = sample_instance(t, rng, coeff_min, coeff_max, m=m)
+        if accept is None or accept(eq, trace):
+            return eq, trace
     raise SamplingExhaustedError(
-        f"no conforming ({m.id}, {t}) instance after {MAX_TRIES} attempts"
+        f"no ({m}, {t}) instance the hook accepts after {MAX_TRIES} attempts"
     )
 
 
@@ -251,16 +254,10 @@ def generate(config: DatasetConfig) -> dict:
     splits: dict[str, list[dict]] = {}
     for pool, draws in (("train", train), ("test", test)):
         records = splits[pool] = []
-        # sample_for_misconception's accept hook also gets the trace
-        in_pool = lambda e, *_: _pool(config.seed, str(e)) == pool
+        in_pool = lambda e: _pool(config.seed, str(e)) == pool
         for key, t, rule in draws:
-            rng = sampler.rng_for(key)
-            if rule is None:
-                _, trace = sample_instance(t, rng, config.coeff_min, config.coeff_max, in_pool)
-            else:
-                _, trace = sample_for_misconception(
-                    rule, t, rng, config.coeff_min, config.coeff_max, in_pool
-                )
+            _, trace = sample_instance(t, sampler.rng_for(key), config.coeff_min,
+                                       config.coeff_max, in_pool, rule)
             lines = trace.equation_lines()
             rec = {
                 "id": f"{pool}-{len(records):06d}",
@@ -405,7 +402,7 @@ def _computed_target(m: Misconception, t: ProblemType) -> str:
     if m.at_solve:
         return "solved"
     try:
-        _, trace = sample_for_misconception(m, t, random.Random(f"0:target:{m.id}:{t.name}"))
+        _, trace = sample_instance(t, random.Random(f"0:target:{m.id}:{t.name}"), m=m)
     except SamplingExhaustedError:
         return "none"
     assert trace.steps[1].via.rule_id == m.id  # m fired on the drawn instance itself

@@ -158,7 +158,7 @@ def _tokenize(text: str) -> list[_Token]:
     depth = 0
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in " \t\n\r\v\f":
             i += 1
             continue
         if "0" <= ch <= "9":

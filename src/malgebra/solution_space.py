@@ -55,7 +55,6 @@ def enumerate_tree(
     eq: Equation,
     ms: list[Misconception | str],
     max_misconceptions_per_path: int = 1,
-    node_budget: int = NODE_BUDGET,
 ) -> SolutionTree:
     """Build the full solution tree with at most the given number of
     misconception steps per path.  Children are ordered correct-edges-first,
@@ -68,8 +67,8 @@ def enumerate_tree(
     leaves: list[Leaf] = []
 
     def grow(parent: int, node: Node, used: tuple[str, ...], lines: tuple[str, ...]) -> None:
-        if len(nodes) >= node_budget:
-            raise BudgetExceededError(f"solution tree exceeded the {node_budget}-node budget")
+        if len(nodes) >= NODE_BUDGET:
+            raise BudgetExceededError(f"solution tree exceeded the {NODE_BUDGET}-node budget")
         nid = len(nodes)
         nodes.append(TreeNode(nid, node.equation, node.label))
         if node.via is not None:

@@ -301,6 +301,18 @@ def test_diagnose_type_mismatch_exit_2(capsys, tmp_path):
     assert (code, out) == (1, "") and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000"])
+def test_only_ascii_whitespace_is_skipped(capsys, space):
+    code, out, err = run(capsys, "classify", f"x{space}= 3")
+    assert (code, out) == (1, "")
+    assert err == f"error: unexpected character '{space}' (at position 1)\n"
+
+
+def test_ascii_whitespace_is_skipped(capsys):
+    code, out, _ = run(capsys, "classify", "x \t\n\r\v\f= 3")
+    assert (code, out) == (0, "T1\n")
+
+
 @pytest.mark.parametrize("digit", ["²", "٣"])
 def test_only_ascii_digits_are_numerals(capsys, tmp_path, digit):
     text = f"x = {digit}"

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import malgebra.datasets as datasets
 from malgebra.datasets import (
+    MAX_TRIES,
     DatasetConfig,
     _build,
     InstanceSampler,
@@ -19,7 +21,7 @@ from malgebra.datasets import (
 )
 from malgebra.equations import closed_form_solution, parse_equation
 from malgebra.errors import SamplingExhaustedError, SchemaError
-from malgebra.misconceptions import reduce_with_misconceptions
+from malgebra.misconceptions import CATALOG, reduce_with_misconceptions
 from malgebra.taxonomy import ORDERED_TYPES, ProblemType, classify
 
 T = ProblemType
@@ -65,6 +67,21 @@ def test_conforming_misconception_sampling(rng):
         assert trace.misconceptions_used == (mid,)
         if trace.dead_end is None:
             assert trace.answer != closed_form_solution(eq)
+
+
+def test_misconception_exhaustion_is_bounded(monkeypatch):
+    # M6 never fires on a positive multiplier, so no draw at [1, 9] conforms;
+    # the sampler gives up after MAX_TRIES draws in all
+    calls = []
+
+    def counting_build(*args):
+        calls.append(None)
+        return _build(*args)
+
+    monkeypatch.setattr(datasets, "_build", counting_build)
+    with pytest.raises(SamplingExhaustedError):
+        sample_for_misconception("M6", T.T9, random.Random(0), 1, 9)
+    assert len(calls) <= MAX_TRIES
 
 
 def test_dead_end_misconception_records_sample(rng):
@@ -153,6 +170,21 @@ def test_generate_matches_pinned_digests(tmp_path, regime):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected
     }
     assert actual == expected
+
+
+def test_every_rule_matches_pinned_digest(tmp_path):
+    """sha256 over the train.jsonl bytes of a small cell per catalog row, at
+    coefficients +-9 and [-2, 1], in that order: it pins which draw the
+    sampler accepts for every rule, not just M6."""
+    h = hashlib.sha256()
+    for m in CATALOG:
+        for lo, hi in ((-9, 9), (-2, 1)):
+            out = tmp_path / f"{m.id}_{lo}_{hi}"
+            generate(DatasetConfig(seed=11, misconception=m.id, n_m=12, ratio=0.25,
+                                   test_per_type=0, coeff_min=lo, coeff_max=hi,
+                                   out_dir=str(out)))
+            h.update((out / "train.jsonl").read_bytes())
+    assert h.hexdigest() == "62931eb1beb34bebf447be9851ebb4e32cfd2aa35f5a55e11c9ef9f192ded253"
 
 
 def test_train_and_test_are_disjoint(tmp_path):

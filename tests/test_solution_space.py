@@ -9,6 +9,7 @@ from malgebra.equations import closed_form_solution, parse_equation
 from malgebra.errors import BudgetExceededError, ZeroCoefficientError
 from malgebra.misconceptions import get_misconception, try_apply
 from malgebra.reduction import reduce, reduce_step, solve_terminal
+from malgebra import solution_space
 from malgebra.solution_space import enumerate_tree, leaf_answers, to_dot, to_json_dict
 from malgebra.taxonomy import (
     DEAD_END,
@@ -183,13 +184,13 @@ def test_count_law_single_spine(sampler):
             assert len(tree.leaves) == 1 + k
 
 
-def test_node_budget_guard():
+def test_node_budget_guard(monkeypatch):
+    monkeypatch.setattr(solution_space, "NODE_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
         enumerate_tree(
             parse_equation("2x = 3 + 4(5x + 6)"),
             ["M1", "M2_S3", "M3", "M5", "M8"],
             3,
-            node_budget=10,
         )
 
 
