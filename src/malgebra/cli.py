@@ -19,7 +19,7 @@ from .datasets import (
     type_graph,
     verify_dataset,
 )
-from .equations import parse_equation
+from .equations import parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .evaluation import diagnose, load_transcripts, score
 from .misconceptions import CATALOG, reduce_with_misconceptions
@@ -31,8 +31,8 @@ from .taxonomy import ORDERED_TYPES, classify
 def _threshold(text: str) -> Fraction:
     """argparse type for a percentage threshold such as ``90`` or ``87.5``."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_number(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 

@@ -20,12 +20,10 @@ from os import PathLike
 from pathlib import Path
 from typing import Sequence
 
-from .equations import Equation, closed_form_solution, parse_equation
+from .equations import MAX_NUMERAL_DIGITS, Equation, closed_form_solution, parse_equation
 from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_input
-from .misconceptions import (
-    CATALOG, Misconception, Node, get_misconception, reduce_with_misconceptions, walk,
-)
-from .reduction import ReductionTrace, rebuild, reduce
+from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
+from .reduction import ReductionTrace, rebuild
 from .taxonomy import (
     CAtom,
     CORRECT_EDGES,
@@ -101,23 +99,19 @@ def sample_instance(
     """Draw a non-degenerate instance of exactly type ``t`` with its correct
     reduction trace or, given a misconception ``m``, with the trace firing it.
 
-    Each draw is checked in turn, the check that rejects most draws first:
-    the optional ``accept`` hook must take it, ``classify`` must give ``t``,
-    and the closed form and the correct walk must both succeed.  With ``m``,
-    the walk firing ``m`` then starts from the root the correct walk built;
-    it must use exactly ``m`` and end somewhere distinguishable from the
-    correct answer.  No check draws randomness and every check must pass, so
-    the order only decides how much work a rejected draw costs: the accepted
-    draw, and so the generated bytes, stay the same.  At most ``MAX_TRIES``
-    draws are made.
+    A draw's type is its pattern's, so its root is labelled ``t`` without
+    classifying it.  The draw must pass the optional ``accept`` hook and then
+    solve by the correct walk, which fails exactly on a zero slope.  With
+    ``m``, the walk firing ``m`` starts from the same root; it must use
+    exactly ``m`` and end somewhere distinguishable from the correct answer.
+    At most ``MAX_TRIES`` draws are made.
     """
     mals = () if m is None else (get_misconception(m),)
     for _ in range(MAX_TRIES):
         eq = _build(t, rng, coeff_min, coeff_max)
         try:
-            if (accept is not None and not accept(eq)) or classify(eq) is not t:
+            if accept is not None and not accept(eq):
                 continue
-            closed_form_solution(eq)
             trace = correct = walk(root := Node(eq, t), ())
             if mals:
                 trace = walk(root, mals)
@@ -203,6 +197,9 @@ class DatasetConfig:
         for name in ("n_m", "n_correct_per_type", "test_per_type"):
             if getattr(self, name) < 0:
                 raise SchemaError(f"{name} must be >= 0")
+        for name in ("coeff_min", "coeff_max"):  # each draw must read back as a numeral
+            if abs(getattr(self, name)) >= 10**MAX_NUMERAL_DIGITS:
+                raise SchemaError(f"{name} must have at most {MAX_NUMERAL_DIGITS} digits")
         if self.misconception is not None:
             get_misconception(self.misconception)
 
@@ -344,9 +341,9 @@ def _replay(rec: dict) -> None:
     t = classify(eq)
     if t.name != rec["problem_type"]:
         raise SchemaError(f"classifies as {t.name}, recorded {rec['problem_type']}")
-    label = rec["label"]
+    root, label = Node(eq, t), rec["label"]
     if label == "correct":
-        trace = reduce(eq)
+        trace = walk(root, ())
         if str(trace.answer) not in rec["final_answer"]:
             raise SchemaError("final answer does not match the oracle")
         if trace.answer != closed_form_solution(eq):
@@ -355,7 +352,7 @@ def _replay(rec: dict) -> None:
         mid = rec.get("misconception_id")
         if not mid:
             raise SchemaError("misconception record lacks misconception_id")
-        trace = reduce_with_misconceptions(eq, [mid])
+        trace = walk(root, (get_misconception(mid),))
         if trace.misconceptions_used != (mid,):
             raise SchemaError(f"trace does not use exactly {mid}")
     else:

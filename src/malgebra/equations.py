@@ -20,6 +20,7 @@ parses as a product with multiplier -3.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,6 +131,7 @@ def render(e: Expr) -> str:
 MAX_EQUATION_LENGTH = 200
 MAX_PAREN_DEPTH = 16
 MAX_NUMERAL_DIGITS = 20
+_SPACE = " \t\n\r\v\f"
 
 _NUM = "num"
 _VAR = "var"
@@ -158,7 +160,7 @@ def _tokenize(text: str) -> list[_Token]:
     depth = 0
     while i < n:
         ch = text[i]
-        if ch in " \t\n\r\v\f":
+        if ch in _SPACE:
             i += 1
             continue
         if "0" <= ch <= "9":
@@ -293,6 +295,22 @@ class _Parser:
                 raise ParseError("denominator must be a positive integer", den_tok.pos)
             return Fraction(value, den)
         return Fraction(value)
+
+
+_NUMBER = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
+def parse_number(text: str) -> Fraction:
+    """A bare number, as an answer or a threshold gives it: an optional sign
+    and ASCII digits, then optionally ``/`` and a positive integer or ``.``
+    and digits, with no digit run longer than ``MAX_NUMERAL_DIGITS``.
+    Anything else (an exponent, ``_``, another script's digits) raises
+    ``ValueError`` before a ``Fraction`` is built."""
+    match = _NUMBER.fullmatch(text.strip(_SPACE))
+    if (match is None or any(len(run) > MAX_NUMERAL_DIGITS for run in match.groups(""))
+            or match[2] is not None and int(match[2]) == 0):
+        raise ValueError(f"not a number: {text!r}")
+    return Fraction(match[0])
 
 
 def degree(e: Expr) -> int:

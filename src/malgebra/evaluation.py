@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .equations import Const, Equation, XTerm, closed_form_solution, parse_equation
+from .equations import Const, Equation, XTerm, closed_form_solution, parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
 from .reduction import ReductionTrace, reduce
@@ -75,18 +75,17 @@ def load_transcripts(path: str | Path) -> list[Transcript]:
 def parse_answer(text: str) -> Fraction | Equation:
     """An answer is a rational, an ``x = value`` form, or (for dead-end
     transcripts) a full equation; formatting never affects comparison."""
-    s = text.strip()
-    if "=" in s:
+    if "=" in text:
         try:
-            eq = parse_equation(s)
+            eq = parse_equation(text)
         except EngineError as exc:
             raise TranscriptError(f"unparsable answer {text!r}") from exc
         if eq.lhs == XTerm(Fraction(1)) and isinstance(eq.rhs, Const):
             return eq.rhs.value
         return eq
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_number(text)
+    except ValueError as exc:
         raise TranscriptError(f"unparsable answer {text!r}") from exc
 
 

@@ -133,7 +133,8 @@ def test_gen_invalid_ratio_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize(
     "config",
     [[1, 2], {"n_m": "5"}, {"seed": True}, {"misconception": ["M1"], "n_m": 1}, {"out_dir": 5},
-     {"ratio": True}],
+     {"ratio": True}, {"coeff_max": 10**20, "n_correct_per_type": 1, "test_per_type": 0},
+     {"coeff_min": -10**1500, "coeff_max": 10**1500}],
 )
 def test_gen_bad_config_exit_2(capsys, tmp_path, monkeypatch, config):
     monkeypatch.chdir(tmp_path)  # the default out_dir is relative
@@ -348,7 +349,7 @@ def test_transcript_line_not_an_object_exit_2(capsys, tmp_path, command, line):
 
 
 @pytest.mark.parametrize("flag", ["--theta-m", "--theta-c"])
-@pytest.mark.parametrize("value", ["abc", "1/0"])
+@pytest.mark.parametrize("value", ["abc", "1/0", "1e400", "٣"])
 def test_score_bad_threshold_exit_2(capsys, tmp_path, flag, value):
     path = tmp_path / "tr.jsonl"
     path.write_text('{"problem_type": "T1", "equation": "4x = 12", "model_answer": "3"}\n')

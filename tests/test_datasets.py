@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,11 @@ from malgebra.datasets import (
     sample_instance,
     verify_dataset,
 )
-from malgebra.equations import closed_form_solution, parse_equation
-from malgebra.errors import SamplingExhaustedError, SchemaError
-from malgebra.misconceptions import CATALOG, reduce_with_misconceptions
+from malgebra.equations import MAX_NUMERAL_DIGITS, closed_form_solution, parse_equation
+from malgebra.errors import (
+    NoUniqueSolutionError, SamplingExhaustedError, SchemaError, ZeroCoefficientError,
+)
+from malgebra.misconceptions import CATALOG, Node, reduce_with_misconceptions, walk
 from malgebra.taxonomy import ORDERED_TYPES, ProblemType, classify
 
 T = ProblemType
@@ -240,6 +243,22 @@ def test_verify_flags_corruption(tmp_path):
     assert [ln for ln, _ in report.failures] == [4]
 
 
+def test_widest_coefficients_generate_and_replay(tmp_path):
+    # the widest bounds the config accepts: coefficients of up to 20 digits
+    top = 10**MAX_NUMERAL_DIGITS - 1
+    for name, config, sizes in (
+        ("cor", DatasetConfig(seed=5, n_correct_per_type=3, test_per_type=2), (45, 30)),
+        ("mal", DatasetConfig(seed=5, misconception="M12_S15", n_m=20, ratio=1.0,
+                              test_per_type=0), (40, 0)),
+    ):
+        out = tmp_path / name
+        generate(replace(config, coeff_min=-top, coeff_max=top, out_dir=str(out)))
+        for split, n in zip(("train", "test"), sizes):
+            lines = (out / f"{split}.jsonl").read_text().splitlines()
+            report = datasets.verify_records(lines)
+            assert (report.total, report.passed) == (n, n), report.failures
+
+
 def test_invalid_ratio_rejected():
     with pytest.raises(SchemaError):
         DatasetConfig(ratio=0.3).validate()
@@ -278,12 +297,31 @@ def test_build_matches_pinned_digest():
         assert h.hexdigest() == digest, (lo, hi)
 
 
-@pytest.mark.parametrize("lo, hi", [(-9, 9), (-2, 1)])
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (-2, 1), (1, 9), (-9, -1)])
 def test_every_build_draw_classifies_as_its_type(lo, hi):
-    # sample_instance runs the pool check before classify, the cheaper order
-    # only while classify rejects no draw of the builder
+    # sample_instance labels a draw's root with its type without classifying it
     for t in ORDERED_TYPES:
         rng = random.Random(f"build-class:{t.name}")
         for _ in range(500):
             eq = _build(t, rng, lo, hi)
             assert classify(eq) is t, eq
+
+
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (-2, 1)])
+def test_correct_walk_rejects_exactly_the_zero_slope_draws(lo, hi):
+    # sample_instance's only per-draw test is the correct walk: it must fail
+    # exactly where the closed form finds no unique solution, and agree elsewhere
+    degenerate = 0
+    for t in ORDERED_TYPES:
+        rng = random.Random(f"build-walk:{t.name}")
+        for _ in range(300):
+            eq = _build(t, rng, lo, hi)
+            try:
+                answer = closed_form_solution(eq)
+            except NoUniqueSolutionError:
+                degenerate += 1
+                with pytest.raises(ZeroCoefficientError):
+                    walk(Node(eq, t), ())
+            else:
+                assert walk(Node(eq, t), ()).answer == answer, eq
+    assert degenerate

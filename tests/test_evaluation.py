@@ -14,6 +14,7 @@ from malgebra.evaluation import (
     GRADE_OTHER,
     Diagnosis,
     Transcript,
+    TranscriptError,
     diagnose,
     grade,
     parse_answer,
@@ -35,6 +36,11 @@ def test_parse_answer_formats():
     assert parse_answer("-3/2") == Fraction(-3, 2)
     assert parse_answer(" x = -3/2 ") == Fraction(-3, 2)
     assert parse_answer("1.5") == Fraction(3, 2)
+    assert parse_answer("87.5") == Fraction(175, 2)
+    # no exponent, separator or other script's digits, no numeral past 20 digits
+    for text in ("1e3", "٣", "1_000", "1" * 21):
+        with pytest.raises(TranscriptError):
+            parse_answer(text)
 
 
 def test_grade_answer_only_m19():
