@@ -337,6 +337,11 @@ def _replay(rec: dict) -> None:
     steps = rec["steps"]
     if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
         raise SchemaError("field 'steps' must be a list of strings")
+    unknown = sorted(rec.keys() - {*_RECORD_KEYS, "misconception_id"})
+    if unknown:
+        raise SchemaError(f"unknown fields: {unknown}")
+    if rec["label"] == "correct" and "misconception_id" in rec:
+        raise SchemaError("correct record carries misconception_id")
     eq = parse_equation(rec["equation"])
     t = classify(eq)
     if t.name != rec["problem_type"]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from .equations import Const, Equation, XTerm, closed_form_solution, parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
-from .reduction import ReductionTrace, reduce
+from .reduction import ReductionTrace
 from .solution_space import enumerate_tree
 from .taxonomy import ORDERED_TYPES, ProblemType, classify, reachable
 
@@ -133,7 +133,7 @@ def grade(
         raise SchemaError(f"unknown grading mode {mode!r}")
     m = None if m is None else get_misconception(m)
     try:
-        eq, _ = _typed_equation(transcript)  # its SchemaError passes the except below
+        eq, t = _typed_equation(transcript)  # its SchemaError passes the except below
         answer = parse_answer(transcript.model_answer)
         correct = closed_form_solution(eq)
     except (EngineError, TranscriptError) as exc:
@@ -151,7 +151,7 @@ def grade(
         return model is not None and len(model) == len(lines) == _prefix_len(model, lines, parsed)
 
     if answer == correct:
-        if mode == "answer" or replays(reduce(eq).equation_lines()):
+        if mode == "answer" or replays(walk(Node(eq, t), ()).equation_lines()):
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:

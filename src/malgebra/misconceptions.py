@@ -301,7 +301,7 @@ def resolve_set(ms: Sequence["Misconception | str"]) -> list[Misconception]:
     out = [get_misconception(m) for m in ms]
     ids = [m.id for m in out]
     if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate misconception ids: {ids}")
+        raise MisconceptionNotApplicableError(f"duplicate misconception ids: {ids}")
     return out
 
 

@@ -238,6 +238,23 @@ def test_verify_field_types(capsys, tmp_path, field, value):
     assert out == f"{len(lines) - 1}/{len(lines)} records replay cleanly\n"
 
 
+_T1_RECORD = {"id": "a", "problem_type": "T1", "equation": "4x = 12", "steps": ["4x = 12", "x = 3"],
+              "final_answer": "x = 3", "label": "correct", "seed": "b"}
+
+
+@pytest.mark.parametrize("edit,reason", [
+    ({"note": "", "extra": 1}, "unknown fields: ['extra', 'note']"),
+    ({"misconception_id": "M8"}, "correct record carries misconception_id"),
+    ({"label": "misconception", "misconception_id": "M8"}, "trace does not use exactly M8"),
+], ids=["unknown-fields", "correct-with-mid", "rule-does-not-fire"])
+def test_verify_rejects_records_generation_never_writes(capsys, tmp_path, edit, reason):
+    # M8 has no site on a T1 equation, so its walk is the correct one
+    path = tmp_path / "ds.jsonl"
+    path.write_text(json.dumps(_T1_RECORD) + "\n" + json.dumps({**_T1_RECORD, **edit}) + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (1, "1/2 records replay cleanly\n", f"line 2: {reason}\n")
+
+
 def test_verify_empty_file_exit_3(capsys, tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

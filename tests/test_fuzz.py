@@ -59,7 +59,7 @@ def test_fuzz_equation_commands(capsys):
     codes = set()
     for _ in range(1500):
         text = _mutate(rng, rng.choice(seeds))
-        mids = ",".join(rng.sample(ids, rng.randint(1, 4)))
+        mids = ",".join(rng.choices(ids, k=rng.randint(1, 4)))
         command = rng.choice([
             ["classify"],
             ["solve", "--trace"],

@@ -202,7 +202,7 @@ def test_misconception_can_fire_downstream_of_its_type():
 
 
 def test_resolve_set_rejects_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(MisconceptionNotApplicableError, match="duplicate misconception ids"):
         resolve_set(["M8", "M8"])
 
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from malgebra.equations import closed_form_solution, parse_equation
+from malgebra.equations import Mul, Paren, closed_form_solution, parse_equation, render
 from malgebra.errors import UnclassifiableFormError
 from malgebra.datasets import type_graph
 from malgebra.reduction import apply_step
@@ -13,9 +13,12 @@ from malgebra.taxonomy import (
     ORDERED_TYPES,
     ProblemType,
     _match_patterns,
+    _signature,
     classify,
     correct_successors,
     path_exists_to_T1,
+    split_terms,
+    surface_atoms,
 )
 
 T = ProblemType
@@ -123,14 +126,49 @@ def test_no_correct_edge_leaves_t1():
     assert all(src is not ProblemType.T1 for src, _, _ in CORRECT_EDGES)
 
 
-def test_every_correct_edge_preserves_the_solution(sampler):
-    for src, rule_id, dst in CORRECT_EDGES:
+def _variant_side(rng, side) -> str:
+    """``side`` as text of equal value: terms wrapped in ``(…)``, ``-(-(…))``
+    or ``1(…)``, a group's inside varied alike, terms sometimes reordered and
+    the whole side sometimes parenthesized."""
+    terms = []
+    for sign, node in split_terms(side):
+        if isinstance(node, Mul) and isinstance(node.right, Paren):
+            text = f"{render(node.left)}({_variant_side(rng, node.right.inner)})"
+        else:
+            text = render(node)
+        terms.append((sign, rng.choice(["{}", "{}", "({})", "-(-({}))", "1({})"]).format(text)))
+    if rng.random() < 0.3:
+        rng.shuffle(terms)
+    (s0, t0), rest = terms[0], terms[1:]
+    text = (t0 if s0 > 0 else f"-({t0})") + "".join(f" {'+-'[s < 0]} {t}" for s, t in rest)
+    return f"({text})" if rng.random() < 0.2 else text
+
+
+def test_every_correct_edge_preserves_the_solution(sampler, rng):
+    # A correct step's type is its edge's target and is never classified
+    # again, so every edge out of a drawn instance, or out of a parsed variant
+    # of it, must land on an equation the classifier types as that target.
+    fallback_only = 0
+    for src, rule_id, _ in CORRECT_EDGES:
         for i in range(100):
             eq = sampler.sample(src, f"edge:{src.name}:{rule_id}:{i}")
+            assert classify(eq) is src
             before = closed_form_solution(eq)
-            after_eq, after_t = apply_step(eq, src, rule_id)
-            assert closed_form_solution(after_eq) == before
-            assert after_t is dst and classify(after_eq) is dst
+            variants = [parse_equation(f"{_variant_side(rng, eq.lhs)} = "
+                                       f"{_variant_side(rng, eq.rhs)}") for _ in range(2)]
+            for form in (eq, *variants):
+                assert closed_form_solution(form) == before
+                try:
+                    t = classify(form)
+                except UnclassifiableFormError:
+                    continue
+                surface = map(_signature, (surface_atoms(form.lhs), surface_atoms(form.rhs)))
+                fallback_only += _match_patterns(*surface) is None
+                for dst, rule in correct_successors(t):
+                    after_eq, after_t = apply_step(form, t, rule)
+                    assert closed_form_solution(after_eq) == before
+                    assert after_t is dst and classify(after_eq) is dst, (str(form), rule)
+    assert fallback_only >= 1000
 
 
 def test_type_graph_records():
