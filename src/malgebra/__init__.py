@@ -20,13 +20,11 @@ from .taxonomy import (
     ProblemType,
     classify,
     correct_successors,
-    path_exists_to_T1,
 )
 from .reduction import ReductionTrace, reduce, reduce_step, solve_terminal
 from .misconceptions import (
     CATALOG,
     Misconception,
-    applicable,
     apply_misconception,
     get_misconception,
     reduce_with_misconceptions,
@@ -53,7 +51,6 @@ __all__ = [
     "ReductionTrace",
     "SolutionTree",
     "Transcript",
-    "applicable",
     "apply_misconception",
     "classify",
     "closed_form_solution",
@@ -66,7 +63,6 @@ __all__ = [
     "grade",
     "leaf_answers",
     "parse_equation",
-    "path_exists_to_T1",
     "reduce",
     "reduce_step",
     "reduce_with_misconceptions",

@@ -292,7 +292,7 @@ def generate(config: DatasetConfig) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot write to output directory {out}: {exc}") from None
     return manifest
 

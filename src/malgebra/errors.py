@@ -97,5 +97,5 @@ def read_input(path: str | Path, what: str) -> str:
     any failure to read it raises ``SchemaError`` naming the path."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise SchemaError(f"cannot read {what} {path}: {exc}") from None

@@ -305,10 +305,6 @@ def resolve_set(ms: Sequence["Misconception | str"]) -> list[Misconception]:
     return out
 
 
-def applicable(m: "Misconception | str", t: ProblemType) -> bool:
-    return t in get_misconception(m).applicable_types
-
-
 def try_apply(
     m: Misconception, eq: Equation, t: ProblemType
 ) -> tuple[Equation, ProblemType | str] | None:
@@ -322,7 +318,8 @@ def try_apply(
     if t not in m.applicable_types:
         return None
     if m.solve is not None:
-        return _solve_rule(m, t1_parts(eq)) if t is T.T1 else None
+        x = m.solve(*t1_parts(eq)) if t is T.T1 else None
+        return None if x is None else (solved_equation(x), SOLVED)
     result = m.rewrite(eq, t)
     if result is None:
         return None
@@ -335,12 +332,6 @@ def try_apply(
             f"{m.id} on {eq} produced an unclassifiable form: {result}"
         ) from exc
     return result, label
-
-
-def _solve_rule(m: Misconception, parts: tuple[Fraction, Fraction]) -> tuple[Equation, str] | None:
-    """A solve-step rule on the (A, B) of ``Ax = B``; None where it does not fire."""
-    x = m.solve(*parts)
-    return None if x is None else (solved_equation(x), SOLVED)
 
 
 def apply_misconception(
@@ -382,7 +373,7 @@ class Node:
     of a ``ReductionTrace`` and compares as one: by equation, label and edge.
     """
 
-    __slots__ = ("equation", "label", "via", "_kids", "_line", "_parts")
+    __slots__ = ("equation", "label", "via", "_kids", "_line")
 
     def __init__(self, equation: Equation, label: ProblemType | str,
                  via: EdgeRef | None = None) -> None:
@@ -391,7 +382,6 @@ class Node:
         self.via = via
         self._kids: dict[str, Node | EngineError | None] = {}
         self._line: str | None = None
-        self._parts: tuple[Fraction, Fraction] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
@@ -411,11 +401,6 @@ class Node:
             self._line = str(self.equation)
         return self._line
 
-    def _t1_parts(self) -> tuple[Fraction, Fraction]:
-        if self._parts is None:
-            self._parts = t1_parts(self.equation)
-        return self._parts
-
     def child(self, edge: EdgeRef) -> "Node | None":
         """The node ``edge`` leads to: a correct or solve edge's target, or a
         misconception's result, None where the rule does not fire.  Solving
@@ -432,11 +417,9 @@ class Node:
             if edge.kind == "correct":
                 res = apply_step(eq, t, key)
             elif edge.kind == "solve":
-                res = solved_equation(solve_t1(self._t1_parts(), eq)), SOLVED
-            elif (m := _BY_ID[key]).solve is None:
-                res = try_apply(m, eq, t)
-            else:  # (A, B) is read once per T1 node, not once per rule
-                res = _solve_rule(m, self._t1_parts()) if t is T.T1 else None
+                res = solved_equation(solve_t1(eq)), SOLVED
+            else:
+                res = try_apply(_BY_ID[key], eq, t)
         except EngineError as exc:
             kids[key] = exc
             raise

@@ -74,10 +74,12 @@ def rebuild(atoms: Sequence[SignedAtom]) -> Expr:
     engine builds comes from here.
 
     X and C atoms render from their signed value, so ``(-1, CAtom(v))`` and
-    ``(1, CAtom(-v))`` give the same node.  Later terms join by ``+`` or
-    ``-``, so rendering never shows ``a + -b``.  A leading minus folds into
-    the first term: into its value, into a constant left factor, or else into
-    a ``Neg`` around it.
+    ``(1, CAtom(-v))`` give the same node.  A later x or constant term joins
+    by ``+`` or ``-`` with its value's sign folded in, so it never renders as
+    ``a + -b``; a later product or group joins by its own sign and keeps its
+    lead factor as written (``1 - -3 * 4``).  A leading minus folds into the
+    first term: into its value, into a constant left factor, or else into a
+    ``Neg`` around it.
     """
     if not atoms:
         raise ValueError("empty chain")
@@ -288,19 +290,23 @@ def solve_terminal(eq: Equation) -> Fraction:
     """The divide-through step on a T1 instance: x = B/A."""
     if classify(eq) is not ProblemType.T1:
         raise RuleNotApplicableError(f"solve step requires a T1 instance, got: {eq}")
-    return solve_t1(t1_parts(eq), eq)
+    return solve_t1(eq)
 
 
-def solve_t1(parts: tuple[Fraction, Fraction], eq: Equation) -> Fraction:
-    """x = B/A from the (A, B) of the T1 instance ``eq``."""
-    coef, value = parts
+def solve_t1(eq: Equation) -> Fraction:
+    """x = B/A on the T1 instance ``eq``."""
+    coef, value = t1_parts(eq)
     if coef == 0:
         raise ZeroCoefficientError(f"zero coefficient on x: {eq}")
     return value / coef
 
 
 def t1_parts(eq: Equation) -> tuple[Fraction, Fraction]:
-    """(A, B) of a T1-shaped equation Ax = B."""
+    """(A, B) of a T1-shaped equation Ax = B: read directly off ``XTerm =
+    Const``, the form ``rebuild`` gives one-term sides, else summed over the
+    view.  Both give Fractions, so an equation built from ints solves exactly."""
+    if isinstance(eq.lhs, XTerm) and isinstance(eq.rhs, Const):
+        return Fraction(eq.lhs.coef), Fraction(eq.rhs.value)
     return signed_sum(view_atoms(eq.lhs), XAtom)[0], signed_sum(view_atoms(eq.rhs), CAtom)[0]
 
 

@@ -302,7 +302,3 @@ def reachable(t: ProblemType) -> set[ProblemType]:
                 seen.add(dst)
                 frontier.append(dst)
     return seen
-
-
-def path_exists_to_T1(t: ProblemType) -> bool:
-    return ProblemType.T1 in reachable(t)

@@ -134,7 +134,8 @@ def test_gen_invalid_ratio_exit_2(capsys, tmp_path):
     "config",
     [[1, 2], {"n_m": "5"}, {"seed": True}, {"misconception": ["M1"], "n_m": 1}, {"out_dir": 5},
      {"ratio": True}, {"coeff_max": 10**20, "n_correct_per_type": 1, "test_per_type": 0},
-     {"coeff_min": -10**1500, "coeff_max": 10**1500}],
+     {"coeff_min": -10**1500, "coeff_max": 10**1500},
+     {"out_dir": "a\u0000b", "n_correct_per_type": 0, "test_per_type": 0}],
 )
 def test_gen_bad_config_exit_2(capsys, tmp_path, monkeypatch, config):
     monkeypatch.chdir(tmp_path)  # the default out_dir is relative
@@ -422,11 +423,12 @@ _GEN = ["gen", "--n-correct-per-type", "1", "--test-per-type", "0", "--out", "{p
 
 @pytest.mark.parametrize(
     "argv,kind",
-    [(c, k) for c in _READERS for k in ("missing", "directory", "not-utf8")] + [(_GEN, "file")],
+    [(c, k) for c in _READERS for k in ("missing", "directory", "not-utf8", "nul")]
+    + [(_GEN, "file"), (_GEN, "nul")],
     ids=lambda v: v if isinstance(v, str) else v[0],
 )
 def test_unreadable_input_or_unwritable_output_exit_2(capsys, tmp_path, argv, kind):
-    path = tmp_path / "f"
+    path = tmp_path / ("a\0b" if kind == "nul" else "f")
     if kind == "directory":
         path.mkdir()
     elif kind == "not-utf8":

@@ -15,7 +15,6 @@ from malgebra.misconceptions import (
     CATALOG,
     Node,
     apply_misconception,
-    applicable,
     get_misconception,
     reduce_with_misconceptions,
     resolve_set,
@@ -68,9 +67,9 @@ def test_solve_step_rules_fire_on_every_type(mid, sampler):
 
 
 def test_applicability_matches_the_table():
-    assert applicable("M8", T.T9)
-    assert not applicable("M8", T.T5)
-    assert applicable("M19", T.T3)
+    assert T.T9 in get_misconception("M8").applicable_types
+    assert T.T5 not in get_misconception("M8").applicable_types
+    assert T.T3 in get_misconception("M19").applicable_types
     expected = {
         "M1": {"T8", "T9", "T10", "T12"},
         "M2_S3": {"T9", "T12"},

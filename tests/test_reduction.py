@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from malgebra.cli import main
 from malgebra.equations import (
     Add,
     Const,
@@ -18,7 +19,8 @@ from malgebra.equations import (
     parse_equation,
 )
 from malgebra.errors import RuleNotApplicableError, ZeroCoefficientError
-from malgebra.reduction import rebuild, reduce, reduce_step, solve_terminal
+from malgebra.misconceptions import reduce_with_misconceptions
+from malgebra.reduction import rebuild, reduce, reduce_step, signed_sum, solve_terminal, t1_parts
 from malgebra.taxonomy import (
     CAtom,
     GroupAtom,
@@ -28,6 +30,8 @@ from malgebra.taxonomy import (
     ProdAtom,
     SOLVED,
     XAtom,
+    classify,
+    view_atoms,
 )
 
 T = ProblemType
@@ -70,6 +74,35 @@ def test_solve_terminal():
         solve_terminal(parse_equation("0x = 5"))
     with pytest.raises(RuleNotApplicableError):
         solve_terminal(parse_equation("2x = 3 + 4"))
+
+
+# (canonical XTerm = Const, a parenthesized or negated spelling of it)
+_T1_PAIRS = [("4x = 12", "(4x) = 12"), ("4x = 12", "4x = (12)"), ("4x = 12", "-(-4x) = 12"),
+             ("-x = 0", "-(x) = 0"), ("1/2x = -3", "((1/2x)) = -(3)")]
+
+
+@pytest.mark.parametrize("canonical, variant", _T1_PAIRS)
+def test_t1_parts_direct_read_matches_the_view(capsys, canonical, variant):
+    eq, var = parse_equation(canonical), parse_equation(variant)
+    assert classify(eq) is classify(var) is T.T1
+    # the canonical form takes the direct read, the variant the view sums
+    assert isinstance(eq.lhs, XTerm) and isinstance(eq.rhs, Const)
+    assert not (isinstance(var.lhs, XTerm) and isinstance(var.rhs, Const))
+    view = signed_sum(view_atoms(eq.lhs), XAtom)[0], signed_sum(view_atoms(eq.rhs), CAtom)[0]
+    assert t1_parts(eq) == view == t1_parts(var)
+    for argv in (["solve"], ["malsolve", "--misconceptions", "M19"]):
+        printed = []
+        for text in (canonical, variant):
+            assert main([argv[0], text, *argv[1:]]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1], argv
+
+
+def test_t1_built_from_ints_solves_exactly():
+    # 7/3 and 3/7 have no float that compares equal to them
+    eq = Equation(XTerm(3), Const(7))
+    assert reduce(eq).answer == solve_terminal(eq) == closed_form_solution(eq) == Fraction(7, 3)
+    assert reduce_with_misconceptions(eq, ["M22_S1"]).answer == Fraction(3, 7)
 
 
 def test_reduce_trace_t9():

@@ -16,7 +16,7 @@ from malgebra.taxonomy import (
     _signature,
     classify,
     correct_successors,
-    path_exists_to_T1,
+    reachable,
     split_terms,
     surface_atoms,
 )
@@ -119,7 +119,7 @@ def test_graph_is_acyclic_topological_order():
 
 def test_all_paths_converge_to_t1():
     for t in ORDERED_TYPES:
-        assert path_exists_to_T1(t)
+        assert ProblemType.T1 in reachable(t)
 
 
 def test_no_correct_edge_leaves_t1():
