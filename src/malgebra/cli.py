@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -26,6 +27,16 @@ from .misconceptions import CATALOG, reduce_with_misconceptions
 from .reduction import ReductionTrace, reduce
 from .solution_space import enumerate_tree, to_dot, to_json_dict
 from .taxonomy import ORDERED_TYPES, classify
+
+
+# Unicode categories Cc (control), Zl and Zp (line and paragraph separators)
+_BREAKS = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
+def _one_line(message: str) -> str:
+    """``message`` with every control character and line or paragraph
+    separator escaped as ``repr`` writes it, so it prints as one line."""
+    return _BREAKS.sub(lambda c: repr(c[0])[1:-1], message)
 
 
 def _threshold(text: str) -> Fraction:
@@ -213,7 +224,7 @@ def _cmd_verify(args) -> int:
         print("no records found", file=sys.stderr)
         return 3
     for lineno, msg in report.failures:
-        print(f"line {lineno}: {msg}", file=sys.stderr)
+        print(_one_line(f"line {lineno}: {msg}"), file=sys.stderr)
     print(f"{report.passed}/{report.total} records replay cleanly")
     return 0 if report.ok else 1
 
@@ -269,16 +280,16 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except EmptyBatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_one_line(f"error: {exc}"), file=sys.stderr)
         return 3
     except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_one_line(f"error: {exc}"), file=sys.stderr)
         return 2
     except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_one_line(f"error: {exc}"), file=sys.stderr)
         return 1
     except Exception as exc:  # a bug, not bad input; SystemExit still passes
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_one_line(f"error: internal error: {type(exc).__name__}: {exc}"), file=sys.stderr)
         return 4
 
 

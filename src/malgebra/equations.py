@@ -112,7 +112,11 @@ def render(e: Expr) -> str:
     if isinstance(e, Sub):
         return f"{render(e.left)} - {render(e.right)}"
     if isinstance(e, Mul):
-        if isinstance(e.right, Paren):
+        # after a product ending in a number, a juxtaposed group would parse
+        # as that number's own factor: ``2 * 3(4)`` is ``2 * (3(4))``
+        if isinstance(e.right, Paren) and not (
+            isinstance(e.left, Mul) and isinstance(e.left.right, Const)
+        ):
             return render(e.left) + render(e.right)
         return f"{render(e.left)} * {render(e.right)}"
     if isinstance(e, Paren):

@@ -72,9 +72,10 @@ def load_transcripts(path: str | Path) -> list[Transcript]:
     return out
 
 
-def parse_answer(text: str) -> Fraction | Equation:
+def parse_answer(text: str) -> Fraction | str:
     """An answer is a rational, an ``x = value`` form, or (for dead-end
-    transcripts) a full equation; formatting never affects comparison."""
+    transcripts) a full equation, returned as the engine prints it;
+    formatting never affects comparison."""
     if "=" in text:
         try:
             eq = parse_equation(text)
@@ -82,7 +83,7 @@ def parse_answer(text: str) -> Fraction | Equation:
             raise TranscriptError(f"unparsable answer {text!r}") from exc
         if eq.lhs == XTerm(Fraction(1)) and isinstance(eq.rhs, Const):
             return eq.rhs.value
-        return eq
+        return str(eq)
     try:
         return parse_number(text)
     except ValueError as exc:
@@ -100,9 +101,15 @@ def _typed_equation(transcript: Transcript) -> tuple[Equation, ProblemType]:
     return eq, t
 
 
+def _printed_steps(transcript: Transcript) -> list[str]:
+    """The model's steps, each parsed and printed as the engine prints its
+    lines, so that a step matches an engine line exactly when it equals it."""
+    return [str(parse_equation(s)) for s in transcript.model_steps]
+
+
 def _mal_outcomes(
     eq: Equation, m: Misconception, correct: Fraction
-) -> list[tuple[Fraction | Equation, tuple[str, ...]]]:
+) -> list[tuple[Fraction | str, tuple[str, ...]]]:
     """Every terminal reachable with exactly one firing of ``m``, paired with
     its step lines; outcomes equal to ``correct``, the answer, are excluded."""
     tree = enumerate_tree(eq, [m], max_misconceptions_per_path=1)
@@ -111,7 +118,7 @@ def _mal_outcomes(
         if leaf.misconceptions != (m.id,):
             continue
         if leaf.dead_end == "variable eliminated":
-            out.append((parse_equation(leaf.equations[-1]), leaf.equations))
+            out.append((leaf.equations[-1], leaf.equations))
         elif leaf.answer is not None and leaf.answer != correct:
             out.append((leaf.answer, leaf.equations))
     return out
@@ -142,21 +149,17 @@ def grade(
     model = None
     if mode == "steps" and transcript.model_steps is not None:
         try:
-            model = [parse_equation(s) for s in transcript.model_steps]
+            model = _printed_steps(transcript)
         except EngineError:
             pass  # an unparsable step replays no trace
-    parsed = {} if model is None else dict(zip(transcript.model_steps, model))
-
-    def replays(lines: list[str]) -> bool:
-        return model is not None and len(model) == len(lines) == _prefix_len(model, lines, parsed)
 
     if answer == correct:
-        if mode == "answer" or replays(walk(Node(eq, t), ()).equation_lines()):
+        if mode == "answer" or model == walk(Node(eq, t), ()).equation_lines():
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:
         for outcome, lines in _mal_outcomes(eq, m, correct):
-            if answer == outcome and (mode == "answer" or replays(list(lines))):
+            if answer == outcome and (mode == "answer" or model == list(lines)):
                 return GRADE_MATCH
     return GRADE_OTHER
 
@@ -316,20 +319,11 @@ class Diagnosis:
     trace_length: int
 
 
-def _prefix_len(
-    model: list[Equation], lines: list[str], parsed: dict[str, Equation | None]
-) -> int:
-    """How many leading ``lines`` parse to the model's steps.  ``parsed``
-    holds each line's parse by its text, None where parsing failed; a line
-    is compared as parsed, never as the state it was rendered from."""
+def _prefix_len(model: list[str], lines: list[str]) -> int:
+    """How many leading ``lines`` equal the model's steps as printed."""
     n = 0
     for got, want in zip(model, lines):
-        if want not in parsed:
-            try:
-                parsed[want] = parse_equation(want)
-            except EngineError:
-                parsed[want] = None
-        if got != parsed[want]:
+        if got != want:
             break
         n += 1
     return n
@@ -350,11 +344,8 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     if transcript.model_steps is None:
         raise SchemaError("diagnosis needs model_steps")
     root = Node(*_typed_equation(transcript))
-    model = [parse_equation(s) for s in transcript.model_steps]
-    parsed: dict[str, Equation | None] = dict(zip(transcript.model_steps, model))
-
-    correct_lines = walk(root, ()).equation_lines()
-    if _prefix_len(model, correct_lines, parsed) == len(model) == len(correct_lines):
+    model = _printed_steps(transcript)
+    if model == walk(root, ()).equation_lines():
         return []
 
     def run(ms: tuple[Misconception, ...]) -> tuple[ReductionTrace | None, Diagnosis | None]:
@@ -366,8 +357,8 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
         if trace.misconceptions_used != ids:
             return trace, None
         lines = trace.equation_lines()
-        k = _prefix_len(model, lines, parsed)
-        quality = "full" if k == len(model) == len(lines) else f"prefix {k}/{len(lines)}"
+        k = _prefix_len(model, lines)
+        quality = "full" if model == lines else f"prefix {k}/{len(lines)}"
         return trace, Diagnosis(ids, quality, k, len(lines))
 
     reach = reachable(root.label)

@@ -318,6 +318,37 @@ def test_diagnose_type_mismatch_exit_2(capsys, tmp_path):
     path.write_text(json.dumps({**row, "equation": "2x = 3(4x +"}) + "\n")
     code, out, err = run(capsys, "diagnose", str(path))
     assert (code, out) == (1, "") and err.startswith("error: ")
+    # a claim holding a line break is echoed escaped, on one line
+    path.write_text(json.dumps({**row, "problem_type": "T2\nZ"}) + "\n")
+    code, out, err = run(capsys, "diagnose", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: transcript claims T2\\nZ for a T9 equation: 2x = 3(4x + 5)\n"
+
+
+def test_diagnose_matches_a_line_past_the_input_length_bound(capsys, tmp_path):
+    # written without spaces the T12 root is 196 characters; the engine
+    # prints it in 202, a line no parse would accept
+    q = "-12345678901234567891/98765432109876543211"
+    eq = f"{q}x={q}+{q}({q}x+-12345678901234567891)"
+    row = {"problem_type": "T12", "equation": eq, "model_answer": "1", "model_steps": [eq, "x=1"]}
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    code, out, err = run(capsys, "diagnose", str(path))
+    assert (code, err) == (0, "")
+    qualities = [d["quality"] for d in json.loads(out)[0]["diagnosis"]]
+    assert len(qualities) == 5 and all(q.startswith("prefix 1/") for q in qualities)
+
+
+def test_score_grades_a_dead_end_past_the_numeral_bound_other(capsys, tmp_path):
+    # an M13 walk dead-ends on a line holding a 21-digit numeral, which the
+    # transcript's text never contained
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps({"problem_type": "T5", "model_answer": "7",
+                                "equation": "99999999999999999999x + 99999999999999999999 = 5"})
+                    + "\n")
+    code, out, err = run(capsys, "score", str(path), "--misconception", "M13", "--report", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["per_type"]["T5"] == {"CA": 0.0, "MA": 0.0, "n": 1}
 
 
 @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000"])
@@ -437,7 +468,9 @@ def test_unreadable_input_or_unwritable_output_exit_2(capsys, tmp_path, argv, ki
         path.write_text("taken\n")
     code, out, err = run(capsys, *[a.format(path=path) for a in argv])
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+    # the message stays one line: a NUL in the path is echoed escaped
+    shown = str(path).replace("\0", "\\x00")
+    assert err.startswith("error: ") and shown in err and err.count("\n") == 1
     if kind == "file":
         assert path.read_text() == "taken\n"
 

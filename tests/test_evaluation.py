@@ -37,6 +37,7 @@ def test_parse_answer_formats():
     assert parse_answer(" x = -3/2 ") == Fraction(-3, 2)
     assert parse_answer("1.5") == Fraction(3, 2)
     assert parse_answer("87.5") == Fraction(175, 2)
+    assert parse_answer("3=5 ") == "3 = 5"  # a dead end, as the engine prints it
     # no exponent, separator or other script's digits, no numeral past 20 digits
     for text in ("1e3", "٣", "1_000", "1" * 21):
         with pytest.raises(TranscriptError):

@@ -1,25 +1,36 @@
-"""Seeded fuzzing of the CLI: every input ends in a documented exit code.
+"""Seeded fuzzing of the CLI: every input ends in a documented exit code
+with at most one message line per error.
 
 Equation commands get mutated equation text, ``score`` and ``diagnose`` get
 transcript lines with random field values, ``verify`` gets dataset lines and
 ``gen --config`` config files with random field values, and oversized inputs
 (long equations, deep JSON nesting, huge JSON numbers) probe the bounds.
 ``cli.main`` runs in-process, so any exception escaping it fails the test
-with its traceback.
+with its traceback.  The same mutated text checks the two round trips that
+comparing a transcript as printed rests on.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 
 from malgebra.cli import main
 from malgebra.datasets import DatasetConfig, InstanceSampler, generate
+from malgebra.equations import parse_equation
+from malgebra.errors import EngineError
 from malgebra.misconceptions import CATALOG
+from malgebra.solution_space import enumerate_tree
 from malgebra.taxonomy import ORDERED_TYPES
 
 EXIT_CODES = {0, 1, 2, 3}
 _ALPHABET = "0123456789x+-*/=() .a²٣é\u00a0"
+# field values a message may echo: a line break, a line separator, a NUL
+_BREAKING = ["T1\nX", "M1\u2028", "a\x00b"]
+# a control character other than the newline ending each line, or a line or
+# paragraph separator: printed raw, either breaks the one-line contract
+_RAW_BREAK = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def _seeds() -> list[str]:
@@ -47,8 +58,15 @@ def _mutate(rng: random.Random, text: str) -> str:
 
 def _run(capsys, argv: list[str]) -> int:
     code = main(argv)
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert code in EXIT_CODES, (argv, code)
+    assert _RAW_BREAK.search(err) is None and err[-1:] in ("", "\n"), (argv, err)
+    lines = err.splitlines()
+    if argv[0] == "verify":  # one line per failing record, or one error
+        assert all(line.startswith(("line ", "error: ")) or line == "no records found"
+                   for line in lines), (argv, err)
+    else:
+        assert lines == [] or len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
     return code
 
 
@@ -90,7 +108,7 @@ def _random_value(rng: random.Random, texts: list[str]):
     if kind == 0:
         return rng.choice([None, True, False, 0, -3, 2.5, 10 ** 40, "", {}, []])
     if kind == 1:
-        return rng.choice([t.name for t in ORDERED_TYPES] + ["T13", "t1", " T1"])
+        return rng.choice([t.name for t in ORDERED_TYPES] + ["T13", "t1", " T1", *_BREAKING])
     if kind == 2:
         return [rng.choice(texts) for _ in range(rng.randint(0, 4))]
     if kind == 3:
@@ -162,7 +180,8 @@ def _config_value(rng: random.Random, field: str):
     valid, so every generated dataset holds a few dozen records at most."""
     kind = rng.randrange(3)
     if kind == 0:
-        return rng.choice([None, True, False, "", "5", 2.5, -1, 0, [], {}, [1], {"a": 1}, "M1"])
+        return rng.choice([None, True, False, "", "5", 2.5, -1, 0, [], {}, [1], {"a": 1}, "M1",
+                           *_BREAKING])
     if field in ("seed", "coeff_min", "coeff_max") and kind == 1:
         return rng.choice([10 ** 40, -10 ** 40, rng.randint(-12, 12)])
     if field == "misconception":
@@ -189,3 +208,53 @@ def test_fuzz_gen_configs(capsys, tmp_path):
         path.write_text(text)
         codes.add(_run(capsys, ["gen", "--config", str(path), "--out", str(tmp_path / "ds")]))
     assert {0, 1, 2} <= codes
+
+
+def test_render_round_trips_parsed_text():
+    # P1: parse(str(p)) == p.  Seeds 7 and 8 reach a product chain before a
+    # group (``5 * -1 * (1)``, ``5*5 * (-5 * -1)``), once printed as
+    # ``5 * -1(1)``, which parses as another product.  Only text with a
+    # ``*`` is parsed, to keep the test short: ``*`` is where the chains are.
+    seeds = _seeds()
+    for seed, draws in ((7, 59_000), (8, 191_000)):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            text = _mutate(rng, rng.choice(seeds))
+            if "*" not in text:
+                continue
+            try:
+                eq = parse_equation(text)
+            except EngineError:
+                continue
+            assert parse_equation(str(eq)) == eq, text
+
+
+def test_engine_lines_print_back_to_themselves():
+    # P2: str(parse(line)) == line for every engine line that parses, so a
+    # model step and an engine line are compared as printed, and no engine
+    # line is parsed again.  Lines past the input bounds do not parse.
+    roots = [InstanceSampler(seed, -bound, bound).sample(t, "p2")
+             for seed in range(30) for bound in (9, 10**19) for t in ORDERED_TYPES]
+    rng, seeds = random.Random(3), _seeds()
+    while len(roots) < 1700:
+        try:
+            roots.append(parse_equation(_mutate(rng, rng.choice(seeds))))
+        except EngineError:
+            pass
+    lines = set()
+    for root in roots:
+        try:
+            tree = enumerate_tree(root, CATALOG, 1)
+        except EngineError:
+            continue
+        for leaf in tree.leaves:
+            lines.update(leaf.equations)
+    parsed = 0
+    for line in lines:
+        try:
+            eq = parse_equation(line)
+        except EngineError:
+            continue
+        assert str(eq) == line
+        parsed += 1
+    assert parsed > 10_000
