@@ -47,8 +47,16 @@ def _threshold(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``SchemaError``: one line, exit 2.  Subparsers are
+    of this class too, ``add_subparsers``' default ``parser_class``."""
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="malgebra",
         description="Misconception-aware solver, dataset generator and grader "
         "for one-variable linear equations.",
@@ -272,12 +280,11 @@ def _cmd_dump_graph(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verbose and args.command != "gen":
-        shown = {k: v for k, v in vars(args).items() if k != "handler"}
-        print(f"resolved config: {shown}", file=sys.stderr)
     try:
+        args = build_parser().parse_args(argv)
+        if args.verbose and args.command != "gen":
+            shown = {k: v for k, v in vars(args).items() if k != "handler"}
+            print(f"resolved config: {shown}", file=sys.stderr)
         return args.handler(args)
     except EmptyBatchError as exc:
         print(_one_line(f"error: {exc}"), file=sys.stderr)
@@ -288,7 +295,7 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(_one_line(f"error: {exc}"), file=sys.stderr)
         return 1
-    except Exception as exc:  # a bug, not bad input; SystemExit still passes
+    except Exception as exc:  # a bug, not bad input; --help's SystemExit still passes
         print(_one_line(f"error: internal error: {type(exc).__name__}: {exc}"), file=sys.stderr)
         return 4
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .equations import Const, Equation, XTerm, closed_form_solution, parse_equation, parse_number
+from .equations import Const, XTerm, closed_form_solution, parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
 from .reduction import ReductionTrace
 from .solution_space import enumerate_tree
-from .taxonomy import ORDERED_TYPES, ProblemType, classify, reachable
+from .taxonomy import ORDERED_TYPES, classify, reachable
 
 GRADE_CORRECT = "correct"
 GRADE_MATCH = "misconception-match"
@@ -90,15 +90,15 @@ def parse_answer(text: str) -> Fraction | str:
         raise TranscriptError(f"unparsable answer {text!r}") from exc
 
 
-def _typed_equation(transcript: Transcript) -> tuple[Equation, ProblemType]:
-    """The transcript's equation, parsed, and its type.  Raises
+def _typed_root(transcript: Transcript) -> Node:
+    """The transcript's equation, parsed and typed, as a walk state.  Raises
     ``SchemaError`` when the transcript claims another type."""
     eq = parse_equation(transcript.equation)
     t = classify(eq)
     if t.name != transcript.problem_type:
         raise SchemaError(f"transcript claims {transcript.problem_type} for a {t.name} "
                           f"equation: {transcript.equation}")
-    return eq, t
+    return Node(eq, t)
 
 
 def _printed_steps(transcript: Transcript) -> list[str]:
@@ -108,11 +108,11 @@ def _printed_steps(transcript: Transcript) -> list[str]:
 
 
 def _mal_outcomes(
-    eq: Equation, m: Misconception, correct: Fraction
+    root: Node, m: Misconception, correct: Fraction
 ) -> list[tuple[Fraction | str, tuple[str, ...]]]:
     """Every terminal reachable with exactly one firing of ``m``, paired with
     its step lines; outcomes equal to ``correct``, the answer, are excluded."""
-    tree = enumerate_tree(eq, [m], max_misconceptions_per_path=1)
+    tree = enumerate_tree(root, [m], max_misconceptions_per_path=1)
     out = []
     for leaf in tree.leaves:
         if leaf.misconceptions != (m.id,):
@@ -140,9 +140,9 @@ def grade(
         raise SchemaError(f"unknown grading mode {mode!r}")
     m = None if m is None else get_misconception(m)
     try:
-        eq, t = _typed_equation(transcript)  # its SchemaError passes the except below
+        root = _typed_root(transcript)  # its SchemaError passes the except below
         answer = parse_answer(transcript.model_answer)
-        correct = closed_form_solution(eq)
+        correct = closed_form_solution(root.equation)
     except (EngineError, TranscriptError) as exc:
         raise TranscriptError(str(exc)) from None
 
@@ -154,11 +154,11 @@ def grade(
             pass  # an unparsable step replays no trace
 
     if answer == correct:
-        if mode == "answer" or model == walk(Node(eq, t), ()).equation_lines():
+        if mode == "answer" or model == walk(root, ()).equation_lines():
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:
-        for outcome, lines in _mal_outcomes(eq, m, correct):
+        for outcome, lines in _mal_outcomes(root, m, correct):
             if answer == outcome and (mode == "answer" or model == list(lines)):
                 return GRADE_MATCH
     return GRADE_OTHER
@@ -343,7 +343,7 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     """
     if transcript.model_steps is None:
         raise SchemaError("diagnosis needs model_steps")
-    root = Node(*_typed_equation(transcript))
+    root = _typed_root(transcript)
     model = _printed_steps(transcript)
     if model == walk(root, ()).equation_lines():
         return []

@@ -14,24 +14,10 @@ from fractions import Fraction
 from .equations import Equation
 from .errors import BudgetExceededError, ZeroCoefficientError
 from .misconceptions import CORRECT_OUT, RULE_EDGE, Misconception, Node, outcome, resolve_set
-from .taxonomy import ProblemType, classify
+from .reduction import EdgeRef
+from .taxonomy import classify
 
 NODE_BUDGET = 100_000
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    id: int
-    equation: Equation
-    label: ProblemType | str
-
-
-@dataclass(frozen=True)
-class TreeEdge:
-    parent: int
-    child: int
-    kind: str  # "correct" | "misconception" | "solve"
-    edge_id: str
 
 
 @dataclass(frozen=True)
@@ -45,34 +31,37 @@ class Leaf:
 
 @dataclass(frozen=True)
 class SolutionTree:
-    root: int
-    nodes: tuple[TreeNode, ...]
-    edges: tuple[TreeEdge, ...]
+    """The tree's walk states in depth-first order, a node's id being its
+    index, and each node's parent index (-1 at the root).  Every node but
+    the root is reached from its parent by its ``via`` edge."""
+
+    nodes: tuple[Node, ...]
+    parents: tuple[int, ...]
     leaves: tuple[Leaf, ...]
 
 
 def enumerate_tree(
-    eq: Equation,
+    eq: Equation | Node,
     ms: list[Misconception | str],
     max_misconceptions_per_path: int = 1,
 ) -> SolutionTree:
     """Build the full solution tree with at most the given number of
-    misconception steps per path.  Children are ordered correct-edges-first,
-    then by position in ``ms``.  Unlike the walk, a T1 node with a zero x
+    misconception steps per path, from an equation or from a walk state,
+    grown as it is.  Children are ordered correct-edges-first, then by
+    position in ``ms``.  Unlike the walk, a T1 node with a zero x
     coefficient becomes a leaf, and the rules are still tried there."""
     rules = [RULE_EDGE[m.id] for m in resolve_set(ms)]
     cap = max_misconceptions_per_path
-    nodes: list[TreeNode] = []
-    edges: list[TreeEdge] = []
+    nodes: list[Node] = []
+    parents: list[int] = []
     leaves: list[Leaf] = []
 
     def grow(parent: int, node: Node, used: tuple[str, ...], lines: tuple[str, ...]) -> None:
         if len(nodes) >= NODE_BUDGET:
             raise BudgetExceededError(f"solution tree exceeded the {NODE_BUDGET}-node budget")
         nid = len(nodes)
-        nodes.append(TreeNode(nid, node.equation, node.label))
-        if node.via is not None:
-            edges.append(TreeEdge(parent, nid, node.via.kind, node.via.rule_id))
+        nodes.append(node)
+        parents.append(parent)
         lines += (node.line,)
         end = outcome(node.equation, node.label)
         if end is not None:
@@ -90,8 +79,8 @@ def enumerate_tree(
                 if edge.rule_id not in used and (kid := node.child(edge)) is not None:
                     grow(nid, kid, used + (edge.rule_id,), lines)
 
-    grow(-1, Node(eq, classify(eq)), (), ())
-    return SolutionTree(0, tuple(nodes), tuple(edges), tuple(leaves))
+    grow(-1, eq if isinstance(eq, Node) else Node(eq, classify(eq)), (), ())
+    return SolutionTree(tuple(nodes), tuple(parents), tuple(leaves))
 
 
 def leaf_answers(tree: SolutionTree) -> list[tuple[Fraction | None, tuple[str, ...]]]:
@@ -100,20 +89,21 @@ def leaf_answers(tree: SolutionTree) -> list[tuple[Fraction | None, tuple[str, .
     return [(leaf.answer, leaf.misconceptions) for leaf in tree.leaves]
 
 
+def _edges(tree: SolutionTree) -> list[tuple[int, int, EdgeRef]]:
+    """(parent, child, edge) for every node but the root, in node order."""
+    return [(tree.parents[i], i, tree.nodes[i].via) for i in range(1, len(tree.nodes))]
+
+
 def to_json_dict(tree: SolutionTree) -> dict:
     return {
-        "root": tree.root,
+        "root": 0,
         "nodes": [
-            {
-                "id": n.id,
-                "equation": str(n.equation),
-                "label": str(n.label),
-            }
-            for n in tree.nodes
+            {"id": i, "equation": n.line, "label": str(n.label)}
+            for i, n in enumerate(tree.nodes)
         ],
         "edges": [
-            {"parent": e.parent, "child": e.child, "kind": e.kind, "id": e.edge_id}
-            for e in tree.edges
+            {"parent": p, "child": c, "kind": e.kind, "id": e.rule_id}
+            for p, c, e in _edges(tree)
         ],
         "leaves": [
             {
@@ -132,11 +122,11 @@ def to_dot(tree: SolutionTree) -> str:
     and labeled with the rule id."""
     out = ["digraph solution_space {"]
     out.append('  node [shape=box, fontname="monospace"];')
-    for n in tree.nodes:
-        text = str(n.equation).replace('"', '\\"')
-        out.append(f'  n{n.id} [label="{n.label}: {text}"];')
-    for e in tree.edges:
+    for i, n in enumerate(tree.nodes):
+        text = n.line.replace('"', '\\"')
+        out.append(f'  n{i} [label="{n.label}: {text}"];')
+    for p, c, e in _edges(tree):
         style = "style=dashed, color=red, " if e.kind == "misconception" else ""
-        out.append(f'  n{e.parent} -> n{e.child} [{style}label="{e.edge_id}"];')
+        out.append(f'  n{p} -> n{c} [{style}label="{e.rule_id}"];')
     out.append("}")
     return "\n".join(out)

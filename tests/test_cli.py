@@ -36,10 +36,10 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     code, out, err = run(capsys, "classify", "2x = 3")
     # one line on stderr, no traceback
     assert (code, out, err) == (4, "", "error: internal error: RuntimeError: boom\n")
-    # argparse's own exit still passes through
-    with pytest.raises(SystemExit) as exc:
-        main(["classify"])
-    assert exc.value.code == 2
+    # a usage error is not internal: it exits 2, with one line
+    code, out, err = run(capsys, "classify")
+    assert (code, out) == (2, "")
+    assert err == "error: malgebra classify: the following arguments are required: equation\n"
 
 
 def test_solve(capsys):
@@ -402,10 +402,9 @@ def test_transcript_line_not_an_object_exit_2(capsys, tmp_path, command, line):
 def test_score_bad_threshold_exit_2(capsys, tmp_path, flag, value):
     path = tmp_path / "tr.jsonl"
     path.write_text('{"problem_type": "T1", "equation": "4x = 12", "model_answer": "3"}\n')
-    with pytest.raises(SystemExit) as info:
-        main(["score", str(path), "--misconception", "M8", flag, value])
-    assert info.value.code == 2
-    assert f"argument {flag}" in capsys.readouterr().err
+    code, out, err = run(capsys, "score", str(path), "--misconception", "M8", flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malgebra score: argument {flag}: ") and err.count("\n") == 1
 
 
 def test_diagnose_cli(capsys, tmp_path):
@@ -483,9 +482,10 @@ def test_version(capsys):
 
 
 def test_usage_error_exit_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
+    code, out, err = run(capsys, "frobnicate")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malgebra: argument command: invalid choice: 'frobnicate'")
+    assert err.count("\n") == 1
 
 
 def test_help_snapshot(capsys):

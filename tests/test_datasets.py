@@ -142,6 +142,31 @@ def test_generate_is_byte_identical(tmp_path):
     assert m1["digests"] == m2["digests"]
 
 
+def test_generate_cells_are_prefixes_of_the_largest(tmp_path):
+    # no stream key depends on n_m or the ratio: ids aside, a cell's
+    # misconception and correct records lead the largest cell's, and every
+    # cell writes the same test split
+    def cell(rule, n_m, ratio):
+        out = tmp_path / f"{rule}_{n_m}_{ratio}"
+        generate(DatasetConfig(seed=5, misconception=rule, n_m=n_m, ratio=ratio,
+                               test_per_type=3, out_dir=str(out)))
+        by_label = {"misconception": [], "correct": []}
+        for line in (out / "train.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            del rec["id"]
+            by_label[rec["label"]].append(rec)
+        return by_label, (out / "test.jsonl").read_bytes()
+
+    for rule in ("M1", "M6", "M19"):
+        big, big_test = cell(rule, 40, 1.0)
+        for n_m in (10, 25, 40):
+            for ratio in (0.25, 0.5, 1.0):
+                small, test = cell(rule, n_m, ratio)
+                assert test == big_test
+                assert small["misconception"] == big["misconception"][:n_m]
+                assert small["correct"] == big["correct"][:int(ratio * n_m)]
+
+
 # sha256 of the files two small configs write.  Unlike the re-run check above
 # these hold across versions of the code: a change to which draw the sampler
 # accepts changes them.

@@ -55,6 +55,29 @@ def test_grade_formatting_never_matters():
     assert grade(_tr("T9", "2x = 3(4x + 5)", "-15/10")) == GRADE_CORRECT
 
 
+def test_grade_types_a_wrong_answers_root_once(monkeypatch):
+    # the tree grows from the root grade typed, so the root is classified
+    # once; wrap every module's binding of classify
+    import sys
+
+    from malgebra import taxonomy
+
+    eq = parse_equation("2x = 3(4x + 5)")
+    calls, original = [], taxonomy.classify
+
+    def counting(e):
+        calls.append(e)
+        return original(e)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("malgebra") and getattr(module, "classify", None) is original:
+            monkeypatch.setattr(module, "classify", counting)
+    for answer, want in (("-1/2", GRADE_MATCH), ("7", GRADE_OTHER)):
+        calls.clear()
+        assert grade(_tr("T9", str(eq), answer), "M2_S3") == want
+        assert calls.count(eq) == 1 and len(calls) > 1
+
+
 def test_grade_without_misconception():
     assert grade(_tr("T1", "4x = 12", "16")) == GRADE_OTHER
     assert grade(_tr("T1", "4x = 12", "3")) == GRADE_CORRECT

@@ -103,6 +103,24 @@ def test_fuzz_oversized_equations(capsys):
             assert _run(capsys, command + ["--", text]) == 1
 
 
+def test_malformed_argv(capsys, tmp_path):
+    path = tmp_path / "tr.jsonl"
+    path.write_text('{"problem_type": "T1", "equation": "4x = 12", "model_answer": "3"}\n')
+    score = ["score", str(path), "--misconception", "M8"]
+    for argv in (
+        ["classify"],  # a missing positional
+        ["solve", "--frob", "x = 1"],  # an unknown option
+        ["tree", "--cap", "abc", "x = 1"],  # a bad int
+        ["tree", "--cap", "1\n2", "x = 1"],
+        ["tree", "--format", "svg", "x = 1"],  # a bad choice
+        ["tree", "--format", "a\u2028b", "x = 1"],
+        ["frobnicate\x00"],
+        score + ["--theta-m", "abc"],  # a bad threshold
+        score + ["--theta-c", "9" * 30],
+    ):
+        assert _run(capsys, argv) == 2, argv
+
+
 def _random_value(rng: random.Random, texts: list[str]):
     kind = rng.randrange(10)
     if kind == 0:

@@ -233,7 +233,7 @@ def _golden_rewrite_lines():
             eq = sampler.sample(t, f"golden:{t.name}:{i}")
             tree = enumerate_tree(eq, every, 2)
             yield json.dumps(to_json_dict(tree), sort_keys=True)
-            for node in tree.nodes:
+            for nid, node in enumerate(tree.nodes):
                 if not isinstance(node.label, ProblemType):
                     continue
                 for m in CATALOG:
@@ -244,7 +244,7 @@ def _golden_rewrite_lines():
                     else:
                         if res is not None:
                             res = (repr(res[0]), str(res[1]))
-                    yield f"{node.id} {m.id} {res}"
+                    yield f"{nid} {m.id} {res}"
 
 
 def test_rewrites_match_golden_digest():

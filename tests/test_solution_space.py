@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from malgebra.cli import main
+from malgebra.datasets import InstanceSampler
 from malgebra.equations import closed_form_solution, parse_equation
 from malgebra.errors import BudgetExceededError, ZeroCoefficientError
-from malgebra.misconceptions import get_misconception, try_apply
+from malgebra.misconceptions import CATALOG, Node, get_misconception, try_apply, walk
 from malgebra.reduction import reduce, reduce_step, solve_terminal
 from malgebra import solution_space
 from malgebra.solution_space import enumerate_tree, leaf_answers, to_dot, to_json_dict
@@ -140,18 +143,14 @@ def test_replay_soundness(sampler):
         for i in range(3):
             eq = sampler.sample(t, f"replay:{t.name}:{i}")
             tree = enumerate_tree(eq, ["M12_S15", "M20_S20"], 2)
-            children = {}
-            for e in tree.edges:
-                children.setdefault(e.parent, []).append(e)
-            by_id = {n.id: n for n in tree.nodes}
             for leaf in tree.leaves:
                 # recover the root-to-leaf node path
-                parent_of = {e.child: e.parent for e in tree.edges}
                 path = [leaf.node_id]
-                while path[-1] != tree.root:
-                    path.append(parent_of[path[-1]])
+                while tree.parents[path[-1]] != -1:
+                    path.append(tree.parents[path[-1]])
                 path.reverse()
-                assert tuple(str(by_id[n].equation) for n in path) == leaf.equations
+                assert path[0] == 0
+                assert tuple(str(tree.nodes[n].equation) for n in path) == leaf.equations
 
 
 @pytest.mark.parametrize("mid", ["M2_S3", "M12_S15", "M19", "M16", "M13"])
@@ -194,6 +193,34 @@ def test_node_budget_guard(monkeypatch):
         )
 
 
+def test_node_root_grows_the_tree_of_its_equation():
+    # the golden corpus: a typed root, fresh or already expanded by its
+    # correct walk, grows the same tree as its bare equation
+    sampler = InstanceSampler(seed=77)
+    every = [m.id for m in CATALOG]
+    for t in ORDERED_TYPES:
+        for i in range(6):
+            eq = sampler.sample(t, f"golden:{t.name}:{i}")
+            want = to_json_dict(enumerate_tree(eq, every, 2))
+            root = Node(eq, classify(eq))
+            assert to_json_dict(enumerate_tree(root, every, 2)) == want
+            walked = Node(eq, classify(eq))
+            walk(walked, ())
+            assert to_json_dict(enumerate_tree(walked, every, 2)) == want
+
+
+def test_mid_walk_root_has_no_incoming_edge():
+    eq = parse_equation("2x = 3(4x + 5)")
+    mid = walk(Node(eq, classify(eq)), [get_misconception("M2_S3")]).steps[1]
+    assert mid.via is not None
+    tree = enumerate_tree(mid, ["M19"], 1)
+    assert tree.nodes[0] is mid and tree.parents[0] == -1
+    doc = to_json_dict(tree)
+    assert all(e["child"] != 0 for e in doc["edges"])
+    assert doc == to_json_dict(enumerate_tree(mid.equation, ["M19"], 1))
+    assert " -> n0 " not in to_dot(tree)
+
+
 def test_exports_are_deterministic():
     eq = parse_equation("2x = 3(4x + 5)")
     one = to_json_dict(enumerate_tree(eq, ["M8"], 1))
@@ -201,3 +228,32 @@ def test_exports_are_deterministic():
     assert one == two
     dot = to_dot(enumerate_tree(eq, ["M8"], 1))
     assert "style=dashed" in dot and 'label="M8"' in dot and "digraph" in dot
+
+
+# sha256 over the ``tree`` command's JSON and dot output and over ``to_dot``
+# for the corpus below, recorded before trees were built from walk states
+_TREE_OUTPUT_SHA256 = "326d5c98ebfd063c55fb7da8f54dd8a64311c77d229122e3f2b156d169752ffe"
+
+
+def _tree_corpus():
+    """(root, rule ids, cap): sampled roots of every type at ±9 and ±10^19,
+    each with every rule at cap 2, three rules at cap 1 and none at cap 0."""
+    every = [m.id for m in CATALOG]
+    for bound in (9, 10**19):
+        sampler = InstanceSampler(21, -bound, bound)
+        for t in ORDERED_TYPES:
+            for i in range(2):
+                eq = sampler.sample(t, f"tree-output:{t.name}:{i}")
+                for ids, cap in ((every, 2), (["M1", "M13", "M19"], 1), ([], 0)):
+                    yield eq, ids, cap
+
+
+def test_tree_output_matches_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for eq, ids, cap in _tree_corpus():
+        for fmt in ("json", "dot"):
+            argv = ["tree", "--format", fmt, "--cap", str(cap), "--misconceptions", ",".join(ids)]
+            assert main(argv + ["--", str(eq)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        digest.update(to_dot(enumerate_tree(eq, ids, cap)).encode())
+    assert digest.hexdigest() == _TREE_OUTPUT_SHA256
