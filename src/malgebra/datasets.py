@@ -41,13 +41,9 @@ from .taxonomy import (
 MAX_TRIES = 1000
 
 
-def _nz(rng: random.Random, lo: int, hi: int) -> Fraction:
+def _check_range(lo: int, hi: int) -> None:
     if lo > hi or (lo == 0 and hi == 0):
         raise SchemaError(f"coefficient range [{lo}, {hi}] has no nonzero integer")
-    while True:
-        v = rng.randint(lo, hi)
-        if v != 0:
-            return Fraction(v)
 
 
 # where a type draws its letters other than alphabetically; the pinned digests
@@ -58,12 +54,31 @@ _CODES = {t: [letter_code(c) for c in _DRAW_ORDER.get(t) or sorted(filter(str.is
           for t in ORDERED_TYPES}
 
 
+def _draw(t: ProblemType, rng: random.Random, lo: int, hi: int) -> dict[int, int]:
+    """One draw of type ``t``: a nonzero int in ``[lo, hi]`` per letter of its
+    pattern, keyed by letter code.  The caller checks that the range has one."""
+    randint = rng.randint
+    values = {}
+    for code in _CODES[t]:
+        v = randint(lo, hi)
+        while not v:
+            v = randint(lo, hi)
+        values[code] = v
+    return values
+
+
 def _build(t: ProblemType, rng: random.Random, lo: int, hi: int) -> Equation:
-    """One draw of type ``t``: a nonzero value per letter of its pattern, then
-    each side of the pattern's parse rebuilt with those values."""
-    values = {code: _nz(rng, lo, hi) for code in _CODES[t]}
+    """One draw of type ``t`` as the equation ``sample_instance`` builds once
+    the pool accepts the draw."""
+    _check_range(lo, hi)
+    return _equation(t, _draw(t, rng, lo, hi))
+
+
+def _equation(t: ProblemType, values: dict[int, int]) -> Equation:
+    """Each side of ``t``'s pattern rebuilt with the drawn ``values``."""
+    exact = {code: Fraction(v) for code, v in values.items()}
     lhs, rhs = PATTERN_ATOMS[t]
-    return Equation(rebuild(_fill(lhs, values)), rebuild(_fill(rhs, values)))
+    return Equation(rebuild(_fill(lhs, exact)), rebuild(_fill(rhs, exact)))
 
 
 def _fill(atoms: Sequence[SignedAtom], values: dict[int, Fraction]) -> list[SignedAtom]:
@@ -88,6 +103,42 @@ def _fill(atoms: Sequence[SignedAtom], values: dict[int, Fraction]) -> list[Sign
     return out
 
 
+def _line(t: ProblemType, values: dict[int, int]) -> str:
+    """``str(_equation(t, values))``, printed straight from the pattern and
+    the drawn ints without building an equation."""
+    lhs, rhs = PATTERN_ATOMS[t]
+    return f"{_chain(lhs, values)} = {_chain(rhs, values)}"
+
+
+def _chain(atoms: Sequence[SignedAtom], values: dict[int, int]) -> str:
+    """One side as ``rebuild`` folds it and ``render`` prints it.  Every
+    pattern term joins by plus, so a later term links by minus exactly when
+    its value, or its product's or group's leading factor, is negative; that
+    term then prints negated (``x`` for a coefficient of -1)."""
+    out = ""
+    for i, (_, a) in enumerate(atoms):
+        if isinstance(a, XAtom):
+            v = values[a.coef.numerator]
+        elif isinstance(a, CAtom):
+            v = values[a.value.numerator]
+        elif isinstance(a, ProdAtom):
+            v = values[a.factors[0].numerator]
+        else:
+            v = values[a.multiplier.numerator]
+        if i:
+            out += " - " if v < 0 else " + "
+            v = abs(v)
+        if isinstance(a, XAtom):
+            out += "x" if v == 1 else "-x" if v == -1 else f"{v}x"
+        elif isinstance(a, CAtom):
+            out += str(v)
+        elif isinstance(a, ProdAtom):
+            out += " * ".join([str(v), *(str(values[f.numerator]) for f in a.factors[1:])])
+        else:
+            out += f"{v}({_chain(a.inner, values)})"
+    return out
+
+
 def sample_instance(
     t: ProblemType,
     rng: random.Random,
@@ -100,26 +151,31 @@ def sample_instance(
     reduction trace or, given a misconception ``m``, with the trace firing it.
 
     A draw's type is its pattern's, so its root is labelled ``t`` without
-    classifying it.  The draw must pass the optional ``accept`` hook and then
-    solve by the correct walk, which fails exactly on a zero slope.  With
-    ``m``, the walk firing ``m`` starts from the same root; it must use
-    exactly ``m`` and end somewhere distinguishable from the correct answer.
-    At most ``MAX_TRIES`` draws are made.
+    classifying it.  The optional ``accept`` hook receives the draw's line as
+    printed (``str`` of its equation) and is asked before the equation is
+    built; an accepted draw must then solve by the correct walk, which fails
+    exactly on a zero slope.  With ``m``, the walk firing ``m`` starts from
+    the same root; it must use exactly ``m`` and end somewhere
+    distinguishable from the correct answer.  At most ``MAX_TRIES`` draws
+    are made.
     """
     mals = () if m is None else (get_misconception(m),)
+    _check_range(coeff_min, coeff_max)
     for _ in range(MAX_TRIES):
-        eq = _build(t, rng, coeff_min, coeff_max)
+        values = _draw(t, rng, coeff_min, coeff_max)
+        line = _line(t, values)
         try:
-            if accept is not None and not accept(eq):
+            if accept is not None and not accept(line):
                 continue
-            trace = correct = walk(root := Node(eq, t), ())
+            root = Node(_equation(t, values), t, line=line)
+            trace = correct = walk(root, ())
             if mals:
                 trace = walk(root, mals)
         except EngineError:
             continue
         if not mals or (trace.misconceptions_used == (mals[0].id,)
                         and (trace.dead_end is not None or trace.answer != correct.answer)):
-            return eq, trace
+            return root.equation, trace
     what = f"acceptable {t}" if m is None else f"conforming ({m}, {t})"
     raise SamplingExhaustedError(
         f"no {what} instance in [{coeff_min}, {coeff_max}] after {MAX_TRIES} draws"
@@ -166,6 +222,10 @@ def sample_for_misconception(
 # ---------------------------------------------------------------------------
 
 _VALID_RATIOS = (0.0, 0.25, 0.5, 1.0)
+# records one config may request, train and test together: over 5x the paper's
+# 37,500 and above every cell of its n_m x ratio grid; generate holds them all
+# in memory before writing
+MAX_RECORDS = 200_000
 
 
 @dataclass(frozen=True)
@@ -197,6 +257,14 @@ class DatasetConfig:
         for name in ("n_m", "n_correct_per_type", "test_per_type"):
             if getattr(self, name) < 0:
                 raise SchemaError(f"{name} must be >= 0")
+        if self.misconception is None:
+            train = self.n_correct_per_type * len(ORDERED_TYPES)
+        else:  # each valid ratio is exact as a Fraction, which never overflows
+            train = self.n_m + int(Fraction(self.ratio) * self.n_m)
+        if train + self.test_per_type * len(ORDERED_TYPES) > MAX_RECORDS:
+            raise SchemaError(
+                f"a config may request at most {MAX_RECORDS} records, train and test together"
+            )
         for name in ("coeff_min", "coeff_max"):  # each draw must read back as a numeral
             if abs(getattr(self, name)) >= 10**MAX_NUMERAL_DIGITS:
                 raise SchemaError(f"{name} must have at most {MAX_NUMERAL_DIGITS} digits")
@@ -251,7 +319,7 @@ def generate(config: DatasetConfig) -> dict:
     splits: dict[str, list[dict]] = {}
     for pool, draws in (("train", train), ("test", test)):
         records = splits[pool] = []
-        in_pool = lambda e: _pool(config.seed, str(e)) == pool
+        in_pool = lambda line: _pool(config.seed, line) == pool
         for key, t, rule in draws:
             _, trace = sample_instance(t, sampler.rng_for(key), config.coeff_min,
                                        config.coeff_max, in_pool, rule)

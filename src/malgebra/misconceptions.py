@@ -376,12 +376,12 @@ class Node:
     __slots__ = ("equation", "label", "via", "_kids", "_line")
 
     def __init__(self, equation: Equation, label: ProblemType | str,
-                 via: EdgeRef | None = None) -> None:
+                 via: EdgeRef | None = None, line: str | None = None) -> None:
         self.equation = equation
         self.label = label
         self.via = via
         self._kids: dict[str, Node | EngineError | None] = {}
-        self._line: str | None = None
+        self._line = line  # str(equation), when the caller already has it
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
@@ -396,7 +396,7 @@ class Node:
 
     @property
     def line(self) -> str:
-        """The equation as printed, rendered once."""
+        """The equation as printed, rendered at most once."""
         if self._line is None:
             self._line = str(self.equation)
         return self._line

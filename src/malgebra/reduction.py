@@ -142,17 +142,21 @@ def at_first(
     return None if new is None else with_side(eq, "rhs", atoms[:i] + new + atoms[i + 1 :])
 
 
+_ZERO = Fraction(0)
+
+
 def signed_sum(
     atoms: Sequence[SignedAtom], kind: type[XAtom | CAtom]
 ) -> tuple[Fraction, int, list[SignedAtom]]:
     """(total, count, rest): the signed total of the ``kind`` atoms (x
     coefficients or constants), how many there are, and the other atoms."""
-    total = Fraction(0)
+    total = _ZERO
     count = 0
     rest: list[SignedAtom] = []
     for s, a in atoms:
         if isinstance(a, kind):
-            total += s * (a.coef if kind is XAtom else a.value)
+            v = a.coef if kind is XAtom else a.value
+            total = total + v if s > 0 else total - v  # every view sign is 1 or -1
             count += 1
         else:
             rest.append((s, a))

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import malgebra.datasets as datasets
 from malgebra.cli import build_parser, main
-from malgebra.datasets import DatasetConfig, generate
+from malgebra.datasets import MAX_RECORDS, DatasetConfig, generate
 from malgebra.equations import closed_form_solution, parse_equation
+from malgebra.errors import SchemaError
 from malgebra.misconceptions import CATALOG, reduce_with_misconceptions
 
 
@@ -144,6 +146,33 @@ def test_gen_bad_config_exit_2(capsys, tmp_path, monkeypatch, config):
     code, _, err = run(capsys, "gen", "--config", str(cfg))
     assert code == 2
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("counts", [
+    ["--n-correct-per-type", "1000000000"],
+    ["--n-correct-per-type", "0", "--test-per-type", "1000000000"],
+    ["--misconception", "M1", "--n-m", "1000000000", "--ratio", "0"],
+])
+def test_gen_record_count_bound_exit_2(capsys, tmp_path, monkeypatch, counts):
+    # the bound is checked before any draw or write
+    monkeypatch.setattr(datasets, "_draw", lambda *args: pytest.fail("drew an instance"))
+    code, out, err = run(capsys, "gen", *counts, "--out", str(tmp_path / "ds"))
+    assert (code, out) == (2, "")
+    assert err == (f"error: a config may request at most {MAX_RECORDS} records,"
+                   " train and test together\n")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_record_count_bound_counts_what_generate_writes():
+    at_bound = DatasetConfig(misconception="M1", n_m=MAX_RECORDS // 2, ratio=1.0,
+                             n_correct_per_type=10**9, test_per_type=0)
+    at_bound.validate()  # n_correct_per_type is unused with a misconception
+    with pytest.raises(SchemaError):
+        DatasetConfig(misconception="M1", n_m=MAX_RECORDS // 2, ratio=1.0,
+                      test_per_type=1).validate()
+    DatasetConfig(n_correct_per_type=0, test_per_type=MAX_RECORDS // 15).validate()
+    with pytest.raises(SchemaError):
+        DatasetConfig(n_correct_per_type=1, test_per_type=MAX_RECORDS // 15).validate()
 
 
 def test_gen_ratio_int_and_float_share_a_manifest(capsys, tmp_path):

@@ -74,17 +74,18 @@ def test_conforming_misconception_sampling(rng):
 
 def test_misconception_exhaustion_is_bounded(monkeypatch):
     # M6 never fires on a positive multiplier, so no draw at [1, 9] conforms;
-    # the sampler gives up after MAX_TRIES draws in all
+    # the sampler gives up after exactly MAX_TRIES draws in all
     calls = []
+    draw = datasets._draw
 
-    def counting_build(*args):
+    def counting_draw(*args):
         calls.append(None)
-        return _build(*args)
+        return draw(*args)
 
-    monkeypatch.setattr(datasets, "_build", counting_build)
+    monkeypatch.setattr(datasets, "_draw", counting_draw)
     with pytest.raises(SamplingExhaustedError):
         sample_for_misconception("M6", T.T9, random.Random(0), 1, 9)
-    assert len(calls) <= MAX_TRIES
+    assert len(calls) == MAX_TRIES
 
 
 def test_dead_end_misconception_records_sample(rng):
@@ -320,6 +321,18 @@ def test_build_matches_pinned_digest():
             for _ in range(200):
                 h.update(repr(_build(t, rng, lo, hi)).encode() + b"\n")
         assert h.hexdigest() == digest, (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (-2, 1), (1, 9), (-9, -1),
+                                    (-(10**MAX_NUMERAL_DIGITS - 1), 10**MAX_NUMERAL_DIGITS - 1)])
+def test_draw_line_is_the_built_equation_printed(lo, hi):
+    # the pool test reads a draw's line before any equation is built: from the
+    # same stream, the line must be what _build's equation prints.  [-2, 1]
+    # makes x, -x and the minus link of a later product or group common.
+    for t in ORDERED_TYPES:
+        drawn, built = random.Random(f"line:{t.name}"), random.Random(f"line:{t.name}")
+        for _ in range(1500):
+            assert datasets._line(t, datasets._draw(t, drawn, lo, hi)) == str(_build(t, built, lo, hi))
 
 
 @pytest.mark.parametrize("lo, hi", [(-9, 9), (-2, 1), (1, 9), (-9, -1)])

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from malgebra.cli import main
+from malgebra.datasets import InstanceSampler
 from malgebra.equations import (
     Add,
     Const,
@@ -18,9 +20,10 @@ from malgebra.equations import (
     closed_form_solution,
     parse_equation,
 )
-from malgebra.errors import RuleNotApplicableError, ZeroCoefficientError
-from malgebra.misconceptions import reduce_with_misconceptions
+from malgebra.errors import EngineError, RuleNotApplicableError, ZeroCoefficientError
+from malgebra.misconceptions import CATALOG, reduce_with_misconceptions
 from malgebra.reduction import rebuild, reduce, reduce_step, signed_sum, solve_terminal, t1_parts
+from malgebra.solution_space import enumerate_tree
 from malgebra.taxonomy import (
     CAtom,
     GroupAtom,
@@ -33,6 +36,8 @@ from malgebra.taxonomy import (
     classify,
     view_atoms,
 )
+
+from test_fuzz import _mutate, _seeds
 
 T = ProblemType
 
@@ -201,3 +206,49 @@ def test_rebuild_sign_rules():
     # a leading negated group reaches the two-factor fold through a correct step
     trace = reduce(parse_equation("2x = -(3(4 * 5))"))
     assert trace.steps[1].equation.rhs == Mul(Const(F(-3)), Const(F(20)))
+
+
+def _exact_sums(eq: Equation) -> None:
+    """Every sign the view gives, group contents included, is 1 or -1; every
+    atom value and both signed sums of each side are Fractions, never an int
+    or a float."""
+    for side in (eq.lhs, eq.rhs):
+        atoms = view_atoms(side)
+        for kind in (XAtom, CAtom):
+            assert type(signed_sum(atoms, kind)[0]) is Fraction, eq
+        while atoms:
+            s, a = atoms.pop()
+            assert type(s) is int and s in (1, -1), eq
+            if isinstance(a, GroupAtom):
+                atoms.extend(a.inner)
+                values = [a.multiplier]
+            elif isinstance(a, ProdAtom):
+                values = list(a.factors)
+            elif isinstance(a, OpaqueAtom):
+                values = []
+            else:
+                values = [a.coef if isinstance(a, XAtom) else a.value]
+            assert all(type(v) is Fraction for v in values), eq
+
+
+def test_view_signs_are_unit_and_sums_exact():
+    # signed_sum adds or subtracts each term by its sign instead of
+    # multiplying by it, which holds only while every view sign is 1 or -1
+    roots = [InstanceSampler(seed, -bound, bound).sample(t, "sums")
+             for seed in range(20) for bound in (2, 9, 10**19) for t in ORDERED_TYPES]
+    rng, seeds = random.Random(4), _seeds()
+    parsed = 0
+    while parsed < 2000:
+        try:
+            roots.append(parse_equation(_mutate(rng, rng.choice(seeds))))
+        except EngineError:
+            continue
+        parsed += 1
+    # every state the trees reach on the golden rewrite corpus
+    golden = InstanceSampler(seed=77)
+    for t in ORDERED_TYPES:
+        for i in range(6):
+            tree = enumerate_tree(golden.sample(t, f"golden:{t.name}:{i}"), CATALOG, 2)
+            roots += [node.equation for node in tree.nodes]
+    for eq in roots:
+        _exact_sums(eq)
