@@ -430,6 +430,8 @@ def _replay(rec: dict) -> None:
         raise SchemaError(f"unknown label {label!r}")
     if rec["steps"] != trace.equation_lines():
         raise SchemaError("steps do not replay")
+    if rec["equation"] != rec["steps"][0]:
+        raise SchemaError("equation is not the first step")
     if rec["final_answer"] != rec["steps"][-1]:
         raise SchemaError("final_answer is not the last step")
 

@@ -137,168 +137,127 @@ MAX_PAREN_DEPTH = 16
 MAX_NUMERAL_DIGITS = 20
 _SPACE = " \t\n\r\v\f"
 
+# one token per match: a run of ASCII digits (``\d`` would also match other
+# scripts' digits) or any one character but ASCII whitespace
+_TOKEN = re.compile(f"[0-9]+|[^{_SPACE}]")
+# the kind of a one-character token is its text
+_ONE_CHAR = frozenset("+-*=()/" + VARIABLE)
 _NUM = "num"
-_VAR = "var"
-_OP = "op"
-_LP = "("
-_RP = ")"
-_SLASH = "/"
 _END = "end"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` per token, ending with an ``end`` token.
+    Bounds and characters are checked left to right, after the length."""
     n = len(text)
     if n > MAX_EQUATION_LENGTH:
         raise ParseError(
             f"equation longer than {MAX_EQUATION_LENGTH} characters", MAX_EQUATION_LENGTH
         )
-    out: list[_Token] = []
-    i = 0
+    out = []
     depth = 0
-    while i < n:
-        ch = text[i]
-        if ch in _SPACE:
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > MAX_NUMERAL_DIGITS:
+    for match in _TOKEN.finditer(text):
+        tok, i = match[0], match.start()
+        if tok in _ONE_CHAR:
+            if tok == "(":
+                depth += 1
+                if depth > MAX_PAREN_DEPTH:
+                    raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", i)
+            elif tok == ")":
+                depth -= 1
+            out.append((tok, tok, i))
+        elif "0" <= tok[0] <= "9":
+            if len(tok) > MAX_NUMERAL_DIGITS:
                 raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} digits", i)
-            out.append(_Token(_NUM, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            if ch != VARIABLE:
-                raise MultipleVariableError(
-                    f"only the variable '{VARIABLE}' is supported, got '{ch}'", i
-                )
-            out.append(_Token(_VAR, ch, i))
-            i += 1
-            continue
-        if ch in "+-*=":
-            out.append(_Token(_OP, ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            depth += 1
-            if depth > MAX_PAREN_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", i)
-            out.append(_Token(_LP, ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            depth -= 1
-            out.append(_Token(_RP, ch, i))
-            i += 1
-            continue
-        if ch == "/":
-            out.append(_Token(_SLASH, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character '{ch}'", i)
-    out.append(_Token(_END, "", n))
+            out.append((_NUM, tok, i))
+        elif tok.isalpha():
+            raise MultipleVariableError(
+                f"only the variable '{VARIABLE}' is supported, got '{tok}'", i
+            )
+        else:
+            raise ParseError(f"unexpected character '{tok}'", i)
+    out.append((_END, "", n))
     return out
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
-        self.pos = 0
+        self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected '{want}', got '{tok.text or 'end of input'}'", tok.pos)
-        return self.advance()
+    def expect(self, kind: str) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        got, text, pos = self.tokens[self.i]
+        if got != kind:
+            raise ParseError(f"expected '{kind}', got '{text or 'end of input'}'", pos)
+        self.i += 1
+        return text
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == _OP and tok.text in "+-":
-                self.advance()
-                right = self.parse_term()
-                node = Add(node, right) if tok.text == "+" else Sub(node, right)
-            else:
-                return node
+        tokens = self.tokens
+        while (kind := tokens[self.i][0]) == "+" or kind == "-":
+            self.i += 1
+            right = self.parse_term()
+            node = Add(node, right) if kind == "+" else Sub(node, right)
+        return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind == _OP and tok.text == "*":
-                self.advance()
+            kind = tokens[self.i][0]
+            if kind == "*":
+                self.i += 1
                 node = Mul(node, self.parse_factor())
-            elif tok.kind == _LP:
+            elif kind == "(":
                 # juxtaposed parenthesized factor: implicit multiplication
-                self.advance()
-                inner = self.parse_expr()
-                self.expect(_RP)
-                node = Mul(node, Paren(inner))
+                node = Mul(node, self.parse_group())
             else:
                 return node
 
-    def parse_factor(self) -> Expr:
-        negated = False
-        tok = self.peek()
-        if tok.kind == _OP and tok.text == "-":
-            self.advance()
-            negated = True
-            tok = self.peek()
-        if tok.kind == _NUM:
-            q = self.parse_number()
-            if negated:
-                q = -q
-            nxt = self.peek()
-            if nxt.kind == _VAR:
-                self.advance()
-                return XTerm(q)
-            if nxt.kind == _LP:
-                self.advance()
-                inner = self.parse_expr()
-                self.expect(_RP)
-                return Mul(Const(q), Paren(inner))
-            return Const(q)
-        if tok.kind == _VAR:
-            self.advance()
-            return XTerm(Fraction(-1 if negated else 1))
-        if tok.kind == _LP:
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(_RP)
-            node: Expr = Paren(inner)
-            return Neg(node) if negated else node
-        raise ParseError(f"expected a number, '{VARIABLE}' or '(', got '{tok.text or 'end of input'}'", tok.pos)
+    def parse_group(self) -> Paren:
+        self.i += 1  # the "("
+        inner = self.parse_expr()
+        self.expect(")")
+        return Paren(inner)
 
-    def parse_number(self) -> Fraction:
-        tok = self.expect(_NUM)
-        value = int(tok.text)
-        if self.peek().kind == _SLASH:
-            self.advance()
-            den_tok = self.expect(_NUM)
-            den = int(den_tok.text)
-            if den == 0:
-                raise ParseError("denominator must be a positive integer", den_tok.pos)
-            return Fraction(value, den)
-        return Fraction(value)
+    def parse_factor(self) -> Expr:
+        tokens = self.tokens
+        kind, text, pos = tokens[self.i]
+        negated = kind == "-"
+        if negated:
+            self.i += 1
+            kind, text, pos = tokens[self.i]
+        if kind == _NUM:
+            self.i += 1
+            q = self.parse_number(-int(text) if negated else int(text))
+            nxt = tokens[self.i][0]
+            if nxt == VARIABLE:
+                self.i += 1
+                return XTerm(q)
+            if nxt == "(":
+                return Mul(Const(q), self.parse_group())
+            return Const(q)
+        if kind == VARIABLE:
+            self.i += 1
+            return XTerm(Fraction(-1 if negated else 1))
+        if kind == "(":
+            node = self.parse_group()
+            return Neg(node) if negated else node
+        raise ParseError(f"expected a number, '{VARIABLE}' or '(', got '{text or 'end of input'}'", pos)
+
+    def parse_number(self, value: int) -> Fraction:
+        """``value``, the numerator just read, over the denominator that a
+        ``/`` may follow it with."""
+        if self.tokens[self.i][0] != "/":
+            return Fraction(value)
+        self.i += 1
+        pos = self.tokens[self.i][2]
+        den = int(self.expect(_NUM))
+        if den == 0:
+            raise ParseError("denominator must be a positive integer", pos)
+        return Fraction(value, den)
 
 
 _NUMBER = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
@@ -336,7 +295,7 @@ def parse_equation(text: str) -> Equation:
     """Parse equation text, rejecting foreign variables and nonlinearity."""
     parser = _Parser(_tokenize(text))
     lhs = parser.parse_expr()
-    parser.expect(_OP, "=")
+    parser.expect("=")
     rhs = parser.parse_expr()
     parser.expect(_END)
     eq = Equation(lhs, rhs)
@@ -373,14 +332,42 @@ def evaluate_sides(eq: Equation, x) -> tuple[Fraction, Fraction]:
     return evaluate(eq.lhs, x), evaluate(eq.rhs, x)
 
 
+def _linear(e: Expr) -> tuple[int, int, int]:
+    """Integers ``(a, b, d)`` with ``e`` = (a·x + b)/d and ``d`` positive."""
+    t = type(e)
+    if t is Const:
+        v = e.value
+        return 0, v.numerator, v.denominator
+    if t is XTerm:
+        c = e.coef
+        return c.numerator, 0, c.denominator
+    if t is Paren:
+        return _linear(e.inner)
+    if t is Neg:
+        a, b, d = _linear(e.inner)
+        return -a, -b, d
+    a1, b1, d1 = _linear(e.left)
+    a2, b2, d2 = _linear(e.right)
+    if t is Add:
+        return a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
+    if t is Sub:
+        return a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2
+    if t is Mul:
+        if a1 and a2:
+            raise NonlinearEquationError(f"product of two terms in {VARIABLE}: {render(e)}")
+        return a1 * b2 + b1 * a2, b1 * b2, d1 * d2
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def closed_form_solution(eq: Equation) -> Fraction:
-    """The unique root, computed by the line through the difference of the
-    sides at x=0 and x=1.  Deliberately independent of the reduction engine
-    so it can serve as its oracle."""
-    d0 = evaluate(eq.lhs, Fraction(0)) - evaluate(eq.rhs, Fraction(0))
-    d1 = evaluate(eq.lhs, Fraction(1)) - evaluate(eq.rhs, Fraction(1))
-    slope = d1 - d0
+    """The unique root, read off the sides in one pass.  Each side is kept as
+    integer linear coefficients over a common denominator, (a·x + b)/d, so
+    the root is one ``Fraction`` built from integers.  Deliberately
+    independent of the reduction engine so it can serve as its oracle;
+    ``evaluate_sides`` substitutes a root back."""
+    a_l, b_l, d_l = _linear(eq.lhs)
+    a_r, b_r, d_r = _linear(eq.rhs)
+    slope = a_l * d_r - a_r * d_l
     if slope == 0:
         raise NoUniqueSolutionError(f"no unique solution: {eq}")
-    return -d0 / slope
-
+    return Fraction(b_r * d_l - b_l * d_r, slope)

@@ -17,7 +17,7 @@ from .equations import Const, XTerm, closed_form_solution, parse_equation, parse
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
 from .reduction import ReductionTrace
-from .solution_space import enumerate_tree
+from .solution_space import Leaf, enumerate_tree
 from .taxonomy import ORDERED_TYPES, classify, reachable
 
 GRADE_CORRECT = "correct"
@@ -109,18 +109,19 @@ def _printed_steps(transcript: Transcript) -> list[str]:
 
 def _mal_outcomes(
     root: Node, m: Misconception, correct: Fraction
-) -> list[tuple[Fraction | str, tuple[str, ...]]]:
+) -> list[tuple[Fraction | str, Leaf]]:
     """Every terminal reachable with exactly one firing of ``m``, paired with
-    its step lines; outcomes equal to ``correct``, the answer, are excluded."""
+    its leaf; outcomes equal to ``correct``, the answer, are excluded.  Only
+    a dead end's outcome, its last line, is printed here."""
     tree = enumerate_tree(root, [m], max_misconceptions_per_path=1)
     out = []
     for leaf in tree.leaves:
         if leaf.misconceptions != (m.id,):
             continue
         if leaf.dead_end == "variable eliminated":
-            out.append((leaf.equations[-1], leaf.equations))
+            out.append((leaf.path[-1].line, leaf))
         elif leaf.answer is not None and leaf.answer != correct:
-            out.append((leaf.answer, leaf.equations))
+            out.append((leaf.answer, leaf))
     return out
 
 
@@ -158,8 +159,8 @@ def grade(
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:
-        for outcome, lines in _mal_outcomes(root, m, correct):
-            if answer == outcome and (mode == "answer" or model == list(lines)):
+        for outcome, leaf in _mal_outcomes(root, m, correct):
+            if answer == outcome and (mode == "answer" or model == list(leaf.equations)):
                 return GRADE_MATCH
     return GRADE_OTHER
 

@@ -26,7 +26,12 @@ class Leaf:
     answer: Fraction | None
     dead_end: str | None
     misconceptions: tuple[str, ...]
-    equations: tuple[str, ...]  # printed states from the root to this leaf
+    path: tuple[Node, ...]  # the states from the root to this leaf
+
+    @property
+    def equations(self) -> tuple[str, ...]:
+        """The path's states as printed, each rendered when first asked for."""
+        return tuple(node.line for node in self.path)
 
 
 @dataclass(frozen=True)
@@ -56,28 +61,28 @@ def enumerate_tree(
     parents: list[int] = []
     leaves: list[Leaf] = []
 
-    def grow(parent: int, node: Node, used: tuple[str, ...], lines: tuple[str, ...]) -> None:
+    def grow(parent: int, node: Node, used: tuple[str, ...], path: tuple[Node, ...]) -> None:
         if len(nodes) >= NODE_BUDGET:
             raise BudgetExceededError(f"solution tree exceeded the {NODE_BUDGET}-node budget")
         nid = len(nodes)
         nodes.append(node)
         parents.append(parent)
-        lines += (node.line,)
+        path += (node,)
         end = outcome(node.equation, node.label)
         if end is not None:
-            leaves.append(Leaf(nid, *end, used, lines))
+            leaves.append(Leaf(nid, *end, used, path))
             return
         for edge in CORRECT_OUT[node.label]:
             try:
                 kid = node.child(edge)
             except ZeroCoefficientError:
-                leaves.append(Leaf(nid, None, "zero x coefficient", used, lines))
+                leaves.append(Leaf(nid, None, "zero x coefficient", used, path))
                 continue
-            grow(nid, kid, used, lines)
+            grow(nid, kid, used, path)
         if len(used) < cap:
             for edge in rules:
                 if edge.rule_id not in used and (kid := node.child(edge)) is not None:
-                    grow(nid, kid, used + (edge.rule_id,), lines)
+                    grow(nid, kid, used + (edge.rule_id,), path)
 
     grow(-1, eq if isinstance(eq, Node) else Node(eq, classify(eq)), (), ())
     return SolutionTree(tuple(nodes), tuple(parents), tuple(leaves))

@@ -276,7 +276,8 @@ _T1_RECORD = {"id": "a", "problem_type": "T1", "equation": "4x = 12", "steps": [
     ({"note": "", "extra": 1}, "unknown fields: ['extra', 'note']"),
     ({"misconception_id": "M8"}, "correct record carries misconception_id"),
     ({"label": "misconception", "misconception_id": "M8"}, "trace does not use exactly M8"),
-], ids=["unknown-fields", "correct-with-mid", "rule-does-not-fire"])
+    ({"equation": "4x=12"}, "equation is not the first step"),
+], ids=["unknown-fields", "correct-with-mid", "rule-does-not-fire", "equation-not-first-step"])
 def test_verify_rejects_records_generation_never_writes(capsys, tmp_path, edit, reason):
     # M8 has no site on a T1 equation, so its walk is the correct one
     path = tmp_path / "ds.jsonl"

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from test_fuzz import _mutate, _seeds
+
+from malgebra.datasets import InstanceSampler
 from malgebra.equations import (
     Add,
     Const,
@@ -17,12 +22,22 @@ from malgebra.equations import (
     render,
 )
 from malgebra.errors import (
+    EngineError,
     MultipleVariableError,
     NonlinearEquationError,
     NoUniqueSolutionError,
     ParseError,
 )
+from malgebra.misconceptions import CATALOG
+from malgebra.solution_space import enumerate_tree
 from malgebra.taxonomy import ORDERED_TYPES
+
+# sha256 of every parse outcome in _parse_corpus, and of every closed-form
+# outcome in test_closed_form_substitutes_back_exactly, pinned when the
+# parser read tokens through a dataclass and the closed form evaluated the
+# sides at x = 0 and x = 1
+_PARSE_OUTCOMES_SHA256 = "e7733676d49c2bbe545cbee1bec5a4c3250b9cb7aae9ad16b1dc07474dba5a03"
+_CLOSED_FORM_SHA256 = "948eb5ff5f14beff49c805b2a6aa671550761b22df912ed19ddf3fd561f33462"
 
 
 def test_parse_simple_t1():
@@ -107,13 +122,74 @@ def test_closed_form_solution():
         closed_form_solution(parse_equation("5 = 5"))
 
 
+def _parse_corpus() -> list[str]:
+    """Mutated equation text, sampled roots at both coefficient bounds, and
+    one text on each side of every input bound."""
+    rng, seeds = random.Random(18), _seeds()
+    texts = [_mutate(rng, rng.choice(seeds)) for _ in range(30_000)]
+    texts += [str(InstanceSampler(seed, -bound, bound).sample(t, "parse"))
+              for seed in range(4) for bound in (9, 10**20 - 1) for t in ORDERED_TYPES]
+    for n in (200, 201):
+        texts.append("x = 1".ljust(n))
+    for n in (16, 17):
+        texts.append("(" * n + "x" + ")" * n + " = 1")
+    for n in (20, 21):
+        texts.append("x = " + "9" * n)
+    texts += ["3x = \u0663", "\u00e9 = 1", "X = 1", " ", "", "x = 1\u00b2",
+              "x =\u00a01", "\u2003x = 1", "x = 1\u3000"]
+    return texts
+
+
+def test_parse_outcomes_match_pinned_digest():
+    # every text either parses to the same equation, printed and built alike
+    # (a Fraction coefficient is not an int), or raises the same error with
+    # the same message and position
+    digest = hashlib.sha256()
+    for text in _parse_corpus():
+        try:
+            eq = parse_equation(text)
+        except EngineError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        else:
+            out = f"{eq}\n{eq!r}"
+        digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == _PARSE_OUTCOMES_SHA256
+
+
 def test_closed_form_substitutes_back_exactly(sampler):
+    roots = [sampler.sample(t, f"exact:{t.name}:{i}") for t in ORDERED_TYPES for i in range(20)]
+    roots += [InstanceSampler(seed, -10**19, 10**19).sample(t, "exact")
+              for seed in range(10) for t in ORDERED_TYPES]
+    rng, seeds = random.Random(6), _seeds()
+    while len(roots) < 3000:
+        try:
+            roots.append(parse_equation(_mutate(rng, rng.choice(seeds))))
+        except EngineError:
+            pass
+    # every state the trees reach on the golden rewrite corpus, dead ends
+    # and solved states included
+    golden = InstanceSampler(seed=77)
     for t in ORDERED_TYPES:
-        for i in range(20):
-            eq = sampler.sample(t, f"exact:{t.name}:{i}")
+        for i in range(6):
+            tree = enumerate_tree(golden.sample(t, f"golden:{t.name}:{i}"), CATALOG, 2)
+            roots += [node.equation for node in tree.nodes]
+    roots.append(Equation(XTerm(3), Const(7)))  # ints, not Fractions
+    digest = hashlib.sha256()
+    for eq in roots:
+        d0, d1 = (l - r for l, r in (evaluate_sides(eq, 0), evaluate_sides(eq, 1)))
+        try:
             root = closed_form_solution(eq)
+        except NoUniqueSolutionError as exc:
+            assert d0 == d1, eq
+            out = f"{type(exc).__name__}: {exc}"
+        else:
+            assert d0 != d1 and type(root) is Fraction, eq
             left, right = evaluate_sides(eq, root)
-            assert left == right
+            assert left == right, eq
+            out = str(root)
+        digest.update(out.encode() + b"\n")
+    assert (type(root), root) == (Fraction, Fraction(7, 3))
+    assert digest.hexdigest() == _CLOSED_FORM_SHA256
 
 
 def test_round_trip_sampled(sampler):

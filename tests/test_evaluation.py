@@ -78,6 +78,22 @@ def test_grade_types_a_wrong_answers_root_once(monkeypatch):
         assert calls.count(eq) == 1 and len(calls) > 1
 
 
+def test_answer_mode_grade_prints_no_line_it_does_not_compare(monkeypatch):
+    # a wrong numeric answer is compared with each leaf's answer, and no
+    # leaf of M2_S3's tree here is a dead end, so no state is printed
+    from malgebra.equations import Equation
+
+    printed, original = [], Equation.__str__
+
+    def counting(eq):
+        printed.append(eq)
+        return original(eq)
+
+    monkeypatch.setattr(Equation, "__str__", counting)
+    assert grade(_tr("T9", "2x = 3(4x + 5)", "7"), "M2_S3") == GRADE_OTHER
+    assert printed == []
+
+
 def test_grade_without_misconception():
     assert grade(_tr("T1", "4x = 12", "16")) == GRADE_OTHER
     assert grade(_tr("T1", "4x = 12", "3")) == GRADE_CORRECT
