@@ -259,7 +259,13 @@ def _cmd_diagnose(args) -> int:
         raise EmptyBatchError("no transcripts to diagnose")
     results = []
     for i, tr in enumerate(transcripts):
-        entries = diagnose(tr)
+        # the error names the transcript by the index its output would carry
+        try:
+            entries = diagnose(tr)
+        except SchemaError as exc:
+            raise SchemaError(f"transcript {i}: {exc}") from None
+        except EngineError as exc:
+            raise EngineError(f"transcript {i}: {exc}") from None
         results.append(
             {
                 "index": i,

@@ -184,6 +184,9 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.i = 0
+        # set on building a product of two factors in x: the only way a
+        # side's degree exceeds one
+        self.nonlinear = False
 
     def expect(self, kind: str) -> str:
         """The text of the next token, which must be of ``kind``."""
@@ -209,12 +212,15 @@ class _Parser:
             kind = tokens[self.i][0]
             if kind == "*":
                 self.i += 1
-                node = Mul(node, self.parse_factor())
+                right = self.parse_factor()
             elif kind == "(":
                 # juxtaposed parenthesized factor: implicit multiplication
-                node = Mul(node, self.parse_group())
+                right = self.parse_group()
             else:
                 return node
+            if degree(node) and degree(right):
+                self.nonlinear = True
+            node = Mul(node, right)
 
     def parse_group(self) -> Paren:
         self.i += 1  # the "("
@@ -260,7 +266,7 @@ class _Parser:
         return Fraction(value, den)
 
 
-_NUMBER = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+_NUMBER = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
 def parse_number(text: str) -> Fraction:
@@ -271,9 +277,12 @@ def parse_number(text: str) -> Fraction:
     ``ValueError`` before a ``Fraction`` is built."""
     match = _NUMBER.fullmatch(text.strip(_SPACE))
     if (match is None or any(len(run) > MAX_NUMERAL_DIGITS for run in match.groups(""))
-            or match[2] is not None and int(match[2]) == 0):
+            or match[3] is not None and int(match[3]) == 0):
         raise ValueError(f"not a number: {text!r}")
-    return Fraction(match[0])
+    sign, whole, den, digits = match.groups("")
+    if digits:
+        return Fraction(int(sign + whole + digits), 10 ** len(digits))
+    return Fraction(int(sign + whole), int(den) if den else 1)
 
 
 def degree(e: Expr) -> int:
@@ -298,10 +307,9 @@ def parse_equation(text: str) -> Equation:
     parser.expect("=")
     rhs = parser.parse_expr()
     parser.expect(_END)
-    eq = Equation(lhs, rhs)
-    if degree(lhs) > 1 or degree(rhs) > 1:
+    if parser.nonlinear:
         raise NonlinearEquationError(f"equation is not linear in {VARIABLE}: {text!r}")
-    return eq
+    return Equation(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .equations import Const, XTerm, closed_form_solution, parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
-from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
+from .misconceptions import CATALOG, Misconception, Node, get_misconception, steps, walk
 from .reduction import ReductionTrace
 from .solution_space import Leaf, enumerate_tree
 from .taxonomy import ORDERED_TYPES, classify, reachable
@@ -330,6 +331,22 @@ def _prefix_len(model: list[str], lines: list[str]) -> int:
     return n
 
 
+def _agreed(root: Node, ms: tuple[Misconception, ...], model: list[str]) -> int:
+    """How many leading lines of the walk of ``ms`` equal the model's steps,
+    reading the walk only up to the first line that differs, the model's
+    end, or an engine error.  For a set with a trace this is its
+    ``matched``."""
+    n = 0
+    try:
+        for node in chain((root,), steps(root, ms)):
+            if n == len(model) or node.line != model[n]:
+                break
+            n += 1
+    except EngineError:
+        pass
+    return n
+
+
 def diagnose(transcript: Transcript) -> list[Diagnosis]:
     """Rank misconception sets (size <= 2) by how well their traces replay
     the transcript's steps: longest exact prefix first, then fewest
@@ -341,6 +358,18 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     takes; a set whose walk raises, or does not use exactly its rules in
     order, has no trace.  All walks start from one root, so a state or a
     rule attempt shared by several sets is computed once.
+
+    A candidate's walk is read to its end only where the end can change the
+    result; elsewhere it is read only as far as the steps agree with it
+    (``_agreed``).  Only a single that agrees on every step can be full, so
+    those are walked first, and a full one ends the search.  Otherwise every
+    single is walked, and a pair is walked only when it agrees on every
+    step or on more than ``floor`` lines: the ``MAX_CANDIDATES``-th largest
+    ``matched`` among the singles with ``matched > 0``, or 0 when there are
+    fewer.  This is exact.  Ranking sorts by ``(-matched, len)`` and the
+    sort is stable, so a pair that is not full and matches ``k <= floor``
+    lines comes after at least ``MAX_CANDIDATES`` singles and can appear in
+    no output; a pair without a trace is no candidate either way.
     """
     if transcript.model_steps is None:
         raise SchemaError("diagnosis needs model_steps")
@@ -364,6 +393,14 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
 
     reach = reachable(root.label)
     relevant = [m for m in CATALOG if m.applicable_types & reach]
+    full_singles = [
+        d
+        for m in relevant if _agreed(root, (m,), model) == len(model)
+        if (d := run((m,))[1]) is not None and d.quality == "full"
+    ]
+    if full_singles:
+        return full_singles
+
     singles, leaders = [], []
     for m in relevant:
         trace, d = run((m,))
@@ -374,15 +411,15 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
         # m's own step, leaves m no pair
         if trace is None or d is not None and trace.steps[-1].via.rule_id != m.id:
             leaders.append(m)
-    full_singles = [d for d in singles if d.quality == "full"]
-    if full_singles:
-        return full_singles
-
+    cap = MAX_CANDIDATES
+    tops = sorted((d.matched for d in singles if d.matched > 0), reverse=True)
+    floor = tops[cap - 1] if 0 < cap <= len(tops) else 0
     pairs = [
         d
         for m1 in leaders
         for m2 in relevant if m2 is not m1
-        if (d := run((m1, m2))[1]) is not None
+        if ((k := _agreed(root, (m1, m2), model)) == len(model) or k > floor)
+        and (d := run((m1, m2))[1]) is not None
     ]
     ranked = sorted(
         singles + pairs,
@@ -391,4 +428,4 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     full = [d for d in ranked if d.quality == "full"]
     if full:
         return full
-    return [d for d in ranked if d.matched > 0][:MAX_CANDIDATES]
+    return [d for d in ranked if d.matched > 0][:cap]

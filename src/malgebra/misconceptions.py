@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .equations import Equation, Paren, degree
 from .errors import (
@@ -436,25 +436,33 @@ def outcome(eq: Equation, label: ProblemType | str) -> tuple[Fraction | None, st
     return None
 
 
-def walk(root: Node, mals: Sequence[Misconception]) -> ReductionTrace:
-    """The walk from ``root``: at each node the first rule of ``mals`` not yet
-    used that fires there, else the default correct edge, up to a terminal
-    state.  Raises ``NonterminationError`` past the step guard."""
+def steps(root: Node, mals: Sequence[Misconception]) -> Iterator[Node]:
+    """Each state of the walk from ``root`` after the root, in order: at each
+    node the first rule of ``mals`` not yet used that fires there, else the
+    default correct edge, up to a terminal state.  Raises
+    ``NonterminationError`` past the step guard.  A reader that stops early
+    expands no node past the last state it read."""
     todo = [RULE_EDGE[m.id] for m in mals]
-    node, steps = root, [root]
+    node = root
     for _ in range(_MAX_TRACE_STEPS):
-        for i, edge in enumerate(todo):
+        for edge in todo:
             if (kid := node.child(edge)) is not None:
-                del todo[i]
+                todo.remove(edge)
                 break
         else:
             kid = node.child(CORRECT_OUT[node.label][0])
         node = kid
-        steps.append(node)
-        end = outcome(node.equation, node.label)
-        if end is not None:
-            return ReductionTrace(tuple(steps), *end)
+        yield node
+        if node.label in (SOLVED, DEAD_END):  # outcome's terminal labels
+            return
     raise NonterminationError(f"trace exceeded {_MAX_TRACE_STEPS} steps: {root.equation}")
+
+
+def walk(root: Node, mals: Sequence[Misconception]) -> ReductionTrace:
+    """The walk from ``root`` (see ``steps``) as a trace."""
+    path = (root, *steps(root, mals))
+    last = path[-1]
+    return ReductionTrace(path, *outcome(last.equation, last.label))
 
 
 def reduce_with_misconceptions(

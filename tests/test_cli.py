@@ -344,15 +344,34 @@ def test_diagnose_type_mismatch_exit_2(capsys, tmp_path):
     path.write_text(json.dumps(row) + "\n")
     code, out, err = run(capsys, "diagnose", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: transcript claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
+    assert err == "error: transcript 0: transcript claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
     path.write_text(json.dumps({**row, "equation": "2x = 3(4x +"}) + "\n")
     code, out, err = run(capsys, "diagnose", str(path))
-    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert (code, out) == (1, "") and err.startswith("error: transcript 0: ")
     # a claim holding a line break is echoed escaped, on one line
     path.write_text(json.dumps({**row, "problem_type": "T2\nZ"}) + "\n")
     code, out, err = run(capsys, "diagnose", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: transcript claims T2\\nZ for a T9 equation: 2x = 3(4x + 5)\n"
+    assert err == "error: transcript 0: transcript claims T2\\nZ for a T9 equation: 2x = 3(4x + 5)\n"
+    path.write_text(json.dumps({**row, "problem_type": "T9", "model_steps": [lines[0], "x = = 1"]})
+                    + "\n")
+    code, out, err = run(capsys, "diagnose", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: transcript 0: expected a number, 'x' or '(', got '=' (at position 4)\n"
+
+
+def test_diagnose_error_names_its_transcript(capsys, tmp_path):
+    # the index is the output's "index": blank lines do not count
+    good = {"problem_type": "T1", "equation": "4x = 12", "model_answer": "3",
+            "model_steps": ["4x = 12", "x = 3"]}
+    zero = {**good, "equation": "0x = 12", "model_steps": ["0x = 12"]}
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps(good) + "\n\n" + json.dumps(zero) + "\n")
+    code, out, err = run(capsys, "diagnose", str(path))
+    assert (code, out, err) == (1, "", "error: transcript 1: zero coefficient on x: 0x = 12\n")
+    path.write_text(json.dumps({**good, "model_steps": None}) + "\n")
+    code, out, err = run(capsys, "diagnose", str(path))
+    assert (code, out, err) == (2, "", "error: transcript 0: diagnosis needs model_steps\n")
 
 
 def test_diagnose_matches_a_line_past_the_input_length_bound(capsys, tmp_path):

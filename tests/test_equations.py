@@ -19,6 +19,7 @@ from malgebra.equations import (
     closed_form_solution,
     evaluate_sides,
     parse_equation,
+    parse_number,
     render,
 )
 from malgebra.errors import (
@@ -59,6 +60,32 @@ def test_parse_nonlinear_rejected():
         parse_equation("x * x = 4")
     with pytest.raises(NonlinearEquationError):
         parse_equation("2x(3x + 1) = 4")
+    with pytest.raises(NonlinearEquationError):
+        parse_equation("1 = 2 * (3 + x) * x")  # the product in x is not the first
+    # a parse error wins over nonlinearity, wherever it comes
+    with pytest.raises(ParseError, match="end of input"):
+        parse_equation("x * x = 4 +")
+
+
+def test_parse_number_matches_fraction():
+    # the value is built from the match's digit runs, never by parsing the
+    # text again, and equals what Fraction reads from the same text
+    rng = random.Random(20)
+    run = lambda: "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 20)))  # noqa: E731
+    texts = ["0", "-0", "+7", "-15/4", "1.50", "-0.0", "+0.5", "007/004", "0/5",
+             "9" * 20, "-" + "9" * 20 + "/" + "9" * 20, "1." + "0" * 20, " \t12 \n"]
+    for _ in range(300):
+        den = "/" + str(rng.randint(1, 10 ** rng.randint(1, 20) - 1)) if rng.random() < 0.4 else ""
+        texts.append(rng.choice(["", "+", "-"]) + run() + (den or rng.choice(["", "." + run()])))
+    for text in texts:
+        got, want = parse_number(text), Fraction(text.strip())
+        assert type(got) is Fraction and got == want, text
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), text
+    for text in ("", " ", "+", "-", "1e3", "٣", "1_000", "1" * 21, "1/" + "1" * 21,
+                 "1." + "1" * 21, "1/0", "-1/00", ".5", "1.", "1/", "1/-2", "--1", "+-1",
+                 "1 /2", "1/2/3", "1.5.5", "1/2.5", "inf", "nan", "x = 1", "3x"):
+        with pytest.raises(ValueError):
+            parse_number(text)
 
 
 def test_parse_foreign_variable_rejected():

@@ -15,12 +15,16 @@ from malgebra.evaluation import (
     Diagnosis,
     Transcript,
     TranscriptError,
+    _agreed,
+    _prefix_len,
+    _printed_steps,
+    _typed_root,
     diagnose,
     grade,
     parse_answer,
     score,
 )
-from malgebra.misconceptions import CATALOG, reduce_with_misconceptions
+from malgebra.misconceptions import CATALOG, reduce_with_misconceptions, steps, walk
 from malgebra.reduction import reduce
 from malgebra.taxonomy import ORDERED_TYPES, ProblemType, classify, reachable
 
@@ -371,10 +375,37 @@ def test_diagnose_matches_exhaustive_search(monkeypatch):
     assert len(corpus) > 900
     walks = {}
     for transcript in corpus:
-        for cap in (5, 1000):
+        # diagnose prunes pairs hardest at cap 1; a Diagnosis compares whole,
+        # matched and trace_length included
+        for cap in (1, 2, 5, 1000):
             monkeypatch.setattr("malgebra.evaluation.MAX_CANDIDATES", cap)
             want = _outcome(_exhaustive_diagnose, transcript, walks, cap)
             assert _outcome(diagnose, transcript) == want, (transcript, cap)
+
+
+def test_agreed_reads_the_walk_as_far_as_the_steps_agree():
+    # on every single and pair with a trace, the count read from the walk's
+    # first states is the trace's matched prefix, and the states read one
+    # by one are the walk's
+    checked = 0
+    for transcript in _diagnose_corpus():
+        try:
+            root = _typed_root(transcript)
+            model = _printed_steps(transcript)
+        except EngineError:
+            continue
+        relevant = [m for m in CATALOG if m.applicable_types & reachable(root.label)]
+        for ms in [(m,) for m in relevant] + [(a, b) for a in relevant for b in relevant if a is not b]:
+            try:
+                trace = walk(root, ms)
+            except EngineError:
+                continue
+            if trace.misconceptions_used != tuple(m.id for m in ms):
+                continue
+            assert _agreed(root, ms, model) == _prefix_len(model, trace.equation_lines())
+            assert tuple(steps(root, ms)) == trace.steps[1:]
+            checked += 1
+    assert checked > 10000, checked
 
 
 def test_diagnose_step_guard_matches_exhaustive_search(monkeypatch):
