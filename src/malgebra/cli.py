@@ -47,6 +47,17 @@ def _threshold(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+def _cap(text: str) -> int:
+    """argparse type for ``--cap``: a whole number of misconception steps."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ``SchemaError``: one line, exit 2.  Subparsers are
     of this class too, ``add_subparsers``' default ``parser_class``."""
@@ -89,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="enumerate the full solution space of an instance")
     p.add_argument("equation")
     p.add_argument("--misconceptions", default="", help="comma-separated misconception ids")
-    p.add_argument("--cap", type=int, default=1, help="max misconception steps per path")
+    p.add_argument("--cap", type=_cap, default=1, help="max misconception steps per path")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(handler=_cmd_tree)
 
@@ -135,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _trace_lines(trace: ReductionTrace) -> list[str]:
     steps = trace.steps
-    return [f"{s.label} | {s.equation} | {nxt.via.rule_id}" for s, nxt in zip(steps, steps[1:])]
+    return [f"{s.label} | {s.line} | {nxt.via.rule_id}" for s, nxt in zip(steps, steps[1:])]
 
 
 def _print_trace_result(trace: ReductionTrace, show_trace: bool) -> None:
@@ -144,9 +155,9 @@ def _print_trace_result(trace: ReductionTrace, show_trace: bool) -> None:
             print(line)
     last = trace.steps[-1]
     if trace.dead_end is not None:
-        print(f"{last.equation}  [dead end: {trace.dead_end}]")
+        print(f"{last.line}  [dead end: {trace.dead_end}]")
     else:
-        print(str(last.equation))
+        print(last.line)
 
 
 def _cmd_classify(args) -> int:

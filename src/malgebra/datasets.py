@@ -23,7 +23,7 @@ from typing import Sequence
 from .equations import MAX_NUMERAL_DIGITS, Equation, closed_form_solution, parse_equation
 from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_input
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
-from .reduction import ReductionTrace, rebuild
+from .reduction import ReductionTrace, Side
 from .taxonomy import (
     CAtom,
     CORRECT_EDGES,
@@ -68,71 +68,68 @@ def _draw(t: ProblemType, rng: random.Random, lo: int, hi: int) -> dict[int, int
 
 
 def _build(t: ProblemType, rng: random.Random, lo: int, hi: int) -> Equation:
-    """One draw of type ``t`` as the equation ``sample_instance`` builds once
-    the pool accepts the draw."""
+    """One draw of type ``t`` as the equation of the root ``sample_instance``
+    builds once the pool accepts the draw."""
     _check_range(lo, hi)
-    return _equation(t, _draw(t, rng, lo, hi))
+    values = _draw(t, rng, lo, hi)
+    return _root(t, values, _line(t, values)).equation
 
 
-def _equation(t: ProblemType, values: dict[int, int]) -> Equation:
-    """Each side of ``t``'s pattern rebuilt with the drawn ``values``."""
+def _root(t: ProblemType, values: dict[int, int], line: str) -> Node:
+    """The walk state of a draw typed ``t``, printed as ``line``: each side of
+    ``t``'s pattern filled with the drawn ``values``, which is its view."""
     exact = {code: Fraction(v) for code, v in values.items()}
-    lhs, rhs = PATTERN_ATOMS[t]
-    return Equation(rebuild(_fill(lhs, exact)), rebuild(_fill(rhs, exact)))
+    sides = [(_fill(side, exact), text) for side, text in zip(PATTERN_ATOMS[t], line.split(" = "))]
+    return Node(None, t, sides=tuple(Side(atoms, view=atoms, text=text) for atoms, text in sides))
 
 
 def _fill(atoms: Sequence[SignedAtom], values: dict[int, Fraction]) -> list[SignedAtom]:
     """``atoms`` with each letter code ``c`` replaced by ``values[c.numerator]``
-    (an int key hashes much faster than a ``Fraction``); a later product or
-    group term links by minus when its leading factor is negative."""
+    (an int key hashes much faster than a ``Fraction``), as a view: every
+    pattern term joins by plus, so a later term links by minus exactly when
+    its value, or its product's or group's lead factor, is negative, and then
+    holds it negated."""
     out: list[SignedAtom] = []
     for i, (s, a) in enumerate(atoms):
-        if isinstance(a, XAtom):
-            a = XAtom(values[a.coef.numerator])
-        elif isinstance(a, CAtom):
-            a = CAtom(values[a.value.numerator])
+        k = type(a)
+        lead = values[(a.coef if k is XAtom else a.value if k is CAtom
+                       else a.factors[0] if k is ProdAtom else a.multiplier).numerator]
+        if i and lead.numerator < 0:  # an int compare: much faster than a Fraction's
+            s, lead = -s, -lead
+        if k is XAtom or k is CAtom:
+            a = k(lead)
+        elif k is ProdAtom:
+            a = ProdAtom((lead, *(values[c.numerator] for c in a.factors[1:])))
         else:
-            lead = values[(a.factors[0] if isinstance(a, ProdAtom) else a.multiplier).numerator]
-            if i and lead < 0:
-                s, lead = -s, -lead
-            if isinstance(a, ProdAtom):
-                a = ProdAtom((lead, *(values[c.numerator] for c in a.factors[1:])))
-            else:
-                a = GroupAtom(lead, tuple(_fill(a.inner, values)))
+            a = GroupAtom(lead, tuple(_fill(a.inner, values)))
         out.append((s, a))
     return out
 
 
 def _line(t: ProblemType, values: dict[int, int]) -> str:
-    """``str(_equation(t, values))``, printed straight from the pattern and
-    the drawn ints without building an equation."""
+    """The line of ``_root(t, values, ...)``, printed straight from the
+    pattern and the drawn ints before any ``Fraction`` or atom is made."""
     lhs, rhs = PATTERN_ATOMS[t]
     return f"{_chain(lhs, values)} = {_chain(rhs, values)}"
 
 
 def _chain(atoms: Sequence[SignedAtom], values: dict[int, int]) -> str:
-    """One side as ``rebuild`` folds it and ``render`` prints it.  Every
-    pattern term joins by plus, so a later term links by minus exactly when
-    its value, or its product's or group's leading factor, is negative; that
-    term then prints negated (``x`` for a coefficient of -1)."""
+    """One side as ``rebuilt_text`` prints its ``_fill``: a later term links by
+    minus exactly when its value or lead factor is negative, and then prints
+    negated (``x`` for a coefficient of -1)."""
     out = ""
     for i, (_, a) in enumerate(atoms):
-        if isinstance(a, XAtom):
-            v = values[a.coef.numerator]
-        elif isinstance(a, CAtom):
-            v = values[a.value.numerator]
-        elif isinstance(a, ProdAtom):
-            v = values[a.factors[0].numerator]
-        else:
-            v = values[a.multiplier.numerator]
+        k = type(a)
+        v = values[(a.coef if k is XAtom else a.value if k is CAtom
+                    else a.factors[0] if k is ProdAtom else a.multiplier).numerator]
         if i:
             out += " - " if v < 0 else " + "
             v = abs(v)
-        if isinstance(a, XAtom):
+        if k is XAtom:
             out += "x" if v == 1 else "-x" if v == -1 else f"{v}x"
-        elif isinstance(a, CAtom):
+        elif k is CAtom:
             out += str(v)
-        elif isinstance(a, ProdAtom):
+        elif k is ProdAtom:
             out += " * ".join([str(v), *(str(values[f.numerator]) for f in a.factors[1:])])
         else:
             out += f"{v}({_chain(a.inner, values)})"
@@ -146,19 +143,18 @@ def sample_instance(
     coeff_max: int = 9,
     accept=None,
     m: Misconception | str | None = None,
-) -> tuple[Equation, ReductionTrace]:
-    """Draw a non-degenerate instance of exactly type ``t`` with its correct
-    reduction trace or, given a misconception ``m``, with the trace firing it.
+) -> tuple[Node, ReductionTrace]:
+    """Draw a non-degenerate instance of exactly type ``t``: its root walk
+    state, which builds its ``equation`` only when read, with its correct
+    reduction trace or, given a misconception ``m``, the trace firing it.
 
     A draw's type is its pattern's, so its root is labelled ``t`` without
     classifying it.  The optional ``accept`` hook receives the draw's line as
-    printed (``str`` of its equation) and is asked before the equation is
-    built; an accepted draw must then solve by the correct walk, which fails
-    exactly on a zero slope.  With ``m``, the walk firing ``m`` starts from
-    the same root; it must use exactly ``m`` and end somewhere
-    distinguishable from the correct answer.  At most ``MAX_TRIES`` draws
-    are made.
-    """
+    printed and is asked before any atom is made; an accepted draw must then
+    solve by the correct walk, which fails exactly on a zero slope.  With
+    ``m``, the walk firing ``m`` starts from the same root; it must use
+    exactly ``m`` and end somewhere distinguishable from the correct answer.
+    At most ``MAX_TRIES`` draws are made."""
     mals = () if m is None else (get_misconception(m),)
     _check_range(coeff_min, coeff_max)
     for _ in range(MAX_TRIES):
@@ -167,7 +163,7 @@ def sample_instance(
         try:
             if accept is not None and not accept(line):
                 continue
-            root = Node(_equation(t, values), t, line=line)
+            root = _root(t, values, line)
             trace = correct = walk(root, ())
             if mals:
                 trace = walk(root, mals)
@@ -175,7 +171,7 @@ def sample_instance(
             continue
         if not mals or (trace.misconceptions_used == (mals[0].id,)
                         and (trace.dead_end is not None or trace.answer != correct.answer)):
-            return root.equation, trace
+            return root, trace
     what = f"acceptable {t}" if m is None else f"conforming ({m}, {t})"
     raise SamplingExhaustedError(
         f"no {what} instance in [{coeff_min}, {coeff_max}] after {MAX_TRIES} draws"
@@ -194,8 +190,8 @@ class InstanceSampler:
         return random.Random(f"{self.seed}:{key}")
 
     def sample(self, t: ProblemType, key: str) -> Equation:
-        eq, _ = sample_instance(t, self.rng_for(key), self.coeff_min, self.coeff_max)
-        return eq
+        root, _ = sample_instance(t, self.rng_for(key), self.coeff_min, self.coeff_max)
+        return root.equation
 
 
 def sample_for_misconception(
@@ -209,9 +205,9 @@ def sample_for_misconception(
     """``sample_instance`` of ``t`` firing ``m``, drawn again until the
     optional ``accept(eq, trace)`` hook takes the instance and its trace."""
     for _ in range(MAX_TRIES):
-        eq, trace = sample_instance(t, rng, coeff_min, coeff_max, m=m)
-        if accept is None or accept(eq, trace):
-            return eq, trace
+        root, trace = sample_instance(t, rng, coeff_min, coeff_max, m=m)
+        if accept is None or accept(root.equation, trace):
+            return root.equation, trace
     raise SamplingExhaustedError(
         f"no ({m}, {t}) instance the hook accepts after {MAX_TRIES} attempts"
     )

@@ -12,6 +12,7 @@ at the terminal solve step rather than at a reduction node.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -27,15 +28,18 @@ from .errors import (
 )
 from .reduction import (
     EdgeRef,
+    Emitted,
     ReductionTrace,
+    Sides,
+    after,
     apply_step,
     at_first,
     rebuild,
     signed_sum,
+    sides_of,
     solve_t1,
-    solved_equation,
+    solved,
     t1_parts,
-    with_side,
 )
 from .taxonomy import (
     CAtom,
@@ -50,25 +54,25 @@ from .taxonomy import (
     XAtom,
     classify,
     correct_successors,
-    view_atoms,
 )
 
 T = ProblemType
+Views = Sequence[SignedAtom]
 
 
 @dataclass(frozen=True)
 class Misconception:
     """One catalog row: the rule's id, expression, applicable types and
-    description, with its body.  A rewrite rule sets ``rewrite``, which edits
-    an instance of one of its types or returns None where the instance has
-    no site; a solve-step rule sets ``solve``, x's value from the (A, B) of
-    ``Ax = B``, or None where the rule does not fire."""
+    description, with its body.  A rewrite rule sets ``rewrite``, which maps
+    an instance's views to what it emits, or None where it has no site; a
+    solve-step rule sets ``solve``, x's value from the (A, B) of ``Ax = B``,
+    or None where the rule does not fire."""
 
     id: str
     expression: str
     applicable_types: frozenset[ProblemType]
     description: str
-    rewrite: Callable[[Equation, ProblemType], Equation | None] | None = field(
+    rewrite: Callable[[Views, Views, ProblemType], Emitted | None] | None = field(
         default=None, compare=False, repr=False)
     solve: Callable[[Fraction, Fraction], Fraction | None] | None = field(
         default=None, compare=False, repr=False)
@@ -86,10 +90,9 @@ _ALL_TYPES = frozenset(ORDERED_TYPES)
 
 
 # ---------------------------------------------------------------------------
-# Rewrites.  Each returns the transformed equation, or None when the rule's
-# pattern has no site on this instance.  Group and product sites are the
-# first such atom on the right side (``at_first``); edits may fold a sign
-# into an x or constant value, which ``rebuild`` renders the same way.
+# Rewrites.  Each maps an instance's views to what it emits, or None where the
+# pattern has no site.  Group and product sites are the first such atom on the
+# right side (``at_first``); an edit may fold a sign into an x or constant.
 # ---------------------------------------------------------------------------
 
 
@@ -101,7 +104,7 @@ def _xc(atoms: Sequence[SignedAtom]) -> tuple[Fraction, Fraction] | None:
     return signed_sum(atoms, XAtom)[0], signed_sum(atoms, CAtom)[0]
 
 
-def _at_group(eq: Equation, edit: Callable[..., list[SignedAtom] | None]) -> Equation | None:
+def _at_group(rhs: Views, edit: Callable[..., list[SignedAtom] | None]) -> Emitted | None:
     """Edit the first parenthesized group on the right side whose interior is
     ``Bx +/- C``; ``edit(s, g, x, c)`` gets the interior's additive values."""
 
@@ -109,10 +112,10 @@ def _at_group(eq: Equation, edit: Callable[..., list[SignedAtom] | None]) -> Equ
         xc = _xc(g.inner)
         return None if xc is None else edit(s, g, *xc)
 
-    return at_first(eq, GroupAtom, site)
+    return at_first(rhs, GroupAtom, site)
 
 
-def _rw_m1(eq: Equation, t: ProblemType) -> Equation | None:
+def _rw_m1(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     def split(s: int, a: GroupAtom | ProdAtom) -> list[SignedAtom]:
         if isinstance(a, GroupAtom):
             head, part = a.multiplier, a.inner
@@ -120,17 +123,16 @@ def _rw_m1(eq: Equation, t: ProblemType) -> Equation | None:
             head, part = a.factors[0], ((1, ProdAtom(a.factors[1:])),)
         return [(s, CAtom(head)), (1, OpaqueAtom(Paren(rebuild(part))))]
 
-    return at_first(eq, GroupAtom, split) or at_first(eq, ProdAtom, split)
+    return at_first(rhs, GroupAtom, split) or at_first(rhs, ProdAtom, split)
 
 
-def _rw_m2(eq: Equation, t: ProblemType) -> Equation | None:
-    return _at_group(eq, lambda s, g, x, c: [(1, XAtom(s * g.multiplier * x)), (1, CAtom(c))])
+def _rw_m2(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+    return _at_group(rhs, lambda s, g, x, c: [(1, XAtom(s * g.multiplier * x)), (1, CAtom(c))])
 
 
-def _rw_m3(eq: Equation, t: ProblemType) -> Equation | None:
-    atoms = view_atoms(eq.rhs)
-    for i in range(len(atoms) - 1):
-        (s1, a1), (s2, a2) = atoms[i : i + 2]
+def _rw_m3(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+    for i in range(len(rhs) - 1):
+        (s1, a1), (s2, a2) = rhs[i : i + 2]
         if not isinstance(a1, CAtom):
             continue
         if isinstance(a2, GroupAtom):
@@ -139,11 +141,11 @@ def _rw_m3(eq: Equation, t: ProblemType) -> Equation | None:
             merged = ProdAtom((s1 * a1.value + s2 * a2.factors[0],) + a2.factors[1:])
         else:
             continue
-        return with_side(eq, "rhs", atoms[:i] + [(1, merged)] + atoms[i + 2 :])
+        return None, [*rhs[:i], (1, merged), *rhs[i + 2 :]]
     return None
 
 
-def _rw_m4(eq: Equation, t: ProblemType) -> Equation | None:
+def _rw_m4(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     def interleave(s: int, g: GroupAtom) -> list[SignedAtom] | None:
         if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
             return None
@@ -152,18 +154,18 @@ def _rw_m4(eq: Equation, t: ProblemType) -> Equation | None:
         factors = tuple(v for f in (s1 * head, *rest) for v in (g.multiplier, f))
         return [(s, ProdAtom(factors))]
 
-    return at_first(eq, GroupAtom, interleave)
+    return at_first(rhs, GroupAtom, interleave)
 
 
-def _rw_m5(eq: Equation, t: ProblemType) -> Equation | None:
+def _rw_m5(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     def over(s, g, x, c):
         m = s * g.multiplier
         return [(s, GroupAtom(g.multiplier, ((1, XAtom(m * x)), (1, CAtom(m * c)))))]
 
-    return _at_group(eq, over)
+    return _at_group(rhs, over)
 
 
-def _rw_m6(eq: Equation, t: ProblemType) -> Equation | None:
+def _rw_m6(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     # distributes into the x-term correctly but never flips the second sign;
     # the inner subtraction is the view's sign, not the constant's value
     def no_flip(s, g, x, c):
@@ -172,49 +174,42 @@ def _rw_m6(eq: Equation, t: ProblemType) -> Equation | None:
             return None
         return [(1, XAtom(m * x)), (1, CAtom(-m * c))]
 
-    return _at_group(eq, no_flip)
+    return _at_group(rhs, no_flip)
 
 
-def _rw_m8(eq: Equation, t: ProblemType) -> Equation | None:
-    return _at_group(eq, lambda s, g, x, c: [(1, XAtom(s * x)), (1, CAtom(s * g.multiplier * c))])
+def _rw_m8(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+    return _at_group(rhs, lambda s, g, x, c: [(1, XAtom(s * x)), (1, CAtom(s * g.multiplier * c))])
 
 
-def _rw_m11(eq: Equation, t: ProblemType) -> Equation | None:
-    left = _xc(view_atoms(eq.lhs))
-    right = _xc(view_atoms(eq.rhs))
+def _rw_m11(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+    left, right = _xc(lhs), _xc(rhs)
     if left is None or right is None:
         return None
     (a, b), (c, d) = left, right
-    return Equation(
-        rebuild([(1, XAtom(a)), (1, XAtom(c))]), rebuild([(1, CAtom(b)), (1, CAtom(d))])
-    )
+    return [(1, XAtom(a)), (1, XAtom(c))], [(1, CAtom(b)), (1, CAtom(d))]
 
 
-def _rw_factor(eq: Equation, t: ProblemType, atom: type[XAtom | CAtom]) -> Equation | None:
+def _rw_factor(lhs: Views, rhs: Views, t: ProblemType,
+               atom: type[XAtom | CAtom]) -> Emitted | None:
     """M12/M13: fold ``Ax +/- B`` into one ``atom`` of value ``A +/- B``: the
     whole side on T5-T7, the parenthesized interior on T9/T12."""
     if t in (T.T5, T.T6, T.T7):
-        side = "rhs" if t is T.T7 else "lhs"
-        xc = _xc(view_atoms(getattr(eq, side)))
-        return None if xc is None else with_side(eq, side, [(1, atom(xc[0] + xc[1]))])
-    return _at_group(eq, lambda s, g, x, c: [(s, GroupAtom(g.multiplier, ((1, atom(x + c)),)))])
+        xc = _xc(rhs if t is T.T7 else lhs)
+        new = None if xc is None else [(1, atom(xc[0] + xc[1]))]
+        return None if new is None else (None, new) if t is T.T7 else (new, None)
+    return _at_group(rhs, lambda s, g, x, c: [(s, GroupAtom(g.multiplier, ((1, atom(x + c)),)))])
 
 
-def _rw_op(
-    eq: Equation,
-    t: ProblemType,
-    want: int,
-    edit: Callable[[SignedAtom, SignedAtom], list[SignedAtom]],
-) -> Equation | None:
+def _rw_op(lhs: Views, rhs: Views, t: ProblemType, want: int,
+           edit: Callable[[SignedAtom, SignedAtom], list[SignedAtom]]) -> Emitted | None:
     """M14/M15/M17/M18: ``edit`` the first adjacent pair whose second term has
     sign ``want`` in the additive chain of the combine site: the constant
     sum on T2's right side, the x-term sum on T4's left side."""
-    side = "lhs" if t is T.T4 else "rhs"
-    atoms = view_atoms(getattr(eq, side))
+    atoms = lhs if t is T.T4 else rhs
     for i in range(1, len(atoms)):
         if atoms[i][0] == want:
-            new = atoms[: i - 1] + edit(atoms[i - 1], atoms[i]) + atoms[i + 1 :]
-            return with_side(eq, side, new)
+            new = [*atoms[: i - 1], *edit(atoms[i - 1], atoms[i]), *atoms[i + 1 :]]
+            return (new, None) if t is T.T4 else (None, new)
     return None
 
 
@@ -226,11 +221,11 @@ def _swap(prev: SignedAtom, cur: SignedAtom) -> list[SignedAtom]:
     return [(prev[0], cur[1]), (-1, prev[1])]
 
 
-def _rw_m16(eq: Equation, t: ProblemType) -> Equation | None:
+def _rw_m16(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     def spread(s: int, p: ProdAtom) -> list[SignedAtom]:
         return [(s, CAtom(p.factors[0]))] + [(1, CAtom(f)) for f in p.factors[1:]]
 
-    return at_first(eq, ProdAtom, spread)
+    return at_first(rhs, ProdAtom, spread)
 
 
 def _types(*names: str) -> frozenset[ProblemType]:
@@ -305,33 +300,33 @@ def resolve_set(ms: Sequence["Misconception | str"]) -> list[Misconception]:
     return out
 
 
-def try_apply(
-    m: Misconception, eq: Equation, t: ProblemType
-) -> tuple[Equation, ProblemType | str] | None:
-    """Fire ``m`` on an instance of type ``t`` if it matches; None otherwise.
+def try_apply(m: Misconception, node: "Node") -> "Node | None":
+    """The state ``m`` leads to from ``node``, or None where it does not fire.
 
     Applicability is type-level (the catalog's set) plus instance-level: a
     rule whose pattern needs a particular operator or sign only fires when
     the site is actually present (e.g. M6 needs a negative multiplier over an
-    inner subtraction, M22_S1 needs a nonzero right side).
-    """
+    inner subtraction, M22_S1 needs a nonzero right side).  ``classify``
+    types a rewrite's result from its equation."""
+    t = node.label
     if t not in m.applicable_types:
         return None
+    via = RULE_EDGE[m.id]
+    lhs, rhs = node.sides
     if m.solve is not None:
-        x = m.solve(*t1_parts(eq)) if t is T.T1 else None
-        return None if x is None else (solved_equation(x), SOLVED)
-    result = m.rewrite(eq, t)
-    if result is None:
+        x = m.solve(*t1_parts(lhs.view, rhs.view)) if t is T.T1 else None
+        return None if x is None else Node(None, SOLVED, via, solved(x))
+    if (new := m.rewrite(lhs.view, rhs.view, t)) is None:
         return None
-    if not (degree(result.lhs) or degree(result.rhs)):
-        return result, DEAD_END
-    try:
-        label = classify(result)
-    except UnclassifiableFormError as exc:
-        raise UnclassifiableResultError(
-            f"{m.id} on {eq} produced an unclassifiable form: {result}"
-        ) from exc
-    return result, label
+    kid = Node(None, DEAD_END, via, after(node.sides, new))
+    result = kid.equation
+    if degree(result.lhs) or degree(result.rhs):
+        try:
+            kid.label = classify(result)
+        except UnclassifiableFormError as exc:
+            raise UnclassifiableResultError(f"{m.id} on {node.line} produced an "
+                                            f"unclassifiable form: {kid.line}") from exc
+    return kid
 
 
 def apply_misconception(
@@ -342,12 +337,10 @@ def apply_misconception(
     t = classify(eq)
     if t not in m.applicable_types:
         raise MisconceptionNotApplicableError(f"{m.id} is not applicable to {t}")
-    result = try_apply(m, eq, t)
-    if result is None:
-        raise MisconceptionNotApplicableError(
-            f"{m.id} has no matching site on this {t} instance: {eq}"
-        )
-    return result
+    if (kid := try_apply(m, Node(eq, t))) is None:
+        raise MisconceptionNotApplicableError(f"{m.id} has no matching site on this {t} "
+                                              f"instance: {eq}")
+    return kid.equation, kid.label
 
 
 _MAX_TRACE_STEPS = 12
@@ -362,76 +355,86 @@ RULE_EDGE = {m.id: EdgeRef("misconception", m.id) for m in CATALOG}
 
 
 class Node:
-    """A walk state: its equation, its label and the edge that reached it
-    (None at a root).
+    """A walk state: its two sides (``reduction.Side``), its label and the
+    edge that reached it (None at a root).  A root keeps the equation it was
+    given; any other state builds its ``equation`` from its sides only when
+    asked, and its ``line`` joins their texts.
 
     ``child`` runs each edge out of a node at most once and keeps what it
-    gave, an engine error included, so walks from one root share every
-    state and every rule attempt they have in common.  A node keeps no link
-    to its parent: with the kept children that would make every walk a
-    reference cycle, freed only by the garbage collector.  A node is a step
-    of a ``ReductionTrace`` and compares as one: by equation, label and edge.
-    """
+    gave, an engine error included, so walks from one root share every state
+    and every rule attempt they have in common.  A node keeps no link to its
+    parent: with the kept children that would make every walk a reference
+    cycle.  A node is a step of a ``ReductionTrace`` and compares as one: by
+    line, label and edge."""
 
-    __slots__ = ("equation", "label", "via", "_kids", "_line")
+    __slots__ = ("sides", "label", "via", "_kids", "_equation", "_line")
 
-    def __init__(self, equation: Equation, label: ProblemType | str,
-                 via: EdgeRef | None = None, line: str | None = None) -> None:
-        self.equation = equation
-        self.label = label
-        self.via = via
+    def __init__(self, equation: Equation | None, label: ProblemType | str,
+                 via: EdgeRef | None = None, sides: Sides | None = None) -> None:
+        self.sides = sides or sides_of(equation)
+        self.label, self.via, self._equation, self._line = label, via, equation, None
         self._kids: dict[str, Node | EngineError | None] = {}
-        self._line = line  # str(equation), when the caller already has it
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
             return NotImplemented
-        return (self.equation, self.label, self.via) == (other.equation, other.label, other.via)
+        return (self.line, self.label, self.via) == (other.line, other.label, other.via)
 
     def __hash__(self) -> int:
-        return hash((self.equation, self.label, self.via))
+        return hash((self.line, self.label, self.via))
 
     def __repr__(self) -> str:
         return f"Node({self.line!r}, {self.label}, via={self.via})"
 
     @property
+    def equation(self) -> Equation:
+        """The state as an equation, built at most once."""
+        if self._equation is None:
+            lhs, rhs = self.sides
+            self._equation = Equation(lhs.expr, rhs.expr)
+        return self._equation
+
+    @property
     def line(self) -> str:
-        """The equation as printed, rendered at most once."""
+        """The equation as printed, joined at most once."""
         if self._line is None:
-            self._line = str(self.equation)
+            lhs, rhs = self.sides
+            self._line = f"{lhs.text} = {rhs.text}"
         return self._line
 
     def child(self, edge: EdgeRef) -> "Node | None":
         """The node ``edge`` leads to: a correct or solve edge's target, or a
         misconception's result, None where the rule does not fire.  Solving
         ``0x = B`` raises ``ZeroCoefficientError``; a later call for the same
-        edge gives back the same node, or raises the same error."""
+        edge gives back the same node, or raises a copy of the same error."""
         key, kids = edge.rule_id, self._kids
         if key in kids:
             kid = kids[key]
             if isinstance(kid, EngineError):
-                raise kid.with_traceback(None)
+                raise copy.copy(kid)
             return kid
-        eq, t = self.equation, self.label
         try:
             if edge.kind == "correct":
-                res = apply_step(eq, t, key)
+                sides, label = apply_step(self.sides, self.label, key)
+                kid = Node(None, label, edge, sides)
             elif edge.kind == "solve":
-                res = solved_equation(solve_t1(eq)), SOLVED
+                kid = Node(None, SOLVED, edge, solved(solve_t1(self.sides)))
             else:
-                res = try_apply(_BY_ID[key], eq, t)
+                kid = try_apply(_BY_ID[key], self)
         except EngineError as exc:
-            kids[key] = exc
+            # a raised error's traceback reaches this node through its frames;
+            # keeping the error itself would make the walk a reference cycle
+            kids[key] = copy.copy(exc)
             raise
-        kid = kids[key] = None if res is None else Node(res[0], res[1], edge)
+        kids[key] = kid
         return kid
 
 
-def outcome(eq: Equation, label: ProblemType | str) -> tuple[Fraction | None, str | None] | None:
+def outcome(node: Node) -> tuple[Fraction | None, str | None] | None:
     """(answer, dead-end reason) of a terminal state; None at a type."""
-    if label == SOLVED:
-        return eq.rhs.value, None  # type: ignore[union-attr]
-    if label == DEAD_END:
+    if node.label == SOLVED:
+        return node.sides[1].atoms[0][1].value, None  # the c of x = c
+    if node.label == DEAD_END:
         return None, "variable eliminated"
     return None
 
@@ -455,14 +458,13 @@ def steps(root: Node, mals: Sequence[Misconception]) -> Iterator[Node]:
         yield node
         if node.label in (SOLVED, DEAD_END):  # outcome's terminal labels
             return
-    raise NonterminationError(f"trace exceeded {_MAX_TRACE_STEPS} steps: {root.equation}")
+    raise NonterminationError(f"trace exceeded {_MAX_TRACE_STEPS} steps: {root.line}")
 
 
 def walk(root: Node, mals: Sequence[Misconception]) -> ReductionTrace:
     """The walk from ``root`` (see ``steps``) as a trace."""
     path = (root, *steps(root, mals))
-    last = path[-1]
-    return ReductionTrace(path, *outcome(last.equation, last.label))
+    return ReductionTrace(path, *outcome(path[-1]))
 
 
 def reduce_with_misconceptions(

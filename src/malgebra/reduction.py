@@ -14,19 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Literal, Sequence
 
-from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm
+from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm, render
 from .errors import RuleNotApplicableError, ZeroCoefficientError
 from .taxonomy import (
     CAtom,
     CORRECT_EDGES,
     DEAD_END,
     GroupAtom,
+    OpaqueAtom,
     ProblemType,
     ProdAtom,
     SOLVED,
     SignedAtom,
     XAtom,
     classify,
+    group_view,
     view_atoms,
 )
 
@@ -45,7 +47,7 @@ class EdgeRef:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    steps: tuple[Node, ...]  # each has .equation, .label and .via (None first)
+    steps: tuple[Node, ...]  # each has .line, .label and .via (None first)
     answer: Fraction | None
     dead_end: str | None = None
 
@@ -65,81 +67,117 @@ class ReductionTrace:
 
 
 # ---------------------------------------------------------------------------
-# Site helpers shared by the correct rules and the misconception rewrites
+# One side's atoms as an expression, as a view and as text; site helpers
 # ---------------------------------------------------------------------------
 
 
-def rebuild(atoms: Sequence[SignedAtom]) -> Expr:
-    """The left-associated +/- chain for ``atoms``; every Expr chain the
-    engine builds comes from here.
-
-    X and C atoms render from their signed value, so ``(-1, CAtom(v))`` and
-    ``(1, CAtom(-v))`` give the same node.  A later x or constant term joins
-    by ``+`` or ``-`` with its value's sign folded in, so it never renders as
-    ``a + -b``; a later product or group joins by its own sign and keeps its
-    lead factor as written (``1 - -3 * 4``).  A leading minus folds into the
-    first term: into its value, into a constant left factor, or else into a
-    ``Neg`` around it.
-    """
-    if not atoms:
-        raise ValueError("empty chain")
-    out: Expr | None = None
-    for sign, atom in atoms:
-        if isinstance(atom, (XAtom, CAtom)):
-            is_x = isinstance(atom, XAtom)
-            value = atom.coef if is_x else atom.value
-            if sign < 0:
-                value = -value
-            sign = 1
-            if out is not None and value < 0:
-                sign, value = -1, -value
-            node: Expr = XTerm(value) if is_x else Const(value)
-        elif isinstance(atom, ProdAtom):
-            node = Const(atom.factors[0])
-            for f in atom.factors[1:]:
-                node = Mul(node, Const(f))
-        elif isinstance(atom, GroupAtom):
-            node = Mul(Const(atom.multiplier), Paren(rebuild(atom.inner)))
+def _joined(atoms: Sequence[SignedAtom]) -> list[SignedAtom]:
+    """Each term of the chain ``atoms`` as (the sign it joins by, the atom it
+    prints): the one place that folds signs.  A later x or constant term joins
+    by the sign of its signed value and holds its size (never ``a + -b``), the
+    first holds its signed value; a later product or group keeps its sign and
+    lead factor (``1 - -3 * 4``); a leading minus folds into a group's or a
+    two-factor product's lead factor.  Any other term passes as it is, the
+    same tuple."""
+    out: list[SignedAtom] = []
+    for i, term in enumerate(atoms):
+        s, a = term
+        k = type(a)
+        if k is XAtom or k is CAtom:
+            v = a.coef if k is XAtom else a.value
+            if i and v.numerator < 0:  # an int compare: much faster than a Fraction's
+                out.append((-s, k(-v)))
+            elif not i and s < 0:
+                out.append((1, k(-v)))
+            else:
+                out.append(term if s > 0 or v else (1, a))  # minus zero joins by plus
+        elif i or s > 0 or k is OpaqueAtom or k is ProdAtom and len(a.factors) > 2:
+            out.append(term)
+        elif k is ProdAtom:
+            out.append((1, ProdAtom((-a.factors[0], *a.factors[1:]))))
         else:
-            node = atom.node
-        if out is not None:
-            out = Add(out, node) if sign > 0 else Sub(out, node)
-        elif sign > 0:
-            out = node
-        elif isinstance(node, Mul) and isinstance(node.left, Const):
-            out = Mul(Const(-node.left.value), node.right)
-        else:
-            out = Neg(node)
+            out.append((1, GroupAtom(-a.multiplier, a.inner)))
     return out
 
 
-def with_side(eq: Equation, side: str, atoms: Sequence[SignedAtom]) -> Equation:
-    """``eq`` with its ``side`` ("lhs" or "rhs") rebuilt from ``atoms``."""
-    if side == "lhs":
-        return Equation(rebuild(atoms), eq.rhs)
-    return Equation(eq.lhs, rebuild(atoms))
+def rebuild(atoms: Sequence[SignedAtom]) -> Expr:
+    """The left-associated +/- chain of ``_joined(atoms)``, a minus it leaves
+    on the first term as a ``Neg``; every Expr chain the engine builds comes
+    from here."""
+    if not atoms:
+        raise ValueError("empty chain")
+    out: Expr | None = None
+    for s, a in _joined(atoms):
+        k = type(a)
+        if k is XAtom or k is CAtom:
+            node: Expr = XTerm(a.coef) if k is XAtom else Const(a.value)
+        elif k is ProdAtom:
+            node = Const(a.factors[0])
+            for f in a.factors[1:]:
+                node = Mul(node, Const(f))
+        elif k is GroupAtom:
+            node = Mul(Const(a.multiplier), Paren(rebuild(a.inner)))
+        else:
+            node = a.node
+        if out is not None:
+            out = Add(out, node) if s > 0 else Sub(out, node)
+        else:
+            out = node if s > 0 else Neg(node)
+    return out
 
 
-def first(atoms: Sequence[SignedAtom], kind: type) -> tuple[int, int, Any] | None:
-    """(index, sign, atom) of the first atom of ``kind``, or None."""
+def rebuilt_view(atoms: Sequence[SignedAtom]) -> list[SignedAtom]:
+    """``view_atoms(rebuild(atoms))``, read off the atoms."""
+    out: list[SignedAtom] = []
+    for term in _joined(atoms):
+        s, a = term
+        if type(a) is OpaqueAtom:
+            out += [(s * s1, b) for s1, b in view_atoms(a.node)]
+        else:
+            out.append((s, group_view(a.multiplier, rebuilt_view(a.inner)))
+                       if type(a) is GroupAtom else term)
+    return out
+
+
+def rebuilt_text(atoms: Sequence[SignedAtom]) -> str:
+    """``render(rebuild(atoms))``, printed straight from the atoms with each
+    term signed as ``_joined`` signs it, an x or constant by its digits."""
+    out = []
     for i, (s, a) in enumerate(atoms):
-        if isinstance(a, kind):
-            return i, s, a
-    return None
+        k = type(a)
+        if k is XAtom or k is CAtom:
+            text = str(a.coef if k is XAtom else a.value)
+            neg = (text[0] == "-") != (s < 0 and text != "0")  # the sign of s * value
+            text = text.lstrip("-")
+            if k is XAtom:
+                text = "x" if text == "1" else text + "x"
+            out.append(((" - " if neg else " + ") if i else "-" if neg else "") + text)
+            continue
+        if i:
+            out.append(" + " if s > 0 else " - ")
+        elif s < 0:
+            (s, a), = _joined([(s, a)])
+            if s < 0:
+                out.append("-")  # the Neg around a term _joined leaves
+        if k is ProdAtom:
+            out.append(" * ".join(map(str, a.factors)))
+        elif k is GroupAtom:
+            out.append(f"{a.multiplier}({rebuilt_text(a.inner)})")
+        else:
+            out.append(render(a.node))
+    return "".join(out)
 
 
 def at_first(
-    eq: Equation, kind: type, edit: Callable[[int, Any], list[SignedAtom] | None]
-) -> Equation | None:
-    """Replace the first ``kind`` atom on the right side by ``edit(sign, atom)``;
-    None when there is no such atom or ``edit`` returns None."""
-    atoms = view_atoms(eq.rhs)
-    found = first(atoms, kind)
-    if found is None:
-        return None
-    i, s, a = found
-    new = edit(s, a)
-    return None if new is None else with_side(eq, "rhs", atoms[:i] + new + atoms[i + 1 :])
+    rhs: Sequence[SignedAtom], kind: type, edit: Callable[[int, Any], list[SignedAtom] | None]
+) -> Emitted | None:
+    """The step that puts ``edit(sign, atom)`` for the first ``kind`` atom of
+    the right side; None where there is no such atom or ``edit`` gives None."""
+    for i, (s, a) in enumerate(rhs):
+        if isinstance(a, kind):
+            new = edit(s, a)
+            return None if new is None else (None, [*rhs[:i], *new, *rhs[i + 1 :]])
+    return None
 
 
 _ZERO = Fraction(0)
@@ -149,49 +187,94 @@ def signed_sum(
     atoms: Sequence[SignedAtom], kind: type[XAtom | CAtom]
 ) -> tuple[Fraction, int, list[SignedAtom]]:
     """(total, count, rest): the signed total of the ``kind`` atoms (x
-    coefficients or constants), how many there are, and the other atoms."""
-    total = _ZERO
-    count = 0
-    rest: list[SignedAtom] = []
+    coefficients or constants), how many there are, and the other atoms.
+    The total is a ``Fraction`` even where the atoms hold ints."""
+    total, count, rest = _ZERO, 0, []
     for s, a in atoms:
         if isinstance(a, kind):
             v = a.coef if kind is XAtom else a.value
-            total = total + v if s > 0 else total - v  # every view sign is 1 or -1
+            if count:
+                total = total + v if s > 0 else total - v  # every view sign is 1 or -1
+            else:
+                total = v if s > 0 else -v
             count += 1
         else:
             rest.append((s, a))
-    return total, count, rest
+    return (total if type(total) is Fraction else Fraction(total)), count, rest
 
 
 def _plus_const(rest: list[SignedAtom], total: Fraction) -> list[SignedAtom]:
-    """``rest`` followed by the constant ``total``, which is dropped when it is
-    zero and other terms remain."""
+    """``rest`` then the constant ``total``, dropped where zero beside others."""
     return rest if rest and total == 0 else rest + [(1, CAtom(total))]
 
 
+class Side:
+    """One side of a walk state, each form computed at most once: ``view``,
+    the normalized atoms the rules read, ``text``, as printed, and ``expr``.
+    A side a step built holds the atoms it emitted (``expr`` is their
+    ``rebuild``) and reads view and text off them; a parsed side holds its
+    expression.  A step shares every side it leaves alone."""
+
+    __slots__ = ("atoms", "_view", "_text", "_expr")
+
+    def __init__(self, atoms: list[SignedAtom] | None = None, expr: Expr | None = None,
+                 view: list[SignedAtom] | None = None, text: str | None = None) -> None:
+        self.atoms, self._expr, self._view, self._text = atoms, expr, view, text
+
+    @property
+    def view(self) -> list[SignedAtom]:
+        if self._view is None:
+            self._view = view_atoms(self._expr) if self.atoms is None else rebuilt_view(self.atoms)
+        return self._view
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = render(self._expr) if self.atoms is None else rebuilt_text(self.atoms)
+        return self._text
+
+    @property
+    def expr(self) -> Expr:
+        if self._expr is None:
+            self._expr = rebuild(self.atoms)
+        return self._expr
+
+
+Sides = tuple[Side, Side]
+# what a step emits: the atoms of each side it rewrites, None for a side it keeps
+Emitted = tuple[list[SignedAtom] | None, list[SignedAtom] | None]
+
+
+def sides_of(eq: Equation) -> Sides:
+    return Side(expr=eq.lhs), Side(expr=eq.rhs)
+
+
+def after(sides: Sides, new: Emitted) -> Sides:
+    """``sides`` after a step that emitted ``new``."""
+    lhs, rhs = new
+    return sides[0] if lhs is None else Side(lhs), sides[1] if rhs is None else Side(rhs)
+
+
 # ---------------------------------------------------------------------------
-# Rule bodies (generic over source shape; each is one algebraic operation)
+# Rule bodies: each is one algebraic operation, generic over source shape,
+# and maps an instance's views to what it emits, or None where it has no site
 # ---------------------------------------------------------------------------
 
 
-def _fold_sum(eq: Equation) -> Equation:
+def _fold_sum(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
     """Combine all top-level constant terms of the RHS into one."""
-    total, count, rest = signed_sum(view_atoms(eq.rhs), CAtom)
-    if count < 2:
-        raise RuleNotApplicableError(f"no constant sum to fold on: {eq}")
-    return with_side(eq, "rhs", _plus_const(rest, total))
+    total, count, rest = signed_sum(rhs, CAtom)
+    return None if count < 2 else (None, _plus_const(rest, total))
 
 
-def _fold_product(eq: Equation) -> Equation:
+def _fold_product(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
     """Fold each explicit constant product on the RHS into a constant."""
-    atoms = view_atoms(eq.rhs)
-    if first(atoms, ProdAtom) is None:
-        raise RuleNotApplicableError(f"no constant product to fold on: {eq}")
-    folded = [(s, CAtom(a.product) if isinstance(a, ProdAtom) else a) for s, a in atoms]
-    return with_side(eq, "rhs", folded)
+    if not any(isinstance(a, ProdAtom) for _, a in rhs):
+        return None
+    return None, [(s, CAtom(a.product) if isinstance(a, ProdAtom) else a) for s, a in rhs]
 
 
-def _fold_inner_product(eq: Equation) -> Equation:
+def _fold_inner_product(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
     """T8: fold the product inside the parentheses, keeping the multiplier."""
 
     def fold(s: int, g: GroupAtom) -> list[SignedAtom] | None:
@@ -200,61 +283,51 @@ def _fold_inner_product(eq: Equation) -> Equation:
         s1, prod = g.inner[0]
         return [(s, ProdAtom((g.multiplier, s1 * prod.product)))]
 
-    new = at_first(eq, GroupAtom, fold)
-    if new is None:
-        raise RuleNotApplicableError(f"no parenthesized product to fold on: {eq}")
-    return new
+    return at_first(rhs, GroupAtom, fold)
 
 
-def _combine_x(eq: Equation) -> Equation:
+def _combine_x(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
     """Combine all x-terms on the LHS into a single term."""
-    total, count, rest = signed_sum(view_atoms(eq.lhs), XAtom)
-    if count < 2:
-        raise RuleNotApplicableError(f"no like x-terms to combine on: {eq}")
-    return with_side(eq, "lhs", rest + [(1, XAtom(total))])
+    total, count, rest = signed_sum(lhs, XAtom)
+    return None if count < 2 else (rest + [(1, XAtom(total))], None)
 
 
-def _move_const(eq: Equation) -> Equation:
+def _move_const(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
     """Transpose the LHS constant terms onto the RHS constant, folding."""
-    moved, count, keep = signed_sum(view_atoms(eq.lhs), CAtom)
+    moved, count, keep = signed_sum(lhs, CAtom)
     if not count:
-        raise RuleNotApplicableError(f"no constant to move on: {eq}")
-    const, _, rhs_rest = signed_sum(view_atoms(eq.rhs), CAtom)
-    return Equation(rebuild(keep), rebuild(_plus_const(rhs_rest, const - moved)))
+        return None
+    const, _, rhs_rest = signed_sum(rhs, CAtom)
+    return keep, _plus_const(rhs_rest, const - moved)
 
 
-def _move_x(eq: Equation) -> Equation:
+def _move_x(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
     """Transpose the RHS x-terms onto the LHS coefficient, folding."""
-    moved, count, keep = signed_sum(view_atoms(eq.rhs), XAtom)
+    moved, count, keep = signed_sum(rhs, XAtom)
     if not count:
-        raise RuleNotApplicableError(f"no x-term to move on: {eq}")
-    coef, _, lhs_rest = signed_sum(view_atoms(eq.lhs), XAtom)
-    new_lhs = [(1, XAtom(coef - moved))] + lhs_rest
-    return Equation(rebuild(new_lhs), rebuild(keep or [(1, CAtom(Fraction(0)))]))
+        return None
+    coef, _, lhs_rest = signed_sum(lhs, XAtom)
+    return [(1, XAtom(coef - moved))] + lhs_rest, keep or [(1, CAtom(_ZERO))]
 
 
-def _distribute(eq: Equation) -> Equation:
+def _distribute(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
     """Multiply the first parenthesized group on the RHS through, in place."""
 
-    def spread(s: int, g: GroupAtom) -> list[SignedAtom]:
-        m = s * g.multiplier
+    def spread(s: int, g: GroupAtom) -> list[SignedAtom] | None:
+        m = g.multiplier if s > 0 else -g.multiplier
         out: list[SignedAtom] = []
         for s1, a in g.inner:
-            if isinstance(a, XAtom):
-                out.append((1, XAtom(m * s1 * a.coef)))
-            elif isinstance(a, CAtom):
-                out.append((1, CAtom(m * s1 * a.value)))
-            else:
-                raise RuleNotApplicableError(f"cannot distribute over: {eq}")
+            kind = type(a)
+            if kind is not XAtom and kind is not CAtom:
+                return None
+            v = m * (a.coef if kind is XAtom else a.value)
+            out.append((1, kind(v if s1 > 0 else -v)))
         return out
 
-    new = at_first(eq, GroupAtom, spread)
-    if new is None:
-        raise RuleNotApplicableError(f"nothing to distribute on: {eq}")
-    return new
+    return at_first(rhs, GroupAtom, spread)
 
 
-_RULE_BODIES: dict[str, Callable[[Equation], Equation]] = {
+_RULE_BODIES: dict[str, Callable[[list[SignedAtom], list[SignedAtom]], Emitted | None]] = {
     "fold-sum": _fold_sum,
     "fold-product": _fold_product,
     "fold-inner-product": _fold_inner_product,
@@ -275,47 +348,51 @@ def reduce_step(eq: Equation, t: ProblemType, rule_id: str) -> tuple[Equation, P
     """Apply one named correct edge out of ``t`` to ``eq``, checked to be a ``t``."""
     if classify(eq) is not t:
         raise RuleNotApplicableError(f"{eq} does not classify as {t}")
-    return apply_step(eq, t, rule_id)
+    (lhs, rhs), target = apply_step(sides_of(eq), t, rule_id)
+    return Equation(lhs.expr, rhs.expr), target
 
 
-def apply_step(eq: Equation, t: ProblemType, rule_id: str) -> tuple[Equation, ProblemType]:
-    """``reduce_step`` for a walk that has already classified ``eq`` as ``t``.
-
-    The input is trusted, and the result takes the edge's target as its type:
-    each body reads the normalized view, and from any ``t`` lands on that type.
-    """
+def apply_step(sides: Sides, t: ProblemType, rule_id: str) -> tuple[Sides, ProblemType]:
+    """``reduce_step`` on the sides of a walk state already typed ``t``: the
+    result takes the edge's target as its type, which each body, reading the
+    normalized view, reaches from any ``t``."""
     target = _TARGETS.get((t, rule_id))
     if target is None:
         raise RuleNotApplicableError(f"no correct edge '{rule_id}' out of {t}")
-    return _RULE_BODIES[rule_id](eq), target
+    lhs, rhs = sides
+    new = _RULE_BODIES[rule_id](lhs.view, rhs.view)
+    if new is None:
+        raise RuleNotApplicableError(f"{rule_id} has no site on: {lhs.text} = {rhs.text}")
+    return after(sides, new), target
 
 
 def solve_terminal(eq: Equation) -> Fraction:
     """The divide-through step on a T1 instance: x = B/A."""
     if classify(eq) is not ProblemType.T1:
         raise RuleNotApplicableError(f"solve step requires a T1 instance, got: {eq}")
-    return solve_t1(eq)
+    return solve_t1(sides_of(eq))
 
 
-def solve_t1(eq: Equation) -> Fraction:
-    """x = B/A on the T1 instance ``eq``."""
-    coef, value = t1_parts(eq)
+def solve_t1(sides: Sides) -> Fraction:
+    """x = B/A on the sides of a T1 instance."""
+    lhs, rhs = sides
+    coef, value = t1_parts(lhs.view, rhs.view)
     if coef == 0:
-        raise ZeroCoefficientError(f"zero coefficient on x: {eq}")
+        raise ZeroCoefficientError(f"zero coefficient on x: {lhs.text} = {rhs.text}")
     return value / coef
 
 
-def t1_parts(eq: Equation) -> tuple[Fraction, Fraction]:
-    """(A, B) of a T1-shaped equation Ax = B: read directly off ``XTerm =
-    Const``, the form ``rebuild`` gives one-term sides, else summed over the
-    view.  Both give Fractions, so an equation built from ints solves exactly."""
-    if isinstance(eq.lhs, XTerm) and isinstance(eq.rhs, Const):
-        return Fraction(eq.lhs.coef), Fraction(eq.rhs.value)
-    return signed_sum(view_atoms(eq.lhs), XAtom)[0], signed_sum(view_atoms(eq.rhs), CAtom)[0]
+def t1_parts(lhs: Sequence[SignedAtom], rhs: Sequence[SignedAtom]) -> tuple[Fraction, Fraction]:
+    """(A, B) of a T1 instance Ax = B, as ``signed_sum`` totals its views."""
+    return signed_sum(lhs, XAtom)[0], signed_sum(rhs, CAtom)[0]
 
 
-def solved_equation(value: Fraction) -> Equation:
-    return Equation(XTerm(Fraction(1)), Const(value))
+_X = Side([(1, XAtom(Fraction(1)))])  # ``x``, shared by every solved state
+
+
+def solved(value: Fraction) -> Sides:
+    """The sides of the solved form ``x = value``."""
+    return _X, Side([(1, CAtom(value))])
 
 
 def reduce(eq: Equation) -> ReductionTrace:

@@ -68,7 +68,7 @@ def enumerate_tree(
         nodes.append(node)
         parents.append(parent)
         path += (node,)
-        end = outcome(node.equation, node.label)
+        end = outcome(node)
         if end is not None:
             leaves.append(Leaf(nid, *end, used, path))
             return

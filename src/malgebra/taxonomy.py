@@ -165,21 +165,26 @@ def _view_term(sign: int, node: Expr) -> list[SignedAtom]:
         return [(-sign * s, a) for s, a in _view_term(1, node.inner)]
     atom = _atomize(node)
     if isinstance(atom, GroupAtom):
-        inner = [(s, a) for s, a in atom.inner]
         inner_view: list[SignedAtom] = []
-        for s, a in inner:
+        for s, a in atom.inner:
             if isinstance(a, OpaqueAtom):
                 inner_view.extend(_view_term(s, a.node))
             else:
                 inner_view.append((s, a))
-        if len(inner_view) == 1:
-            s, a = inner_view[0]
-            if isinstance(a, XAtom):
-                return [(sign, XAtom(atom.multiplier * s * a.coef))]
-            if isinstance(a, CAtom):
-                return [(sign, ProdAtom((atom.multiplier, s * a.value)))]
-        return [(sign, GroupAtom(atom.multiplier, tuple(inner_view)))]
+        return [(sign, group_view(atom.multiplier, inner_view))]
     return [(sign, atom)]
+
+
+def group_view(multiplier: Fraction, inner: list[SignedAtom]) -> Atom:
+    """The view of the group ``multiplier(...)`` whose interior reads as
+    ``inner``: one x or constant term folds into an x-term or a product."""
+    if len(inner) == 1:
+        s, a = inner[0]
+        if isinstance(a, XAtom):
+            return XAtom(multiplier * s * a.coef)
+        if isinstance(a, CAtom):
+            return ProdAtom((multiplier, s * a.value))
+    return GroupAtom(multiplier, tuple(inner))
 
 
 def reorder_x_first(atoms: list[SignedAtom]) -> list[SignedAtom]:

@@ -149,7 +149,7 @@ def test_criterion_5_rule_fidelity():
                     continue  # blocked bad division on Ax = 0
                 prev = trace.steps[-2]
                 assert prev.label is T.T1
-                a, b = t1_parts(prev.equation)
+                a, b = t1_parts(*(side.view for side in prev.sides))
                 assert trace.answer == formula(a, b)
                 done += 1
                 total += 1

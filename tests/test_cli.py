@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,37 @@ def test_solve_trace(capsys):
         "T1 | -10x = 15 | solve",
         "x = -3/2",
     ]
+
+
+def test_trace_prints_each_state_as_its_line(capsys, monkeypatch):
+    # a side a step leaves alone prints as written, and the correct walk
+    # prints its lines without building an expression
+    def no_rebuild(atoms):
+        raise AssertionError("an expression was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("malgebra.reduction.rebuild", no_rebuild)
+        assert run(capsys, "solve", "--trace", "(2x) = 3 + 4") == (
+            0, "T2 | (2x) = 3 + 4 | fold-sum\nT1 | (2x) = 7 | solve\nx = 7/2\n", "")
+    code, out, _ = run(capsys, "malsolve", "--trace", "(2x) = 3 + 4", "--misconceptions", "M14")
+    assert (code, out) == (0, "T2 | (2x) = 3 + 4 | M14\nT2 | (2x) = 3 - 4 | fold-sum\n"
+                              "T1 | (2x) = -1 | solve\nx = -1/2\n")
+
+
+def test_negative_cap_is_a_usage_error(capsys):
+    assert run(capsys, "tree", "2x = 4", "--cap", "-1") == (
+        2, "", "error: malgebra tree: argument --cap: must be 0 or more, got -1\n")
+    assert run(capsys, "tree", "2x = 4", "--cap", "abc")[2] == (
+        "error: malgebra tree: argument --cap: invalid int value: 'abc'\n")
+
+
+def test_python_m_malgebra_runs_the_cli():
+    # a checkout without an install runs the command line from src/
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-m", "malgebra", "solve", "4x = 12"],
+                          capture_output=True, text=True, env=env, cwd=root, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "x = 3\n", "")
 
 
 def test_solve_degenerate_exit_1(capsys):

@@ -112,6 +112,7 @@ def test_malformed_argv(capsys, tmp_path):
         ["solve", "--frob", "x = 1"],  # an unknown option
         ["tree", "--cap", "abc", "x = 1"],  # a bad int
         ["tree", "--cap", "1\n2", "x = 1"],
+        ["tree", "--cap", "-1", "2x = 4"],  # a negative cap
         ["tree", "--format", "svg", "x = 1"],  # a bad choice
         ["tree", "--format", "a\u2028b", "x = 1"],
         ["frobnicate\x00"],

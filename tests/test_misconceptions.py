@@ -5,6 +5,7 @@ sampled instance exactly as its expression says.  Case fixtures live in
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -52,7 +53,7 @@ def test_solve_step_rules_fire_on_every_type(mid, sampler):
             if mid == "M22_S1" and trace.misconceptions_used == ():
                 # A/B is undefined when the walk reaches Ax = 0; the rule
                 # stands down and the correct solve runs instead
-                assert t1_parts(trace.steps[-2].equation)[1] == 0
+                assert t1_parts(*(side.view for side in trace.steps[-2].sides))[1] == 0
                 continue
             assert trace.misconceptions_used == (mid,)
             # the bad solve consumes the preceding T1 state per the formula
@@ -62,7 +63,7 @@ def test_solve_step_rules_fire_on_every_type(mid, sampler):
             )
             prev = trace.steps[mal_index - 1]
             assert prev.label is T.T1
-            a, b = t1_parts(prev.equation)
+            a, b = t1_parts(*(side.view for side in prev.sides))
             assert trace.answer == formula(a, b)
 
 
@@ -167,6 +168,25 @@ def test_walks_from_one_root_equal_walks_from_fresh_roots(sampler):
             assert result(walk, root, ms) == result(reduce_with_misconceptions, eq, ms), (eq, ms)
 
 
+def test_a_walk_that_raises_frees_its_states():
+    # a node keeps a copy of an edge's error: the raised error's traceback
+    # reaches the node through its frames, so keeping that error made each
+    # such walk a reference cycle that only the garbage collector freed
+    gc.disable()
+    try:
+        gc.collect()
+        root = Node(parse_equation("0x = 5"), ProblemType.T1)
+        for _ in range(2):  # the raise, then the kept error's
+            try:
+                walk(root, ())
+            except ZeroCoefficientError:
+                pass
+        del root
+        assert gc.collect() == 0  # nothing left for the collector to free
+    finally:
+        gc.enable()
+
+
 def test_m20_answer_is_rhs():
     trace = reduce_with_misconceptions(parse_equation("4x = 12"), ["M20_S20"])
     assert trace.answer == 12
@@ -238,12 +258,12 @@ def _golden_rewrite_lines():
                     continue
                 for m in CATALOG:
                     try:
-                        res = try_apply(m, node.equation, node.label)
+                        res = try_apply(m, node)
                     except Exception as exc:
                         res = f"raise {type(exc).__name__}: {exc}"
                     else:
                         if res is not None:
-                            res = (repr(res[0]), str(res[1]))
+                            res = (repr(res.equation), str(res.label))
                     yield f"{nid} {m.id} {res}"
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -19,10 +20,25 @@ from malgebra.equations import (
     XTerm,
     closed_form_solution,
     parse_equation,
+    render,
 )
 from malgebra.errors import EngineError, RuleNotApplicableError, ZeroCoefficientError
-from malgebra.misconceptions import CATALOG, reduce_with_misconceptions
-from malgebra.reduction import rebuild, reduce, reduce_step, signed_sum, solve_terminal, t1_parts
+from malgebra.misconceptions import (
+    CATALOG,
+    CORRECT_OUT,
+    RULE_EDGE,
+    Node,
+    reduce_with_misconceptions,
+)
+from malgebra.reduction import (
+    Side,
+    rebuild,
+    reduce,
+    reduce_step,
+    signed_sum,
+    solve_terminal,
+    t1_parts,
+)
 from malgebra.solution_space import enumerate_tree
 from malgebra.taxonomy import (
     CAtom,
@@ -90,11 +106,12 @@ _T1_PAIRS = [("4x = 12", "(4x) = 12"), ("4x = 12", "4x = (12)"), ("4x = 12", "-(
 def test_t1_parts_direct_read_matches_the_view(capsys, canonical, variant):
     eq, var = parse_equation(canonical), parse_equation(variant)
     assert classify(eq) is classify(var) is T.T1
-    # the canonical form takes the direct read, the variant the view sums
+    # (A, B) read directly off the canonical form's XTerm = Const, and the
+    # view sums of both forms, agree
     assert isinstance(eq.lhs, XTerm) and isinstance(eq.rhs, Const)
     assert not (isinstance(var.lhs, XTerm) and isinstance(var.rhs, Const))
-    view = signed_sum(view_atoms(eq.lhs), XAtom)[0], signed_sum(view_atoms(eq.rhs), CAtom)[0]
-    assert t1_parts(eq) == view == t1_parts(var)
+    sums = [t1_parts(view_atoms(e.lhs), view_atoms(e.rhs)) for e in (eq, var)]
+    assert (eq.lhs.coef, eq.rhs.value) == sums[0] == sums[1]
     for argv in (["solve"], ["malsolve", "--misconceptions", "M19"]):
         printed = []
         for text in (canonical, variant):
@@ -208,27 +225,93 @@ def test_rebuild_sign_rules():
     assert trace.steps[1].equation.rhs == Mul(Const(F(-3)), Const(F(20)))
 
 
-def _exact_sums(eq: Equation) -> None:
-    """Every sign the view gives, group contents included, is 1 or -1; every
-    atom value and both signed sums of each side are Fractions, never an int
-    or a float."""
-    for side in (eq.lhs, eq.rhs):
-        atoms = view_atoms(side)
-        for kind in (XAtom, CAtom):
-            assert type(signed_sum(atoms, kind)[0]) is Fraction, eq
-        while atoms:
-            s, a = atoms.pop()
-            assert type(s) is int and s in (1, -1), eq
-            if isinstance(a, GroupAtom):
-                atoms.extend(a.inner)
-                values = [a.multiplier]
-            elif isinstance(a, ProdAtom):
-                values = list(a.factors)
-            elif isinstance(a, OpaqueAtom):
-                values = []
-            else:
-                values = [a.coef if isinstance(a, XAtom) else a.value]
-            assert all(type(v) is Fraction for v in values), eq
+def _exact_atoms(atoms: list, where: object) -> None:
+    """Every sign in ``atoms``, group contents included, is 1 or -1; every
+    atom value and both signed sums are Fractions, never an int or a float."""
+    for kind in (XAtom, CAtom):
+        assert type(signed_sum(atoms, kind)[0]) is Fraction, where
+    atoms = list(atoms)
+    while atoms:
+        s, a = atoms.pop()
+        assert type(s) is int and s in (1, -1), where
+        if isinstance(a, GroupAtom):
+            atoms.extend(a.inner)
+            values = [a.multiplier]
+        elif isinstance(a, ProdAtom):
+            values = list(a.factors)
+        elif isinstance(a, OpaqueAtom):
+            values = []
+        else:
+            values = [a.coef if isinstance(a, XAtom) else a.value]
+        assert all(type(v) is Fraction for v in values), where
+
+
+# parsed roots whose untouched side a step keeps as written
+_NON_CANONICAL = ("(2x) = 3 + 4", "-(2x) = 4", "2x = -(3 + 4)", "2x = -(3(4 * 5))")
+
+
+@functools.lru_cache(maxsize=None)
+def _lemma_roots() -> tuple[Equation, ...]:
+    """The lemma corpora: the golden corpus's roots; drawn roots of every
+    type at +-9, [-2, 1] and +-10^19; parsed fuzz roots that classify; and
+    non-canonical parsed roots."""
+    golden = InstanceSampler(seed=77)
+    roots = [golden.sample(t, f"golden:{t.name}:{i}") for t in ORDERED_TYPES for i in range(6)]
+    roots += [InstanceSampler(seed, lo, hi).sample(t, "lemma") for seed in range(20)
+              for lo, hi in ((-9, 9), (-2, 1), (-10**19, 10**19)) for t in ORDERED_TYPES]
+    rng, seeds = random.Random(4), _seeds()
+    parsed = 0
+    while parsed < 1000:
+        try:
+            eq = parse_equation(_mutate(rng, rng.choice(seeds)))
+            classify(eq)
+        except EngineError:
+            continue
+        roots.append(eq)
+        parsed += 1
+    return (*roots, *map(parse_equation, _NON_CANONICAL))
+
+
+@functools.lru_cache(maxsize=None)
+def _emitted_sides() -> tuple[tuple[str, Side], ...]:
+    """(where, side) for every side that a correct body, the solve edge or a
+    rewrite emits on every edge out of every typed state that a lemma root
+    reaches with at most one misconception."""
+    out = []
+    for root in _lemma_roots():
+        todo = [(Node(root, classify(root)), 0)]
+        while todo:
+            node, used = todo.pop()
+            if not isinstance(node.label, ProblemType):
+                continue
+            for edge in (*CORRECT_OUT[node.label], *RULE_EDGE.values()):
+                try:
+                    kid = node.child(edge)
+                except EngineError:
+                    continue
+                if kid is None:
+                    continue
+                out += [((node.line, edge.rule_id), new)
+                        for old, new in zip(node.sides, kid.sides) if new is not old]
+                if (k := used + (edge.kind == "misconception")) <= 1:
+                    todo.append((kid, k))
+    return tuple(out)
+
+
+def test_emitted_atoms_read_as_their_built_side():
+    # the lemma under atom-native walk states: a side a step emits is read
+    # off its atoms exactly as the expression rebuilt from them reads
+    sides = _emitted_sides()
+    assert len(sides) > 20_000
+    kinds = {type(a) for _, side in sides for _, a in side.atoms}
+    assert kinds == {XAtom, CAtom, ProdAtom, GroupAtom, OpaqueAtom}
+    for where, side in sides:
+        built = rebuild(side.atoms)
+        assert view_atoms(built) == side.view, where
+        assert render(built) == side.text, where
+    # a parsed root's untouched side prints as written
+    for text, want in (("(2x) = 3 + 4", "(2x) = 7"), ("2x = -(3 + 4)", "2x = -7")):
+        assert reduce(parse_equation(text)).equation_lines()[:2] == [text, want]
 
 
 def test_view_signs_are_unit_and_sums_exact():
@@ -251,4 +334,9 @@ def test_view_signs_are_unit_and_sums_exact():
             tree = enumerate_tree(golden.sample(t, f"golden:{t.name}:{i}"), CATALOG, 2)
             roots += [node.equation for node in tree.nodes]
     for eq in roots:
-        _exact_sums(eq)
+        for side in (eq.lhs, eq.rhs):
+            _exact_atoms(view_atoms(side), eq)
+    # every atom list a step emits, and the view a state holds of it
+    for where, side in _emitted_sides():
+        _exact_atoms(side.atoms, where)
+        _exact_atoms(side.view, where)

@@ -38,7 +38,7 @@ def brute_force_leaves(eq, mid: str, cap: int):
         else:
             for _, rule_id in correct_successors(label):
                 opts.append(("correct", rule_id))
-        if not used and cap >= 1 and try_apply(m, state, label) is not None:
+        if not used and cap >= 1 and try_apply(m, Node(state, label)) is not None:
             opts.append(("mal", m.id))
         return opts
 
@@ -62,7 +62,8 @@ def brute_force_leaves(eq, mid: str, cap: int):
             elif kind == "correct":
                 state, label = reduce_step(state, label, ident)
             else:
-                state, label = try_apply(m, state, label)
+                kid = try_apply(m, Node(state, label))
+                state, label = kid.equation, kid.label
                 used = True
                 mals = mals + (ident,)
         opts = options(state, label, used)
@@ -177,7 +178,7 @@ def test_count_law_single_spine(sampler):
             k = sum(
                 1
                 for s in spine.steps
-                if isinstance(s.label, ProblemType) and try_apply(m, s.equation, s.label)
+                if isinstance(s.label, ProblemType) and try_apply(m, s)
             )
             tree = enumerate_tree(eq, [mid], 1)
             assert len(tree.leaves) == 1 + k

@@ -4,10 +4,10 @@ import itertools
 
 import pytest
 
-from malgebra.equations import Mul, Paren, closed_form_solution, parse_equation, render
+from malgebra.equations import Equation, Mul, Paren, closed_form_solution, parse_equation, render
 from malgebra.errors import UnclassifiableFormError
 from malgebra.datasets import type_graph
-from malgebra.reduction import apply_step
+from malgebra.reduction import apply_step, sides_of
 from malgebra.taxonomy import (
     CORRECT_EDGES,
     ORDERED_TYPES,
@@ -165,7 +165,8 @@ def test_every_correct_edge_preserves_the_solution(sampler, rng):
                 surface = map(_signature, (surface_atoms(form.lhs), surface_atoms(form.rhs)))
                 fallback_only += _match_patterns(*surface) is None
                 for dst, rule in correct_successors(t):
-                    after_eq, after_t = apply_step(form, t, rule)
+                    (lhs, rhs), after_t = apply_step(sides_of(form), t, rule)
+                    after_eq = Equation(lhs.expr, rhs.expr)
                     assert closed_form_solution(after_eq) == before
                     assert after_t is dst and classify(after_eq) is dst, (str(form), rule)
     assert fallback_only >= 1000
