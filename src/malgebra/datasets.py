@@ -67,41 +67,32 @@ def _draw(t: ProblemType, rng: random.Random, lo: int, hi: int) -> dict[int, int
     return values
 
 
-def _build(t: ProblemType, rng: random.Random, lo: int, hi: int) -> Equation:
-    """One draw of type ``t`` as the equation of the root ``sample_instance``
-    builds once the pool accepts the draw."""
-    _check_range(lo, hi)
-    values = _draw(t, rng, lo, hi)
-    return _root(t, values, _line(t, values)).equation
-
-
 def _root(t: ProblemType, values: dict[int, int], line: str) -> Node:
     """The walk state of a draw typed ``t``, printed as ``line``: each side of
-    ``t``'s pattern filled with the drawn ``values``, which is its view."""
+    ``t``'s pattern filled with the drawn ``values``."""
     exact = {code: Fraction(v) for code, v in values.items()}
-    sides = [(_fill(side, exact), text) for side, text in zip(PATTERN_ATOMS[t], line.split(" = "))]
-    return Node(None, t, sides=tuple(Side(atoms, view=atoms, text=text) for atoms, text in sides))
+    return Node(tuple(Side(_fill(side, exact), text)
+                      for side, text in zip(PATTERN_ATOMS[t], line.split(" = "))), t)
 
 
 def _fill(atoms: Sequence[SignedAtom], values: dict[int, Fraction]) -> list[SignedAtom]:
     """``atoms`` with each letter code ``c`` replaced by ``values[c.numerator]``
-    (an int key hashes much faster than a ``Fraction``), as a view: every
-    pattern term joins by plus, so a later term links by minus exactly when
-    its value, or its product's or group's lead factor, is negative, and then
-    holds it negated."""
+    (an int key hashes much faster than a ``Fraction``); a later product or
+    group term links by minus when its leading factor is negative."""
     out: list[SignedAtom] = []
     for i, (s, a) in enumerate(atoms):
-        k = type(a)
-        lead = values[(a.coef if k is XAtom else a.value if k is CAtom
-                       else a.factors[0] if k is ProdAtom else a.multiplier).numerator]
-        if i and lead.numerator < 0:  # an int compare: much faster than a Fraction's
-            s, lead = -s, -lead
-        if k is XAtom or k is CAtom:
-            a = k(lead)
-        elif k is ProdAtom:
-            a = ProdAtom((lead, *(values[c.numerator] for c in a.factors[1:])))
+        if isinstance(a, XAtom):
+            a = XAtom(values[a.coef.numerator])
+        elif isinstance(a, CAtom):
+            a = CAtom(values[a.value.numerator])
         else:
-            a = GroupAtom(lead, tuple(_fill(a.inner, values)))
+            lead = values[(a.factors[0] if isinstance(a, ProdAtom) else a.multiplier).numerator]
+            if i and lead < 0:
+                s, lead = -s, -lead
+            if isinstance(a, ProdAtom):
+                a = ProdAtom((lead, *(values[c.numerator] for c in a.factors[1:])))
+            else:
+                a = GroupAtom(lead, tuple(_fill(a.inner, values)))
         out.append((s, a))
     return out
 
@@ -114,9 +105,10 @@ def _line(t: ProblemType, values: dict[int, int]) -> str:
 
 
 def _chain(atoms: Sequence[SignedAtom], values: dict[int, int]) -> str:
-    """One side as ``rebuilt_text`` prints its ``_fill``: a later term links by
-    minus exactly when its value or lead factor is negative, and then prints
-    negated (``x`` for a coefficient of -1)."""
+    """One side as ``rebuilt_text`` prints its ``_fill``.  Every pattern term
+    joins by plus, so a later term links by minus exactly when its value, or
+    its product's or group's leading factor, is negative; that term then
+    prints negated (``x`` for a coefficient of -1)."""
     out = ""
     for i, (_, a) in enumerate(atoms):
         k = type(a)

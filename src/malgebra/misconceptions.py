@@ -315,10 +315,10 @@ def try_apply(m: Misconception, node: "Node") -> "Node | None":
     lhs, rhs = node.sides
     if m.solve is not None:
         x = m.solve(*t1_parts(lhs.view, rhs.view)) if t is T.T1 else None
-        return None if x is None else Node(None, SOLVED, via, solved(x))
+        return None if x is None else Node(solved(x), SOLVED, via)
     if (new := m.rewrite(lhs.view, rhs.view, t)) is None:
         return None
-    kid = Node(None, DEAD_END, via, after(node.sides, new))
+    kid = Node(after(node.sides, new), DEAD_END, via)
     result = kid.equation
     if degree(result.lhs) or degree(result.rhs):
         try:
@@ -356,23 +356,27 @@ RULE_EDGE = {m.id: EdgeRef("misconception", m.id) for m in CATALOG}
 
 class Node:
     """A walk state: its two sides (``reduction.Side``), its label and the
-    edge that reached it (None at a root).  A root keeps the equation it was
-    given; any other state builds its ``equation`` from its sides only when
-    asked, and its ``line`` joins their texts.
+    edge that reached it (None at a root).  A root is made from an equation,
+    which it keeps; a step makes a state from its two sides, and that state
+    builds its ``equation`` only when asked.  ``line`` joins the two texts.
 
     ``child`` runs each edge out of a node at most once and keeps what it
     gave, an engine error included, so walks from one root share every state
     and every rule attempt they have in common.  A node keeps no link to its
     parent: with the kept children that would make every walk a reference
-    cycle.  A node is a step of a ``ReductionTrace`` and compares as one: by
-    line, label and edge."""
+    cycle.  A node is a step of a ``ReductionTrace`` and compares as one: as
+    printed, by line, label and edge, so two states that print alike compare
+    equal whatever expression trees they would build."""
 
     __slots__ = ("sides", "label", "via", "_kids", "_equation", "_line")
 
-    def __init__(self, equation: Equation | None, label: ProblemType | str,
-                 via: EdgeRef | None = None, sides: Sides | None = None) -> None:
-        self.sides = sides or sides_of(equation)
-        self.label, self.via, self._equation, self._line = label, via, equation, None
+    def __init__(self, state: Equation | Sides, label: ProblemType | str,
+                 via: EdgeRef | None = None) -> None:
+        if type(state) is tuple:
+            self.sides, self._equation = state, None
+        else:
+            self.sides, self._equation = sides_of(state), state
+        self.label, self.via, self._line = label, via, None
         self._kids: dict[str, Node | EngineError | None] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -416,9 +420,9 @@ class Node:
         try:
             if edge.kind == "correct":
                 sides, label = apply_step(self.sides, self.label, key)
-                kid = Node(None, label, edge, sides)
+                kid = Node(sides, label, edge)
             elif edge.kind == "solve":
-                kid = Node(None, SOLVED, edge, solved(solve_t1(self.sides)))
+                kid = Node(solved(solve_t1(self.sides)), SOLVED, edge)
             else:
                 kid = try_apply(_BY_ID[key], self)
         except EngineError as exc:

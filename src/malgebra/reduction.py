@@ -19,12 +19,10 @@ from .errors import RuleNotApplicableError, ZeroCoefficientError
 from .taxonomy import (
     CAtom,
     CORRECT_EDGES,
-    DEAD_END,
     GroupAtom,
     OpaqueAtom,
     ProblemType,
     ProdAtom,
-    SOLVED,
     SignedAtom,
     XAtom,
     classify,
@@ -59,11 +57,6 @@ class ReductionTrace:
 
     def equation_lines(self) -> list[str]:
         return [s.line for s in self.steps]
-
-    @property
-    def reduction_count(self) -> int:
-        """Number of non-solve rewrites in the trace."""
-        return sum(1 for s in self.steps if s.via is not None and s.label not in (SOLVED, DEAD_END))
 
 
 # ---------------------------------------------------------------------------
@@ -126,43 +119,37 @@ def rebuild(atoms: Sequence[SignedAtom]) -> Expr:
     return out
 
 
-def rebuilt_view(atoms: Sequence[SignedAtom]) -> list[SignedAtom]:
-    """``view_atoms(rebuild(atoms))``, read off the atoms."""
+def rebuilt_view(terms: Sequence[SignedAtom]) -> list[SignedAtom]:
+    """``view_atoms(rebuild(atoms))``, read off ``terms = _joined(atoms)``."""
     out: list[SignedAtom] = []
-    for term in _joined(atoms):
+    for term in terms:
         s, a = term
         if type(a) is OpaqueAtom:
             out += [(s * s1, b) for s1, b in view_atoms(a.node)]
         else:
-            out.append((s, group_view(a.multiplier, rebuilt_view(a.inner)))
+            out.append((s, group_view(a.multiplier, rebuilt_view(_joined(a.inner))))
                        if type(a) is GroupAtom else term)
     return out
 
 
-def rebuilt_text(atoms: Sequence[SignedAtom]) -> str:
-    """``render(rebuild(atoms))``, printed straight from the atoms with each
-    term signed as ``_joined`` signs it, an x or constant by its digits."""
+def rebuilt_text(terms: Sequence[SignedAtom]) -> str:
+    """``render(rebuild(atoms))``, printed from ``terms = _joined(atoms)``."""
     out = []
-    for i, (s, a) in enumerate(atoms):
-        k = type(a)
-        if k is XAtom or k is CAtom:
-            text = str(a.coef if k is XAtom else a.value)
-            neg = (text[0] == "-") != (s < 0 and text != "0")  # the sign of s * value
-            text = text.lstrip("-")
-            if k is XAtom:
-                text = "x" if text == "1" else text + "x"
-            out.append(((" - " if neg else " + ") if i else "-" if neg else "") + text)
-            continue
+    for i, (s, a) in enumerate(terms):
         if i:
             out.append(" + " if s > 0 else " - ")
         elif s < 0:
-            (s, a), = _joined([(s, a)])
-            if s < 0:
-                out.append("-")  # the Neg around a term _joined leaves
-        if k is ProdAtom:
+            out.append("-")  # the Neg rebuild puts round the first term
+        k = type(a)
+        if k is XAtom:
+            c = str(a.coef)
+            out.append("x" if c == "1" else "-x" if c == "-1" else c + "x")
+        elif k is CAtom:
+            out.append(str(a.value))
+        elif k is ProdAtom:
             out.append(" * ".join(map(str, a.factors)))
         elif k is GroupAtom:
-            out.append(f"{a.multiplier}({rebuilt_text(a.inner)})")
+            out.append(f"{a.multiplier}({rebuilt_text(_joined(a.inner))})")
         else:
             out.append(render(a.node))
     return "".join(out)
@@ -209,28 +196,30 @@ def _plus_const(rest: list[SignedAtom], total: Fraction) -> list[SignedAtom]:
 
 
 class Side:
-    """One side of a walk state, each form computed at most once: ``view``,
-    the normalized atoms the rules read, ``text``, as printed, and ``expr``.
-    A side a step built holds the atoms it emitted (``expr`` is their
-    ``rebuild``) and reads view and text off them; a parsed side holds its
-    expression.  A step shares every side it leaves alone."""
+    """One side of a walk state, from which ``view`` (the normalized atoms
+    every rule reads), ``text`` (as printed) and ``expr`` are each made at
+    most once.  A side a step built holds the atoms it emitted, joins them
+    once (``terms``) and reads all three off them; a drawn root's side holds
+    its atoms and its text; a parsed side holds its expression.  A step
+    shares each side it leaves alone."""
 
-    __slots__ = ("atoms", "_view", "_text", "_expr")
+    __slots__ = ("atoms", "terms", "_view", "_text", "_expr")
 
-    def __init__(self, atoms: list[SignedAtom] | None = None, expr: Expr | None = None,
-                 view: list[SignedAtom] | None = None, text: str | None = None) -> None:
-        self.atoms, self._expr, self._view, self._text = atoms, expr, view, text
+    def __init__(self, atoms: list[SignedAtom] | None, text: str | None = None,
+                 expr: Expr | None = None) -> None:
+        self.atoms, self._text, self._expr, self._view = atoms, text, expr, None
+        self.terms = None if atoms is None else _joined(atoms)
 
     @property
     def view(self) -> list[SignedAtom]:
         if self._view is None:
-            self._view = view_atoms(self._expr) if self.atoms is None else rebuilt_view(self.atoms)
+            self._view = view_atoms(self._expr) if self.atoms is None else rebuilt_view(self.terms)
         return self._view
 
     @property
     def text(self) -> str:
         if self._text is None:
-            self._text = render(self._expr) if self.atoms is None else rebuilt_text(self.atoms)
+            self._text = render(self._expr) if self.atoms is None else rebuilt_text(self.terms)
         return self._text
 
     @property
@@ -246,7 +235,7 @@ Emitted = tuple[list[SignedAtom] | None, list[SignedAtom] | None]
 
 
 def sides_of(eq: Equation) -> Sides:
-    return Side(expr=eq.lhs), Side(expr=eq.rhs)
+    return Side(None, expr=eq.lhs), Side(None, expr=eq.rhs)
 
 
 def after(sides: Sides, new: Emitted) -> Sides:

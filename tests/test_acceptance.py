@@ -95,7 +95,7 @@ def test_criterion_4_termination_bounds(instances):
     for t in ORDERED_TYPES:
         for eq in instances[t][:200]:
             trace = reduce(eq)
-            assert trace.reduction_count <= 5
+            assert len(trace.steps) <= 7  # the root, at most five rewrites, the solve
             assert trace.steps[-1].label is SOLVED
     checked = 0
     for m in CATALOG:

@@ -12,7 +12,6 @@ import malgebra.datasets as datasets
 from malgebra.datasets import (
     MAX_TRIES,
     DatasetConfig,
-    _build,
     InstanceSampler,
     config_from_dict,
     generate,
@@ -28,6 +27,13 @@ from malgebra.misconceptions import CATALOG, Node, reduce_with_misconceptions, w
 from malgebra.taxonomy import ORDERED_TYPES, ProblemType, classify
 
 T = ProblemType
+
+
+def _build(t: ProblemType, rng: random.Random, lo: int, hi: int):
+    """One draw of type ``t`` as the equation of the root ``sample_instance``
+    builds once the pool accepts the draw."""
+    values = datasets._draw(t, rng, lo, hi)
+    return datasets._root(t, values, datasets._line(t, values)).equation
 
 
 def test_sampler_is_deterministic():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from malgebra.cli import main
-from malgebra.datasets import InstanceSampler
+from malgebra.datasets import InstanceSampler, sample_instance
 from malgebra.equations import (
     Add,
     Const,
@@ -199,7 +199,7 @@ def test_reduction_depth_bound(sampler):
         for i in range(50):
             eq = sampler.sample(t, f"depth:{t.name}:{i}")
             trace = reduce(eq)
-            assert trace.reduction_count <= 5
+            assert len(trace.steps) <= 7  # the root, at most five rewrites, the solve
             assert trace.steps[-1].label is SOLVED
 
 
@@ -251,35 +251,38 @@ _NON_CANONICAL = ("(2x) = 3 + 4", "-(2x) = 4", "2x = -(3 + 4)", "2x = -(3(4 * 5)
 
 
 @functools.lru_cache(maxsize=None)
-def _lemma_roots() -> tuple[Equation, ...]:
-    """The lemma corpora: the golden corpus's roots; drawn roots of every
-    type at +-9, [-2, 1] and +-10^19; parsed fuzz roots that classify; and
-    non-canonical parsed roots."""
+def _lemma_roots() -> tuple[tuple[Node, ...], tuple[Node, ...]]:
+    """The lemma corpora as (drawn, parsed) roots.  Drawn: the golden
+    corpus's roots and roots of every type at +-9, [-2, 1] and +-10^19, each
+    the walk state ``sample_instance`` builds from its draw.  Parsed: fuzz
+    roots that classify, and non-canonical roots."""
     golden = InstanceSampler(seed=77)
-    roots = [golden.sample(t, f"golden:{t.name}:{i}") for t in ORDERED_TYPES for i in range(6)]
-    roots += [InstanceSampler(seed, lo, hi).sample(t, "lemma") for seed in range(20)
+    draws = [(golden, t, f"golden:{t.name}:{i}") for t in ORDERED_TYPES for i in range(6)]
+    draws += [(InstanceSampler(seed, lo, hi), t, "lemma") for seed in range(20)
               for lo, hi in ((-9, 9), (-2, 1), (-10**19, 10**19)) for t in ORDERED_TYPES]
+    drawn = [sample_instance(t, s.rng_for(key), s.coeff_min, s.coeff_max)[0] for s, t, key in draws]
     rng, seeds = random.Random(4), _seeds()
-    parsed = 0
-    while parsed < 1000:
+    parsed = [parse_equation(text) for text in _NON_CANONICAL]
+    while len(parsed) < 1000 + len(_NON_CANONICAL):
         try:
             eq = parse_equation(_mutate(rng, rng.choice(seeds)))
             classify(eq)
         except EngineError:
             continue
-        roots.append(eq)
-        parsed += 1
-    return (*roots, *map(parse_equation, _NON_CANONICAL))
+        parsed.append(eq)
+    return tuple(drawn), tuple(Node(eq, classify(eq)) for eq in parsed)
 
 
 @functools.lru_cache(maxsize=None)
 def _emitted_sides() -> tuple[tuple[str, Side], ...]:
-    """(where, side) for every side that a correct body, the solve edge or a
-    rewrite emits on every edge out of every typed state that a lemma root
-    reaches with at most one misconception."""
-    out = []
-    for root in _lemma_roots():
-        todo = [(Node(root, classify(root)), 0)]
+    """(where, side) for both sides of each drawn root, and for every side
+    that a correct body, the solve edge or a rewrite emits on every edge out
+    of every typed state that a lemma root reaches with at most one
+    misconception."""
+    drawn, parsed = _lemma_roots()
+    out = [((root.line, "draw"), side) for root in drawn for side in root.sides]
+    for root in (*drawn, *parsed):
+        todo = [(root, 0)]
         while todo:
             node, used = todo.pop()
             if not isinstance(node.label, ProblemType):
@@ -299,8 +302,9 @@ def _emitted_sides() -> tuple[tuple[str, Side], ...]:
 
 
 def test_emitted_atoms_read_as_their_built_side():
-    # the lemma under atom-native walk states: a side a step emits is read
-    # off its atoms exactly as the expression rebuilt from them reads
+    # the lemma under atom-native walk states: a side a draw or a step makes
+    # is read off its atoms exactly as the expression rebuilt from them reads;
+    # a drawn side's text is the line the pool tested
     sides = _emitted_sides()
     assert len(sides) > 20_000
     kinds = {type(a) for _, side in sides for _, a in side.atoms}
