@@ -41,11 +41,6 @@ from .taxonomy import (
 MAX_TRIES = 1000
 
 
-def _check_range(lo: int, hi: int) -> None:
-    if lo > hi or (lo == 0 and hi == 0):
-        raise SchemaError(f"coefficient range [{lo}, {hi}] has no nonzero integer")
-
-
 # where a type draws its letters other than alphabetically; the pinned digests
 # record these orders
 _DRAW_ORDER = {ProblemType.T9: "CDAB", ProblemType.T10: "BACD",
@@ -148,7 +143,8 @@ def sample_instance(
     exactly ``m`` and end somewhere distinguishable from the correct answer.
     At most ``MAX_TRIES`` draws are made."""
     mals = () if m is None else (get_misconception(m),)
-    _check_range(coeff_min, coeff_max)
+    if coeff_min > coeff_max or (coeff_min == 0 and coeff_max == 0):
+        raise SchemaError(f"coefficient range [{coeff_min}, {coeff_max}] has no nonzero integer")
     for _ in range(MAX_TRIES):
         values = _draw(t, rng, coeff_min, coeff_max)
         line = _line(t, values)
@@ -440,7 +436,8 @@ def verify_records(lines: list[str]) -> VerifyReport:
 
 
 def verify_dataset(path: str | Path) -> VerifyReport:
-    return verify_records(read_input(path, "dataset").splitlines())
+    # records end at "\n" only: JSON allows U+2028 and the like raw in a string
+    return verify_records(read_input(path, "dataset").split("\n"))
 
 
 def type_graph() -> dict:

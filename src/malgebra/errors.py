@@ -93,9 +93,10 @@ def decode_json_object(text: str) -> dict:
 
 
 def read_input(path: str | Path, what: str) -> str:
-    """The UTF-8 text of the input file ``path``, a ``what`` such as "dataset";
-    any failure to read it raises ``SchemaError`` naming the path."""
+    """The UTF-8 text of the input file ``path``, a ``what`` such as "dataset",
+    with its line ends as written (a lone carriage return may be JSON
+    whitespace); any failure to read it raises ``SchemaError`` naming the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise SchemaError(f"cannot read {what} {path}: {exc}") from None

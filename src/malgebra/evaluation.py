@@ -63,7 +63,8 @@ def transcript_from_dict(data: dict) -> Transcript:
 
 def load_transcripts(path: str | Path) -> list[Transcript]:
     out = []
-    for lineno, line in enumerate(read_input(path, "transcripts").splitlines(), 1):
+    # lines end at "\n" only: JSON allows U+2028 and the like raw in a string
+    for lineno, line in enumerate(read_input(path, "transcripts").split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -371,7 +372,7 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     lines comes after at least ``MAX_CANDIDATES`` singles and can appear in
     no output; a pair without a trace is no candidate either way.
     """
-    if transcript.model_steps is None:
+    if not transcript.model_steps:  # an empty list of steps agrees with every walk
         raise SchemaError("diagnosis needs model_steps")
     root = _typed_root(transcript)
     model = _printed_steps(transcript)

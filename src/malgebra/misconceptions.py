@@ -3,8 +3,8 @@
 Each catalog row is the whole rule: the set of problem types it can fire on
 and a rewrite that edits the matched subterm in place, exactly following the
 rule's expression.  A misconception step replaces the correct step at its
-node; the result is reclassified structurally, so the target of an erroneous
-edge is computed, never hardcoded.
+node; the result is reclassified structurally from the sides it built, so
+the target of an erroneous edge is computed, never hardcoded.
 
 Four rules (M19, M20_S20, M21, M22_S1) apply to every type because they fire
 at the terminal solve step rather than at a reduction node.
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
-from .equations import Equation, Paren, degree
+from .equations import Equation, Paren
 from .errors import (
     EngineError,
     MisconceptionNotApplicableError,
@@ -307,7 +307,8 @@ def try_apply(m: Misconception, node: "Node") -> "Node | None":
     rule whose pattern needs a particular operator or sign only fires when
     the site is actually present (e.g. M6 needs a negative multiplier over an
     inner subtraction, M22_S1 needs a nonzero right side).  ``classify``
-    types a rewrite's result from its equation."""
+    types a rewrite's result from the two sides it built; a result with no x
+    term on either side is a dead end."""
     t = node.label
     if t not in m.applicable_types:
         return None
@@ -319,14 +320,18 @@ def try_apply(m: Misconception, node: "Node") -> "Node | None":
     if (new := m.rewrite(lhs.view, rhs.view, t)) is None:
         return None
     kid = Node(after(node.sides, new), DEAD_END, via)
-    result = kid.equation
-    if degree(result.lhs) or degree(result.rhs):
+    if any(_has_x(side.view) for side in kid.sides):
         try:
-            kid.label = classify(result)
+            kid.label = classify(kid.sides)
         except UnclassifiableFormError as exc:
             raise UnclassifiableResultError(f"{m.id} on {node.line} produced an "
                                             f"unclassifiable form: {kid.line}") from exc
     return kid
+
+
+def _has_x(view: Views) -> bool:
+    """Whether a view holds an x term, at the top level or in a group."""
+    return any(type(a) is XAtom or type(a) is GroupAtom and _has_x(a.inner) for _, a in view)
 
 
 def apply_misconception(

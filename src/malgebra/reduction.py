@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import TYPE_CHECKING, Any, Callable, Literal, Sequence
 
 from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm, render
@@ -260,7 +261,7 @@ def _fold_product(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | Non
     """Fold each explicit constant product on the RHS into a constant."""
     if not any(isinstance(a, ProdAtom) for _, a in rhs):
         return None
-    return None, [(s, CAtom(a.product) if isinstance(a, ProdAtom) else a) for s, a in rhs]
+    return None, [(s, CAtom(prod(a.factors)) if isinstance(a, ProdAtom) else a) for s, a in rhs]
 
 
 def _fold_inner_product(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
@@ -269,8 +270,8 @@ def _fold_inner_product(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted
     def fold(s: int, g: GroupAtom) -> list[SignedAtom] | None:
         if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
             return None
-        s1, prod = g.inner[0]
-        return [(s, ProdAtom((g.multiplier, s1 * prod.product)))]
+        s1, inner = g.inner[0]
+        return [(s, ProdAtom((g.multiplier, s1 * prod(inner.factors))))]
 
     return at_first(rhs, GroupAtom, fold)
 

@@ -10,12 +10,15 @@ as its own whole-number code.  The parse gives the surface atoms that the
 generator fills with drawn values, and the per-side signature of term kinds
 that the shape table maps to the type.
 
-Classification is two-pass.  The exact pass looks up the surface signature.
-The fallback pass normalizes forms that only arise from rewrites (bare
-parentheses spliced away, constant multiples of a parenthesized monomial
-folded, terms stably reordered x-first) and looks again.  A right-side
-constant chain of any width matches the two-constant shape, and ``Ax = Bx``
-is T7 with a zero constant, so erroneous rewrites land on the nearest pattern.
+``classify`` reads an equation or the two ``reduction.Side``s of a walk
+state in two passes.  The exact pass looks up the surface signature: a parsed
+side's as written, a built side's off the atoms it holds, so a walk types a
+rewrite without building an expression.  The fallback pass reads the
+normalized views, which splice bare parentheses and fold constant multiples
+of a parenthesized monomial, first in written order, then stably reordered
+x-first.  A right-side constant chain of any width matches the two-constant
+shape, and ``Ax = Bx`` is T7 with a zero constant, so erroneous rewrites land
+on the nearest pattern.
 """
 
 from __future__ import annotations
@@ -84,13 +87,6 @@ class ProdAtom:
     """An explicit constant product chain, e.g. ``3 * 4`` or ``3 * 4 * 5``."""
 
     factors: tuple[Fraction, ...]
-
-    @property
-    def product(self) -> Fraction:
-        out = Fraction(1)
-        for f in self.factors:
-            out *= f
-        return out
 
 
 @dataclass(frozen=True)
@@ -187,28 +183,18 @@ def group_view(multiplier: Fraction, inner: list[SignedAtom]) -> Atom:
     return GroupAtom(multiplier, tuple(inner))
 
 
-def reorder_x_first(atoms: list[SignedAtom]) -> list[SignedAtom]:
-    xs = [sa for sa in atoms if isinstance(sa[1], XAtom)]
-    rest = [sa for sa in atoms if not isinstance(sa[1], XAtom)]
-    return xs + rest
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
 
 
+_KINDS = {XAtom: "x", CAtom: "c", ProdAtom: "p", OpaqueAtom: "?"}
+
+
 def _kind(atom: Atom) -> str:
-    if isinstance(atom, XAtom):
-        return "x"
-    if isinstance(atom, CAtom):
-        return "c"
-    if isinstance(atom, ProdAtom):
-        return "p"
-    if isinstance(atom, GroupAtom):
-        inner = " ".join(_kind(a) for _, a in atom.inner)
-        return f"g[{inner}]"
-    return "?"
+    if type(atom) is GroupAtom:
+        return f"g[{' '.join(_kind(a) for _, a in atom.inner)}]"
+    return _KINDS[type(atom)]
 
 
 def _signature(atoms: list[SignedAtom]) -> tuple[str, ...]:
@@ -246,23 +232,32 @@ def _match_patterns(lhs: tuple[str, ...], rhs: tuple[str, ...]) -> ProblemType |
     return _SHAPES.get((lhs, rhs))
 
 
-def classify(eq: Equation) -> ProblemType:
-    """Map an equation onto its problem type.
+def classify(state: Equation | tuple) -> ProblemType:
+    """Map an equation, or the two ``reduction.Side``s of a walk state, onto
+    its problem type.
 
     Raises UnclassifiableFormError when neither the surface structure nor the
     normalized view matches any pattern (e.g. no unknown at all).
     """
-    exact = _match_patterns(
-        _signature(surface_atoms(eq.lhs)), _signature(surface_atoms(eq.rhs))
-    )
-    if exact is not None:
-        return exact
-    lhs = reorder_x_first(view_atoms(eq.lhs))
-    rhs = reorder_x_first(view_atoms(eq.rhs))
-    loose = _match_patterns(_signature(lhs), _signature(rhs))
-    if loose is not None:
-        return loose
-    raise UnclassifiableFormError(f"no problem type matches: {eq}")
+    if isinstance(state, Equation):
+        lhs, rhs = surface_atoms(state.lhs), surface_atoms(state.rhs)
+    else:  # a side shared from a parsed root holds no atoms
+        lhs, rhs = [surface_atoms(side.expr) if side.terms is None else side.terms
+                    for side in state]
+    # a minus left on a built side's first term prints as a negation: no pattern's surface
+    if lhs[0][0] > 0 and rhs[0][0] > 0:
+        if exact := _match_patterns(_signature(lhs), _signature(rhs)):
+            return exact
+    if isinstance(state, Equation):
+        from .reduction import sides_of  # reduction imports this module
+        state = sides_of(state)
+    views = state[0].view, state[1].view
+    # as written, then stably x-first: a constant-first shape (T6, T11) matches only as written
+    x_first = (sorted(view, key=lambda sa: type(sa[1]) is not XAtom) for view in views)
+    loose = _match_patterns(*map(_signature, views)) or _match_patterns(*map(_signature, x_first))
+    if loose is None:
+        raise UnclassifiableFormError(f"no problem type matches: {state[0].text} = {state[1].text}")
+    return loose
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,32 @@ def test_trace_prints_each_state_as_its_line(capsys, monkeypatch):
                               "T1 | (2x) = -1 | solve\nx = -1/2\n")
 
 
+def test_misconception_workloads_build_no_expression(capsys, monkeypatch, tmp_path):
+    # a walk types each rewrite from the sides it built, so gen, verify,
+    # score and diagnose of a small M6 cell build no expression from a walk
+    # state.  M1's (part) atom, which diagnose tries on these roots, builds
+    # its own chain through misconceptions' binding and is not counted here.
+    from malgebra import reduction
+
+    calls, original = [], reduction.rebuild
+    monkeypatch.setattr(reduction, "rebuild", lambda atoms: calls.append(atoms) or original(atoms))
+    out = tmp_path / "m6"
+    assert run(capsys, "gen", "--misconception", "M6", "--n-m", "3", "--ratio", "0",
+               "--test-per-type", "0", "--seed", "0", "--out", str(out))[0] == 0
+    assert calls == [], "gen"
+    records = [json.loads(line) for line in (out / "train.jsonl").read_text().splitlines()]
+    transcripts = tmp_path / "tr.jsonl"
+    transcripts.write_text("".join(json.dumps(
+        {"problem_type": r["problem_type"], "equation": r["equation"],
+         "model_answer": r["final_answer"], "model_steps": r["steps"]}) + "\n" for r in records))
+    for command in (["verify", str(out / "train.jsonl")],
+                    ["score", str(transcripts), "--misconception", "M6"],
+                    ["diagnose", str(transcripts)]):
+        assert run(capsys, *command)[0] == 0
+        assert calls == [], command[0]
+    assert len(records) == 3
+
+
 def test_negative_cap_is_a_usage_error(capsys):
     assert run(capsys, "tree", "2x = 4", "--cap", "-1") == (
         2, "", "error: malgebra tree: argument --cap: must be 0 or more, got -1\n")
@@ -403,9 +429,11 @@ def test_diagnose_error_names_its_transcript(capsys, tmp_path):
     path.write_text(json.dumps(good) + "\n\n" + json.dumps(zero) + "\n")
     code, out, err = run(capsys, "diagnose", str(path))
     assert (code, out, err) == (1, "", "error: transcript 1: zero coefficient on x: 0x = 12\n")
-    path.write_text(json.dumps({**good, "model_steps": None}) + "\n")
-    code, out, err = run(capsys, "diagnose", str(path))
-    assert (code, out, err) == (2, "", "error: transcript 0: diagnosis needs model_steps\n")
+    # no steps, like an empty list of them, would agree with every walk
+    for steps in (None, []):
+        path.write_text(json.dumps({**good, "model_steps": steps}) + "\n")
+        code, out, err = run(capsys, "diagnose", str(path))
+        assert (code, out, err) == (2, "", "error: transcript 0: diagnosis needs model_steps\n")
 
 
 def test_diagnose_matches_a_line_past_the_input_length_bound(capsys, tmp_path):

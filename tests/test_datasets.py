@@ -275,6 +275,21 @@ def test_verify_flags_corruption(tmp_path):
     assert [ln for ln, _ in report.failures] == [4]
 
 
+def test_verify_splits_records_on_newlines_only(tmp_path):
+    # JSON allows U+2028, U+2029 and U+0085 raw inside a string and a lone
+    # "\r" between tokens; a record may end in "\r\n", and blank lines, a
+    # trailing one included, are skipped
+    generate(DatasetConfig(seed=2, n_correct_per_type=0, test_per_type=1, out_dir=str(tmp_path)))
+    path = tmp_path / "test.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[3]["id"] += "\u2028\u2029\x85"
+    lines = [json.dumps(rec, ensure_ascii=False) for rec in records]
+    lines[5] = lines[5].replace(', "label"', ',\r"label"')
+    path.write_bytes(("\r\n".join(lines) + "\n\n").encode())
+    report = verify_dataset(path)
+    assert (report.total, report.passed) == (15, 15), report.failures
+
+
 def test_widest_coefficients_generate_and_replay(tmp_path):
     # the widest bounds the config accepts: coefficients of up to 20 digits
     top = 10**MAX_NUMERAL_DIGITS - 1

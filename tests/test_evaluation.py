@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from malgebra.evaluation import (
     _typed_root,
     diagnose,
     grade,
+    load_transcripts,
     parse_answer,
     score,
 )
@@ -33,6 +35,18 @@ T = ProblemType
 
 def _tr(ptype, equation, answer, steps=None):
     return Transcript(ptype, equation, answer, tuple(steps) if steps else None)
+
+
+def test_load_transcripts_splits_lines_on_newlines_only(tmp_path):
+    # JSON allows U+2028, U+2029 and U+0085 raw inside a string and a lone
+    # "\r" between tokens; a line may end in "\r\n", and blank lines, a
+    # trailing one included, are skipped
+    answer = "3\u2028\u2029\x85"
+    row = {"problem_type": "T1", "equation": "4x = 12", "model_answer": answer}
+    raw, escaped = json.dumps(row, ensure_ascii=False), json.dumps(row).replace(", ", ",\r")
+    path = tmp_path / "tr.jsonl"
+    path.write_bytes(f"{raw}\r\n\n{escaped}\n\n".encode())
+    assert load_transcripts(path) == [_tr("T1", "4x = 12", answer)] * 2
 
 
 def test_parse_answer_formats():
@@ -262,7 +276,7 @@ def _exhaustive_diagnose(transcript, walks, max_candidates=5):
     candidate set: every relevant single, then every ordered pair.  ``walks``
     keeps each walk's lines by (equation, rule ids) across calls, and each
     parse is kept by its text."""
-    if transcript.model_steps is None:
+    if not transcript.model_steps:
         raise SchemaError("diagnosis needs model_steps")
     eq = parse_equation(transcript.equation)
     model = [parse_equation(s) for s in transcript.model_steps]

@@ -19,6 +19,7 @@ from malgebra.equations import (
     Sub,
     XTerm,
     closed_form_solution,
+    degree,
     parse_equation,
     render,
 )
@@ -42,6 +43,7 @@ from malgebra.reduction import (
 from malgebra.solution_space import enumerate_tree
 from malgebra.taxonomy import (
     CAtom,
+    DEAD_END,
     GroupAtom,
     ORDERED_TYPES,
     OpaqueAtom,
@@ -49,7 +51,9 @@ from malgebra.taxonomy import (
     ProdAtom,
     SOLVED,
     XAtom,
+    _signature,
     classify,
+    surface_atoms,
     view_atoms,
 )
 
@@ -274,13 +278,11 @@ def _lemma_roots() -> tuple[tuple[Node, ...], tuple[Node, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _emitted_sides() -> tuple[tuple[str, Side], ...]:
-    """(where, side) for both sides of each drawn root, and for every side
-    that a correct body, the solve edge or a rewrite emits on every edge out
-    of every typed state that a lemma root reaches with at most one
-    misconception."""
+def _fired_edges() -> tuple[tuple[Node, str, Node], ...]:
+    """(state, rule id, result) for every edge that fires out of every typed
+    state that a lemma root reaches with at most one misconception."""
     drawn, parsed = _lemma_roots()
-    out = [((root.line, "draw"), side) for root in drawn for side in root.sides]
+    out = []
     for root in (*drawn, *parsed):
         todo = [(root, 0)]
         while todo:
@@ -294,10 +296,20 @@ def _emitted_sides() -> tuple[tuple[str, Side], ...]:
                     continue
                 if kid is None:
                     continue
-                out += [((node.line, edge.rule_id), new)
-                        for old, new in zip(node.sides, kid.sides) if new is not old]
+                out.append((node, edge.rule_id, kid))
                 if (k := used + (edge.kind == "misconception")) <= 1:
                     todo.append((kid, k))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _emitted_sides() -> tuple[tuple[str, Side], ...]:
+    """(where, side) for both sides of each drawn root, and for every side
+    that a correct body, the solve edge or a rewrite emits on a fired edge."""
+    drawn, _ = _lemma_roots()
+    out = [((root.line, "draw"), side) for root in drawn for side in root.sides]
+    out += [((node.line, rule_id), new) for node, rule_id, kid in _fired_edges()
+            for old, new in zip(node.sides, kid.sides) if new is not old]
     return tuple(out)
 
 
@@ -309,13 +321,42 @@ def test_emitted_atoms_read_as_their_built_side():
     assert len(sides) > 20_000
     kinds = {type(a) for _, side in sides for _, a in side.atoms}
     assert kinds == {XAtom, CAtom, ProdAtom, GroupAtom, OpaqueAtom}
+    negated = 0
     for where, side in sides:
         built = rebuild(side.atoms)
         assert view_atoms(built) == side.view, where
         assert render(built) == side.text, where
+        # classify's exact pass reads a built side's surface off its atoms,
+        # except that a minus left on the first term prints as a negation,
+        # which the surface reads as one opaque term
+        surface = _signature(surface_atoms(built))
+        if side.terms[0][0] < 0:
+            negated += 1
+            assert surface == ("?", *_signature(side.atoms)[1:]), where
+        else:
+            assert surface == _signature(side.atoms), where
+    assert negated  # M4 on -(3(4 * 5)) leaves -3 * 4 * 3 * 5
     # a parsed root's untouched side prints as written
     for text, want in (("(2x) = 3 + 4", "(2x) = 7"), ("2x = -(3 + 4)", "2x = -7")):
         assert reduce(parse_equation(text)).equation_lines()[:2] == [text, want]
+
+
+def test_a_rewrite_is_typed_from_its_sides_as_its_equation_is():
+    # try_apply types a rewrite's result from the sides it built, and a
+    # result with no x term on either side is a dead end: the same label the
+    # equation rebuilt from those sides gets
+    rewrites = dead_ends = 0
+    for node, rule_id, kid in _fired_edges():
+        if kid.via.kind != "misconception" or kid.label == SOLVED:
+            continue
+        rewrites += 1
+        eq = kid.equation
+        if degree(eq.lhs) or degree(eq.rhs):
+            assert kid.label is classify(eq), (node.line, rule_id)
+        else:
+            dead_ends += 1
+            assert kid.label == DEAD_END, (node.line, rule_id)
+    assert rewrites > 10_000 and dead_ends
 
 
 def test_view_signs_are_unit_and_sums_exact():

@@ -77,6 +77,10 @@ def test_zero_slot_fallbacks():
     # x-first reordering rescues transposed chains
     assert classify(parse_equation("2x = 3 + 20x + 6")) is T.T16
     assert classify(parse_equation("2x = 3 + 44x")) is T.T7
+    # the view is matched as written before x-first, so a constant-first
+    # shape whose terms are spliced from parens keeps its type
+    assert classify(parse_equation("(-6) + 9x = 8")) is T.T6
+    assert classify(parse_equation("(4) - 6x - 6x = 9")) is T.T11
 
 
 def test_unclassifiable_forms():
