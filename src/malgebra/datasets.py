@@ -23,7 +23,7 @@ from typing import Sequence
 from .equations import MAX_NUMERAL_DIGITS, Equation, closed_form_solution, parse_equation
 from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_input
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
-from .reduction import ReductionTrace, Side
+from .reduction import ReductionTrace
 from .taxonomy import (
     CAtom,
     CORRECT_EDGES,
@@ -32,9 +32,10 @@ from .taxonomy import (
     PATTERN_ATOMS,
     ProblemType,
     ProdAtom,
+    Side,
     SignedAtom,
     XAtom,
-    classify,
+    _joined,
     letter_code,
 )
 
@@ -66,7 +67,7 @@ def _root(t: ProblemType, values: dict[int, int], line: str) -> Node:
     """The walk state of a draw typed ``t``, printed as ``line``: each side of
     ``t``'s pattern filled with the drawn ``values``."""
     exact = {code: Fraction(v) for code, v in values.items()}
-    return Node(tuple(Side(_fill(side, exact), text)
+    return Node(tuple(Side(_joined(_fill(side, exact)), text)
                       for side, text in zip(PATTERN_ATOMS[t], line.split(" = "))), t)
 
 
@@ -394,14 +395,12 @@ def _replay(rec: dict) -> None:
         raise SchemaError(f"unknown fields: {unknown}")
     if rec["label"] == "correct" and "misconception_id" in rec:
         raise SchemaError("correct record carries misconception_id")
-    eq = parse_equation(rec["equation"])
-    t = classify(eq)
-    if t.name != rec["problem_type"]:
-        raise SchemaError(f"classifies as {t.name}, recorded {rec['problem_type']}")
-    root, label = Node(eq, t), rec["label"]
+    root, label = Node(parse_equation(rec["equation"])), rec["label"]
+    if root.label.name != rec["problem_type"]:
+        raise SchemaError(f"classifies as {root.label.name}, recorded {rec['problem_type']}")
     if label == "correct":
         trace = walk(root, ())
-        if trace.answer != closed_form_solution(eq):
+        if trace.answer != closed_form_solution(root.equation):
             raise SchemaError("correct record disagrees with the closed form")
     elif label == "misconception":
         mid = rec.get("misconception_id")

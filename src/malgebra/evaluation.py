@@ -19,7 +19,7 @@ from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_objec
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, steps, walk
 from .reduction import ReductionTrace
 from .solution_space import Leaf, enumerate_tree
-from .taxonomy import ORDERED_TYPES, classify, reachable
+from .taxonomy import ORDERED_TYPES, reachable
 
 GRADE_CORRECT = "correct"
 GRADE_MATCH = "misconception-match"
@@ -95,12 +95,11 @@ def parse_answer(text: str) -> Fraction | str:
 def _typed_root(transcript: Transcript) -> Node:
     """The transcript's equation, parsed and typed, as a walk state.  Raises
     ``SchemaError`` when the transcript claims another type."""
-    eq = parse_equation(transcript.equation)
-    t = classify(eq)
-    if t.name != transcript.problem_type:
-        raise SchemaError(f"transcript claims {transcript.problem_type} for a {t.name} "
+    root = Node(parse_equation(transcript.equation))
+    if root.label.name != transcript.problem_type:
+        raise SchemaError(f"transcript claims {transcript.problem_type} for a {root.label.name} "
                           f"equation: {transcript.equation}")
-    return Node(eq, t)
+    return root
 
 
 def _printed_steps(transcript: Transcript) -> list[str]:

@@ -30,13 +30,10 @@ from .reduction import (
     EdgeRef,
     Emitted,
     ReductionTrace,
-    Sides,
     after,
     apply_step,
     at_first,
-    rebuild,
     signed_sum,
-    sides_of,
     solve_t1,
     solved,
     t1_parts,
@@ -50,10 +47,13 @@ from .taxonomy import (
     ProblemType,
     ProdAtom,
     SOLVED,
+    Sides,
     SignedAtom,
     XAtom,
     classify,
     correct_successors,
+    rebuild,
+    sides_of,
 )
 
 T = ProblemType
@@ -338,11 +338,11 @@ def apply_misconception(
     m: "Misconception | str", eq: Equation
 ) -> tuple[Equation, ProblemType | str]:
     """Apply one misconception to an equation it is applicable to."""
-    m = get_misconception(m)
-    t = classify(eq)
+    m, root = get_misconception(m), Node(eq)
+    t = root.label
     if t not in m.applicable_types:
         raise MisconceptionNotApplicableError(f"{m.id} is not applicable to {t}")
-    if (kid := try_apply(m, Node(eq, t))) is None:
+    if (kid := try_apply(m, root)) is None:
         raise MisconceptionNotApplicableError(f"{m.id} has no matching site on this {t} "
                                               f"instance: {eq}")
     return kid.equation, kid.label
@@ -360,10 +360,11 @@ RULE_EDGE = {m.id: EdgeRef("misconception", m.id) for m in CATALOG}
 
 
 class Node:
-    """A walk state: its two sides (``reduction.Side``), its label and the
+    """A walk state: its two sides (``taxonomy.Side``), its label and the
     edge that reached it (None at a root).  A root is made from an equation,
-    which it keeps; a step makes a state from its two sides, and that state
-    builds its ``equation`` only when asked.  ``line`` joins the two texts.
+    which it keeps, and with no label given is typed by ``classify``; a step
+    makes a state from its two sides, and that state builds its ``equation``
+    only when asked.  ``line`` joins the two texts.
 
     ``child`` runs each edge out of a node at most once and keeps what it
     gave, an engine error included, so walks from one root share every state
@@ -375,13 +376,13 @@ class Node:
 
     __slots__ = ("sides", "label", "via", "_kids", "_equation", "_line")
 
-    def __init__(self, state: Equation | Sides, label: ProblemType | str,
+    def __init__(self, state: Equation | Sides, label: ProblemType | str | None = None,
                  via: EdgeRef | None = None) -> None:
         if type(state) is tuple:
             self.sides, self._equation = state, None
         else:
             self.sides, self._equation = sides_of(state), state
-        self.label, self.via, self._line = label, via, None
+        self.label, self.via, self._line = label or classify(self.sides), via, None
         self._kids: dict[str, Node | EngineError | None] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -442,7 +443,7 @@ class Node:
 def outcome(node: Node) -> tuple[Fraction | None, str | None] | None:
     """(answer, dead-end reason) of a terminal state; None at a type."""
     if node.label == SOLVED:
-        return node.sides[1].atoms[0][1].value, None  # the c of x = c
+        return node.sides[1].terms[0][1].value, None  # the c of x = c
     if node.label == DEAD_END:
         return None, "variable eliminated"
     return None
@@ -486,4 +487,4 @@ def reduce_with_misconceptions(
     correct reduction.
     """
     mals = resolve_set(ms)
-    return walk(Node(eq, classify(eq)), mals)
+    return walk(Node(eq), mals)

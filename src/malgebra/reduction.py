@@ -15,20 +15,21 @@ from fractions import Fraction
 from math import prod
 from typing import TYPE_CHECKING, Any, Callable, Literal, Sequence
 
-from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm, render
+from .equations import Equation
 from .errors import RuleNotApplicableError, ZeroCoefficientError
 from .taxonomy import (
     CAtom,
     CORRECT_EDGES,
     GroupAtom,
-    OpaqueAtom,
     ProblemType,
     ProdAtom,
+    Side,
+    Sides,
     SignedAtom,
     XAtom,
+    _joined,
     classify,
-    group_view,
-    view_atoms,
+    sides_of,
 )
 
 if TYPE_CHECKING:
@@ -61,99 +62,8 @@ class ReductionTrace:
 
 
 # ---------------------------------------------------------------------------
-# One side's atoms as an expression, as a view and as text; site helpers
+# Site helpers and the sides after a step
 # ---------------------------------------------------------------------------
-
-
-def _joined(atoms: Sequence[SignedAtom]) -> list[SignedAtom]:
-    """Each term of the chain ``atoms`` as (the sign it joins by, the atom it
-    prints): the one place that folds signs.  A later x or constant term joins
-    by the sign of its signed value and holds its size (never ``a + -b``), the
-    first holds its signed value; a later product or group keeps its sign and
-    lead factor (``1 - -3 * 4``); a leading minus folds into a group's or a
-    two-factor product's lead factor.  Any other term passes as it is, the
-    same tuple."""
-    out: list[SignedAtom] = []
-    for i, term in enumerate(atoms):
-        s, a = term
-        k = type(a)
-        if k is XAtom or k is CAtom:
-            v = a.coef if k is XAtom else a.value
-            if i and v.numerator < 0:  # an int compare: much faster than a Fraction's
-                out.append((-s, k(-v)))
-            elif not i and s < 0:
-                out.append((1, k(-v)))
-            else:
-                out.append(term if s > 0 or v else (1, a))  # minus zero joins by plus
-        elif i or s > 0 or k is OpaqueAtom or k is ProdAtom and len(a.factors) > 2:
-            out.append(term)
-        elif k is ProdAtom:
-            out.append((1, ProdAtom((-a.factors[0], *a.factors[1:]))))
-        else:
-            out.append((1, GroupAtom(-a.multiplier, a.inner)))
-    return out
-
-
-def rebuild(atoms: Sequence[SignedAtom]) -> Expr:
-    """The left-associated +/- chain of ``_joined(atoms)``, a minus it leaves
-    on the first term as a ``Neg``; every Expr chain the engine builds comes
-    from here."""
-    if not atoms:
-        raise ValueError("empty chain")
-    out: Expr | None = None
-    for s, a in _joined(atoms):
-        k = type(a)
-        if k is XAtom or k is CAtom:
-            node: Expr = XTerm(a.coef) if k is XAtom else Const(a.value)
-        elif k is ProdAtom:
-            node = Const(a.factors[0])
-            for f in a.factors[1:]:
-                node = Mul(node, Const(f))
-        elif k is GroupAtom:
-            node = Mul(Const(a.multiplier), Paren(rebuild(a.inner)))
-        else:
-            node = a.node
-        if out is not None:
-            out = Add(out, node) if s > 0 else Sub(out, node)
-        else:
-            out = node if s > 0 else Neg(node)
-    return out
-
-
-def rebuilt_view(terms: Sequence[SignedAtom]) -> list[SignedAtom]:
-    """``view_atoms(rebuild(atoms))``, read off ``terms = _joined(atoms)``."""
-    out: list[SignedAtom] = []
-    for term in terms:
-        s, a = term
-        if type(a) is OpaqueAtom:
-            out += [(s * s1, b) for s1, b in view_atoms(a.node)]
-        else:
-            out.append((s, group_view(a.multiplier, rebuilt_view(_joined(a.inner))))
-                       if type(a) is GroupAtom else term)
-    return out
-
-
-def rebuilt_text(terms: Sequence[SignedAtom]) -> str:
-    """``render(rebuild(atoms))``, printed from ``terms = _joined(atoms)``."""
-    out = []
-    for i, (s, a) in enumerate(terms):
-        if i:
-            out.append(" + " if s > 0 else " - ")
-        elif s < 0:
-            out.append("-")  # the Neg rebuild puts round the first term
-        k = type(a)
-        if k is XAtom:
-            c = str(a.coef)
-            out.append("x" if c == "1" else "-x" if c == "-1" else c + "x")
-        elif k is CAtom:
-            out.append(str(a.value))
-        elif k is ProdAtom:
-            out.append(" * ".join(map(str, a.factors)))
-        elif k is GroupAtom:
-            out.append(f"{a.multiplier}({rebuilt_text(_joined(a.inner))})")
-        else:
-            out.append(render(a.node))
-    return "".join(out)
 
 
 def at_first(
@@ -196,53 +106,15 @@ def _plus_const(rest: list[SignedAtom], total: Fraction) -> list[SignedAtom]:
     return rest if rest and total == 0 else rest + [(1, CAtom(total))]
 
 
-class Side:
-    """One side of a walk state, from which ``view`` (the normalized atoms
-    every rule reads), ``text`` (as printed) and ``expr`` are each made at
-    most once.  A side a step built holds the atoms it emitted, joins them
-    once (``terms``) and reads all three off them; a drawn root's side holds
-    its atoms and its text; a parsed side holds its expression.  A step
-    shares each side it leaves alone."""
-
-    __slots__ = ("atoms", "terms", "_view", "_text", "_expr")
-
-    def __init__(self, atoms: list[SignedAtom] | None, text: str | None = None,
-                 expr: Expr | None = None) -> None:
-        self.atoms, self._text, self._expr, self._view = atoms, text, expr, None
-        self.terms = None if atoms is None else _joined(atoms)
-
-    @property
-    def view(self) -> list[SignedAtom]:
-        if self._view is None:
-            self._view = view_atoms(self._expr) if self.atoms is None else rebuilt_view(self.terms)
-        return self._view
-
-    @property
-    def text(self) -> str:
-        if self._text is None:
-            self._text = render(self._expr) if self.atoms is None else rebuilt_text(self.terms)
-        return self._text
-
-    @property
-    def expr(self) -> Expr:
-        if self._expr is None:
-            self._expr = rebuild(self.atoms)
-        return self._expr
-
-
-Sides = tuple[Side, Side]
 # what a step emits: the atoms of each side it rewrites, None for a side it keeps
 Emitted = tuple[list[SignedAtom] | None, list[SignedAtom] | None]
-
-
-def sides_of(eq: Equation) -> Sides:
-    return Side(None, expr=eq.lhs), Side(None, expr=eq.rhs)
 
 
 def after(sides: Sides, new: Emitted) -> Sides:
     """``sides`` after a step that emitted ``new``."""
     lhs, rhs = new
-    return sides[0] if lhs is None else Side(lhs), sides[1] if rhs is None else Side(rhs)
+    return (sides[0] if lhs is None else Side(_joined(lhs)),
+            sides[1] if rhs is None else Side(_joined(rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +208,10 @@ _TARGETS = {(src, rule_id): dst for src, rule_id, dst in CORRECT_EDGES}
 
 def reduce_step(eq: Equation, t: ProblemType, rule_id: str) -> tuple[Equation, ProblemType]:
     """Apply one named correct edge out of ``t`` to ``eq``, checked to be a ``t``."""
-    if classify(eq) is not t:
+    sides = sides_of(eq)
+    if classify(sides) is not t:
         raise RuleNotApplicableError(f"{eq} does not classify as {t}")
-    (lhs, rhs), target = apply_step(sides_of(eq), t, rule_id)
+    (lhs, rhs), target = apply_step(sides, t, rule_id)
     return Equation(lhs.expr, rhs.expr), target
 
 
@@ -358,9 +231,10 @@ def apply_step(sides: Sides, t: ProblemType, rule_id: str) -> tuple[Sides, Probl
 
 def solve_terminal(eq: Equation) -> Fraction:
     """The divide-through step on a T1 instance: x = B/A."""
-    if classify(eq) is not ProblemType.T1:
+    sides = sides_of(eq)
+    if classify(sides) is not ProblemType.T1:
         raise RuleNotApplicableError(f"solve step requires a T1 instance, got: {eq}")
-    return solve_t1(sides_of(eq))
+    return solve_t1(sides)
 
 
 def solve_t1(sides: Sides) -> Fraction:

@@ -15,7 +15,6 @@ from .equations import Equation
 from .errors import BudgetExceededError, ZeroCoefficientError
 from .misconceptions import CORRECT_OUT, RULE_EDGE, Misconception, Node, outcome, resolve_set
 from .reduction import EdgeRef
-from .taxonomy import classify
 
 NODE_BUDGET = 100_000
 
@@ -84,7 +83,7 @@ def enumerate_tree(
                 if edge.rule_id not in used and (kid := node.child(edge)) is not None:
                     grow(nid, kid, used + (edge.rule_id,), path)
 
-    grow(-1, eq if isinstance(eq, Node) else Node(eq, classify(eq)), (), ())
+    grow(-1, eq if isinstance(eq, Node) else Node(eq), (), ())
     return SolutionTree(tuple(nodes), tuple(parents), tuple(leaves))
 
 

@@ -10,10 +10,13 @@ as its own whole-number code.  The parse gives the surface atoms that the
 generator fills with drawn values, and the per-side signature of term kinds
 that the shape table maps to the type.
 
-``classify`` reads an equation or the two ``reduction.Side``s of a walk
-state in two passes.  The exact pass looks up the surface signature: a parsed
-side's as written, a built side's off the atoms it holds, so a walk types a
-rewrite without building an expression.  The fallback pass reads the
+A walk state's side (``Side``) is its terms: a parsed side's surface atoms,
+or the atoms a draw or a step emitted with their signs folded (``_joined``),
+read as an expression, a view and text by ``rebuild`` and ``rebuilt_*``.
+
+``classify`` reads an equation's sides or the two sides of a walk state in
+two passes.  The exact pass looks up the signature of the terms, so a walk
+types a rewrite without building an expression.  The fallback pass reads the
 normalized views, which splice bare parentheses and fold constant multiples
 of a parenthesized monomial, first in written order, then stably reordered
 x-first.  A right-side constant chain of any width matches the two-constant
@@ -27,8 +30,9 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm, parse_equation
+from .equations import Add, Const, Equation, Expr, Mul, Neg, Paren, Sub, XTerm, parse_equation, render
 from .errors import UnclassifiableFormError
 
 
@@ -145,32 +149,6 @@ def surface_atoms(e: Expr) -> list[SignedAtom]:
     return [(sign, _atomize(node)) for sign, node in split_terms(e)]
 
 
-def view_atoms(e: Expr) -> list[SignedAtom]:
-    """Normalized view: bare parens spliced, signs pushed inward, constant
-    multiples of single-term parens folded.  Term order is preserved."""
-    out: list[SignedAtom] = []
-    for sign, node in split_terms(e):
-        out.extend(_view_term(sign, node))
-    return out
-
-
-def _view_term(sign: int, node: Expr) -> list[SignedAtom]:
-    if isinstance(node, Paren):
-        return [(sign * s, a) for s, a in view_atoms(node.inner)]
-    if isinstance(node, Neg):
-        return [(-sign * s, a) for s, a in _view_term(1, node.inner)]
-    atom = _atomize(node)
-    if isinstance(atom, GroupAtom):
-        inner_view: list[SignedAtom] = []
-        for s, a in atom.inner:
-            if isinstance(a, OpaqueAtom):
-                inner_view.extend(_view_term(s, a.node))
-            else:
-                inner_view.append((s, a))
-        return [(sign, group_view(atom.multiplier, inner_view))]
-    return [(sign, atom)]
-
-
 def group_view(multiplier: Fraction, inner: list[SignedAtom]) -> Atom:
     """The view of the group ``multiplier(...)`` whose interior reads as
     ``inner``: one x or constant term folds into an x-term or a product."""
@@ -181,6 +159,157 @@ def group_view(multiplier: Fraction, inner: list[SignedAtom]) -> Atom:
         if isinstance(a, CAtom):
             return ProdAtom((multiplier, s * a.value))
     return GroupAtom(multiplier, tuple(inner))
+
+
+# ---------------------------------------------------------------------------
+# One side of a walk state: its terms, read as a view, as text and as a chain
+# ---------------------------------------------------------------------------
+
+
+def _joined(atoms: Sequence[SignedAtom]) -> list[SignedAtom]:
+    """Each term of the chain ``atoms`` as (the sign it joins by, the atom it
+    prints): the one place that folds signs.  A later x or constant term joins
+    by the sign of its signed value and holds its size (never ``a + -b``), the
+    first holds its signed value; a later product or group keeps its sign and
+    lead factor (``1 - -3 * 4``); a leading minus folds into a group's or a
+    two-factor product's lead factor.  A group's interior joins as a chain of
+    its own; any other term passes as it is, the same tuple."""
+    out: list[SignedAtom] = []
+    for i, term in enumerate(atoms):
+        s, a = term
+        k = type(a)
+        if k is XAtom or k is CAtom:
+            v = a.coef if k is XAtom else a.value
+            if i and v.numerator < 0:  # an int compare: much faster than a Fraction's
+                out.append((-s, k(-v)))
+            elif not i and s < 0:
+                out.append((1, k(-v)))
+            else:
+                out.append(term if s > 0 or v else (1, a))  # minus zero joins by plus
+        elif k is GroupAtom:
+            inner = tuple(_joined(a.inner))
+            out.append((s, GroupAtom(a.multiplier, inner)) if i or s > 0
+                       else (1, GroupAtom(-a.multiplier, inner)))
+        elif i or s > 0 or k is OpaqueAtom or len(a.factors) > 2:
+            out.append(term)
+        else:
+            out.append((1, ProdAtom((-a.factors[0], *a.factors[1:]))))
+    return out
+
+
+def rebuild(atoms: Sequence[SignedAtom]) -> Expr:
+    """The left-associated +/- chain of ``_joined(atoms)``, a minus it leaves
+    on the first term as a ``Neg``; every Expr chain the engine builds comes
+    from here."""
+    if not atoms:
+        raise ValueError("empty chain")
+    out: Expr | None = None
+    for s, a in _joined(atoms):
+        k = type(a)
+        if k is XAtom or k is CAtom:
+            node: Expr = XTerm(a.coef) if k is XAtom else Const(a.value)
+        elif k is ProdAtom:
+            node = Const(a.factors[0])
+            for f in a.factors[1:]:
+                node = Mul(node, Const(f))
+        elif k is GroupAtom:
+            node = Mul(Const(a.multiplier), Paren(rebuild(a.inner)))
+        else:
+            node = a.node
+        if out is not None:
+            out = Add(out, node) if s > 0 else Sub(out, node)
+        else:
+            out = node if s > 0 else Neg(node)
+    return out
+
+
+def rebuilt_view(terms: Sequence[SignedAtom]) -> list[SignedAtom]:
+    """The normalized view of the side whose terms are ``terms``: an opaque
+    ``(...)`` or ``-(...)`` term spliced through the surface atoms of its
+    interior, its sign pushed inward; a group read by ``group_view`` once its
+    opaque terms are spliced alike, a group directly inside it kept as it is;
+    any other term as it is.  Read off ``surface_atoms(e)`` it is how ``e``
+    reads, and off ``_joined(atoms)`` how ``rebuild(atoms)`` reads."""
+    out: list[SignedAtom] = []
+    for term in terms:
+        s, a = term
+        k = type(a)
+        if k is GroupAtom:
+            inner: list[SignedAtom] = []
+            for t in a.inner:
+                inner += rebuilt_view((t,)) if type(t[1]) is OpaqueAtom else (t,)
+            out.append((s, group_view(a.multiplier, inner)))
+        elif k is OpaqueAtom and type(a.node) in (Paren, Neg):
+            s = s if type(a.node) is Paren else -s
+            out += [(s * s1, b) for s1, b in rebuilt_view(surface_atoms(a.node.inner))]
+        else:
+            out.append(term)
+    return out
+
+
+def rebuilt_text(terms: Sequence[SignedAtom]) -> str:
+    """The side whose terms are ``terms`` as printed: ``render(e)`` for
+    ``surface_atoms(e)``, and ``render(rebuild(atoms))`` for ``_joined(atoms)``."""
+    out = []
+    for i, (s, a) in enumerate(terms):
+        if i:
+            out.append(" + " if s > 0 else " - ")
+        elif s < 0:
+            out.append("-")  # the Neg rebuild puts round the first term
+        k = type(a)
+        if k is XAtom:
+            c = str(a.coef)
+            out.append("x" if c == "1" else "-x" if c == "-1" else c + "x")
+        elif k is CAtom:
+            out.append(str(a.value))
+        elif k is ProdAtom:
+            out.append(" * ".join(map(str, a.factors)))
+        elif k is GroupAtom:
+            out.append(f"{a.multiplier}({rebuilt_text(a.inner)})")
+        else:
+            out.append(render(a.node))
+    return "".join(out)
+
+
+class Side:
+    """One side of a walk state, held as its terms, from which ``view`` (the
+    normalized atoms every rule reads), ``text`` (as printed) and ``expr``
+    are each made at most once.  A side a draw or a step made holds the
+    atoms it emitted, joined (``_joined``), a drawn root's side its text as
+    well; a parsed side holds its surface atoms and keeps its expression.  A
+    step shares each side it leaves alone."""
+
+    __slots__ = ("terms", "_view", "_text", "_expr")
+
+    def __init__(self, terms: list[SignedAtom], text: str | None = None,
+                 expr: Expr | None = None) -> None:
+        self.terms, self._text, self._expr, self._view = terms, text, expr, None
+
+    @property
+    def view(self) -> list[SignedAtom]:
+        if self._view is None:
+            self._view = rebuilt_view(self.terms)
+        return self._view
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = rebuilt_text(self.terms)
+        return self._text
+
+    @property
+    def expr(self) -> Expr:
+        if self._expr is None:
+            self._expr = rebuild(self.terms)
+        return self._expr
+
+
+Sides = tuple[Side, Side]
+
+
+def sides_of(eq: Equation) -> Sides:
+    """The two sides of a parsed equation, each its surface atoms."""
+    return Side(surface_atoms(eq.lhs), expr=eq.lhs), Side(surface_atoms(eq.rhs), expr=eq.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +361,20 @@ def _match_patterns(lhs: tuple[str, ...], rhs: tuple[str, ...]) -> ProblemType |
     return _SHAPES.get((lhs, rhs))
 
 
-def classify(state: Equation | tuple) -> ProblemType:
-    """Map an equation, or the two ``reduction.Side``s of a walk state, onto
-    its problem type.
+def classify(state: Equation | Sides) -> ProblemType:
+    """Map an equation, or the two ``Side``s of a walk state, onto its
+    problem type.
 
     Raises UnclassifiableFormError when neither the surface structure nor the
     normalized view matches any pattern (e.g. no unknown at all).
     """
     if isinstance(state, Equation):
-        lhs, rhs = surface_atoms(state.lhs), surface_atoms(state.rhs)
-    else:  # a side shared from a parsed root holds no atoms
-        lhs, rhs = [surface_atoms(side.expr) if side.terms is None else side.terms
-                    for side in state]
+        state = sides_of(state)
+    lhs, rhs = state[0].terms, state[1].terms
     # a minus left on a built side's first term prints as a negation: no pattern's surface
     if lhs[0][0] > 0 and rhs[0][0] > 0:
         if exact := _match_patterns(_signature(lhs), _signature(rhs)):
             return exact
-    if isinstance(state, Equation):
-        from .reduction import sides_of  # reduction imports this module
-        state = sides_of(state)
     views = state[0].view, state[1].view
     # as written, then stably x-first: a constant-first shape (T6, T11) matches only as written
     x_first = (sorted(view, key=lambda sa: type(sa[1]) is not XAtom) for view in views)

@@ -70,7 +70,7 @@ def test_trace_prints_each_state_as_its_line(capsys, monkeypatch):
         raise AssertionError("an expression was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr("malgebra.reduction.rebuild", no_rebuild)
+        patch.setattr("malgebra.taxonomy.rebuild", no_rebuild)
         assert run(capsys, "solve", "--trace", "(2x) = 3 + 4") == (
             0, "T2 | (2x) = 3 + 4 | fold-sum\nT1 | (2x) = 7 | solve\nx = 7/2\n", "")
     code, out, _ = run(capsys, "malsolve", "--trace", "(2x) = 3 + 4", "--misconceptions", "M14")
@@ -83,10 +83,10 @@ def test_misconception_workloads_build_no_expression(capsys, monkeypatch, tmp_pa
     # score and diagnose of a small M6 cell build no expression from a walk
     # state.  M1's (part) atom, which diagnose tries on these roots, builds
     # its own chain through misconceptions' binding and is not counted here.
-    from malgebra import reduction
+    from malgebra import taxonomy
 
-    calls, original = [], reduction.rebuild
-    monkeypatch.setattr(reduction, "rebuild", lambda atoms: calls.append(atoms) or original(atoms))
+    calls, original = [], taxonomy.rebuild
+    monkeypatch.setattr(taxonomy, "rebuild", lambda atoms: calls.append(atoms) or original(atoms))
     out = tmp_path / "m6"
     assert run(capsys, "gen", "--misconception", "M6", "--n-m", "3", "--ratio", "0",
                "--test-per-type", "0", "--seed", "0", "--out", str(out))[0] == 0
@@ -102,6 +102,26 @@ def test_misconception_workloads_build_no_expression(capsys, monkeypatch, tmp_pa
         assert run(capsys, *command)[0] == 0
         assert calls == [], command[0]
     assert len(records) == 3
+
+
+def test_verify_atomizes_each_record_side_once(capsys, monkeypatch, tmp_path):
+    # a parsed side is its surface atoms, and a root is typed from its sides:
+    # verifying a small M6 cell atomizes each record's two sides once
+    from malgebra import taxonomy
+
+    out = tmp_path / "m6"
+    assert run(capsys, "gen", "--misconception", "M6", "--n-m", "20", "--ratio", "1.0",
+               "--test-per-type", "0", "--seed", "0", "--out", str(out))[0] == 0
+    records = [json.loads(line) for line in (out / "train.jsonl").read_text().splitlines()]
+    calls, original = [], taxonomy._atomize
+    monkeypatch.setattr(taxonomy, "_atomize", lambda node: calls.append(node) or original(node))
+    assert run(capsys, "verify", str(out / "train.jsonl"))[0] == 0
+    verified = len(calls)
+    calls.clear()
+    for r in records:
+        eq = parse_equation(r["equation"])
+        taxonomy.surface_atoms(eq.lhs), taxonomy.surface_atoms(eq.rhs)
+    assert (len(records), verified) == (40, len(calls)) and verified == 154
 
 
 def test_negative_cap_is_a_usage_error(capsys):

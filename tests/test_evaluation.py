@@ -93,7 +93,8 @@ def test_grade_types_a_wrong_answers_root_once(monkeypatch):
     for answer, want in (("-1/2", GRADE_MATCH), ("7", GRADE_OTHER)):
         calls.clear()
         assert grade(_tr("T9", str(eq), answer), "M2_S3") == want
-        assert calls.count(eq) == 1 and len(calls) > 1
+        lines = [f"{lhs.text} = {rhs.text}" for lhs, rhs in calls]  # a root is typed from its sides
+        assert lines.count(str(eq)) == 1 and len(calls) > 1
 
 
 def test_answer_mode_grade_prints_no_line_it_does_not_compare(monkeypatch):

@@ -1,0 +1,59 @@
+"""Every import in the package is used, and a module imports its siblings at
+its top, not inside a function.
+
+One call-time import stays: ``reduction.reduce`` delegates to the walk in
+``misconceptions``, which imports ``reduction`` itself, and perfbench's
+tracer wraps ``reduction.reduce`` by its module's name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "malgebra"
+
+
+def _trees() -> list[tuple[str, ast.Module]]:
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(_SRC.glob("*.py"))]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module's ``__all__`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _trees():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{name}:{node.lineno} {b}" for b in bound if b not in used]
+    assert unused == []
+
+
+def test_siblings_are_imported_at_the_top():
+    local = set()
+    for name, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").startswith("malgebra")):
+                    local.add((name, fn.name, node.module, *(a.name for a in node.names)))
+                elif isinstance(node, ast.Import) and any(
+                        a.name.startswith("malgebra") for a in node.names):
+                    local.add((name, fn.name, *(a.name for a in node.names)))
+    assert local == {("reduction.py", "reduce", "misconceptions", "reduce_with_misconceptions")}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,8 +33,6 @@ from malgebra.misconceptions import (
     reduce_with_misconceptions,
 )
 from malgebra.reduction import (
-    Side,
-    rebuild,
     reduce,
     reduce_step,
     signed_sum,
@@ -50,16 +49,48 @@ from malgebra.taxonomy import (
     ProblemType,
     ProdAtom,
     SOLVED,
+    Side,
     XAtom,
+    _atomize,
     _signature,
     classify,
+    group_view,
+    rebuild,
+    split_terms,
     surface_atoms,
-    view_atoms,
 )
 
 from test_fuzz import _mutate, _seeds
 
 T = ProblemType
+
+
+def view_atoms(e: Expr) -> list:
+    """The reference reader of a side's view, read off its expression: bare
+    parens spliced, signs pushed inward, constant multiples of single-term
+    parens folded, term order preserved.  ``Side.view`` reads the same off
+    a side's terms."""
+    out: list = []
+    for sign, node in split_terms(e):
+        out.extend(_view_term(sign, node))
+    return out
+
+
+def _view_term(sign: int, node: Expr) -> list:
+    if isinstance(node, Paren):
+        return [(sign * s, a) for s, a in view_atoms(node.inner)]
+    if isinstance(node, Neg):
+        return [(-sign * s, a) for s, a in _view_term(1, node.inner)]
+    atom = _atomize(node)
+    if isinstance(atom, GroupAtom):
+        inner_view: list = []
+        for s, a in atom.inner:
+            if isinstance(a, OpaqueAtom):
+                inner_view.extend(_view_term(s, a.node))
+            else:
+                inner_view.append((s, a))
+        return [(sign, group_view(atom.multiplier, inner_view))]
+    return [(sign, atom)]
 
 
 def test_reduce_step_distribute():
@@ -319,11 +350,11 @@ def test_emitted_atoms_read_as_their_built_side():
     # a drawn side's text is the line the pool tested
     sides = _emitted_sides()
     assert len(sides) > 20_000
-    kinds = {type(a) for _, side in sides for _, a in side.atoms}
+    kinds = {type(a) for _, side in sides for _, a in side.terms}
     assert kinds == {XAtom, CAtom, ProdAtom, GroupAtom, OpaqueAtom}
     negated = 0
     for where, side in sides:
-        built = rebuild(side.atoms)
+        built = rebuild(side.terms)
         assert view_atoms(built) == side.view, where
         assert render(built) == side.text, where
         # classify's exact pass reads a built side's surface off its atoms,
@@ -332,13 +363,102 @@ def test_emitted_atoms_read_as_their_built_side():
         surface = _signature(surface_atoms(built))
         if side.terms[0][0] < 0:
             negated += 1
-            assert surface == ("?", *_signature(side.atoms)[1:]), where
+            assert surface == ("?", *_signature(side.terms)[1:]), where
         else:
-            assert surface == _signature(side.atoms), where
+            assert surface == _signature(side.terms), where
     assert negated  # M4 on -(3(4 * 5)) leaves -3 * 4 * 3 * 5
     # a parsed root's untouched side prints as written
     for text, want in (("(2x) = 3 + 4", "(2x) = 7"), ("2x = -(3 + 4)", "2x = -7")):
         assert reduce(parse_equation(text)).equation_lines()[:2] == [text, want]
+
+
+# a group in a group stays raw in the view; a group's interior keeps its signs
+_PARSED_FORMS = ("x = 3(4(5x))", "x = -(3(4(5x)))", "2x = -(3(4 * 5))", "x = 3(-(2x) + 1)",
+                 "x = -3(4x + -5)", "x = (x)(2)")
+
+
+def test_a_parsed_side_reads_as_its_expression():
+    # a parsed side is its surface atoms: read off them, its view is the
+    # reference reader's view of its expression, and its text prints it
+    rng, seeds = random.Random(6), _seeds()
+    golden = InstanceSampler(seed=77)
+    eqs = [parse_equation(text) for text in _PARSED_FORMS]
+    eqs += [golden.sample(t, f"golden:{t.name}:{i}") for t in ORDERED_TYPES for i in range(6)]
+    while len(eqs) < 2000:
+        try:
+            eqs.append(parse_equation(_mutate(rng, rng.choice(seeds))))
+        except EngineError:
+            continue
+    for eq in eqs:
+        for e in (eq.lhs, eq.rhs):
+            side = Side(surface_atoms(e), expr=e)
+            assert side.view == view_atoms(e), eq
+            assert side.text == render(e), eq
+            assert side.expr is e
+    # read as written: M6 fires only on a written inner subtraction, and a
+    # group directly inside a group types as no pattern
+    assert reduce_with_misconceptions(parse_equation("x = -3(4x + -5)"), ["M6"]).misconceptions_used == ()
+    assert reduce_with_misconceptions(parse_equation("x = -3(4x - 5)"), ["M6"]).misconceptions_used == ("M6",)
+    with pytest.raises(EngineError, match="no problem type matches"):
+        classify(parse_equation("x = 3(4(5x))"))
+
+
+_WRITTEN = (lambda t: f"({t})", lambda t: f"-(-({t}))", lambda t: f"1({t})")
+
+
+def _walks(eq: Equation, t: ProblemType) -> list:
+    """(labels and edges, answer, dead end) of the correct walk from ``eq``
+    and of each single rule applicable to ``t``, or the error it raised."""
+    out = []
+    for ms in ((), *((m,) for m in CATALOG if t in m.applicable_types)):
+        try:
+            trace = reduce_with_misconceptions(eq, ms)
+        except EngineError as exc:
+            out.append(type(exc))
+            continue
+        out.append(([(s.label, s.via) for s in trace.steps], trace.answer, trace.dead_end))
+    return out
+
+
+def test_a_wrapped_term_types_and_walks_as_written_bare():
+    # each term of a drawn root written as (t), -(-(t)) or 1(t): the variant
+    # types as its root and every walk from it is alike, except 1(t) around a
+    # constant, a product or a group, which reads as a product or a nested
+    # group (README's grammar section) and types otherwise or not at all
+    drawn, _ = _lemma_roots()
+    roots = {t: [n for n in drawn if n.label is t][:10] for t in ORDERED_TYPES}
+    compared = unclassifiable = mistyped = 0
+    for t, nodes in roots.items():
+        for node in nodes:
+            eq = node.equation
+            want = _walks(eq, t)
+            sides = [split_terms(eq.lhs), split_terms(eq.rhs)]
+            for k, i, (w, write) in itertools.product((0, 1), range(4), enumerate(_WRITTEN)):
+                if i >= len(sides[k]):
+                    continue
+                texts = []
+                for side_k, terms in enumerate(sides):
+                    texts.append("".join(
+                        (" - " if s < 0 else " + ") * bool(j)
+                        + (write(render(n)) if (side_k, j) == (k, i) else render(n))
+                        for j, (s, n) in enumerate(terms)))
+                variant = parse_equation(" = ".join(texts))
+                exempt = w == 2 and not isinstance(sides[k][i][1], XTerm)
+                try:
+                    got = classify(variant)
+                except EngineError:
+                    assert exempt, variant
+                    unclassifiable += 1
+                    continue
+                if got is not t:
+                    assert exempt, (variant, got)
+                    mistyped += 1
+                    continue
+                assert not exempt, variant
+                walks = _walks(variant, t)
+                assert walks == want, variant
+                compared += len(walks)
+    assert (compared, unclassifiable, mistyped) == (7960, 210, 30)
 
 
 def test_a_rewrite_is_typed_from_its_sides_as_its_equation_is():
@@ -383,5 +503,5 @@ def test_view_signs_are_unit_and_sums_exact():
             _exact_atoms(view_atoms(side), eq)
     # every atom list a step emits, and the view a state holds of it
     for where, side in _emitted_sides():
-        _exact_atoms(side.atoms, where)
+        _exact_atoms(side.terms, where)
         _exact_atoms(side.view, where)

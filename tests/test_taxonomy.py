@@ -4,10 +4,11 @@ import itertools
 
 import pytest
 
+from malgebra.cli import main
 from malgebra.equations import Equation, Mul, Paren, closed_form_solution, parse_equation, render
 from malgebra.errors import UnclassifiableFormError
 from malgebra.datasets import type_graph
-from malgebra.reduction import apply_step, sides_of
+from malgebra.reduction import apply_step
 from malgebra.taxonomy import (
     CORRECT_EDGES,
     ORDERED_TYPES,
@@ -17,6 +18,7 @@ from malgebra.taxonomy import (
     classify,
     correct_successors,
     reachable,
+    sides_of,
     split_terms,
     surface_atoms,
 )
@@ -59,7 +61,7 @@ def test_subtraction_variants_classify_like_their_pattern():
     assert classify(parse_equation("4x - 5 = 2x - 7")) is T.T14
 
 
-def test_zero_slot_fallbacks():
+def test_zero_slot_fallbacks(capsys):
     # forms only rewrites produce: nearest pattern with zero slots
     assert classify(parse_equation("2x = 17x")) is T.T7
     assert classify(parse_equation("0x = 5")) is T.T1
@@ -81,6 +83,12 @@ def test_zero_slot_fallbacks():
     # shape whose terms are spliced from parens keeps its type
     assert classify(parse_equation("(-6) + 9x = 8")) is T.T6
     assert classify(parse_equation("(4) - 6x - 6x = 9")) is T.T11
+    # k(c) reads as the product k * c, beside other terms or alone, and a
+    # group beside it keeps its own shape (README's grammar section)
+    assert classify(parse_equation("-x = 1(2)")) is T.T3
+    for text in ("1(-6) + 9x = 8", "6x = 1(1) - 3", "x = 1(1) + 4(5x - 5)"):
+        assert main(["classify", text]) == 1, text
+        assert capsys.readouterr().err == f"error: no problem type matches: {text}\n"
 
 
 def test_unclassifiable_forms():
