@@ -124,6 +124,12 @@ def _chain(atoms: Sequence[SignedAtom], values: dict[int, int]) -> str:
     return out
 
 
+def _check_range(coeff_min: int, coeff_max: int) -> None:
+    """Reject a coefficient range that holds no nonzero integer."""
+    if coeff_min > coeff_max or (coeff_min == 0 and coeff_max == 0):
+        raise SchemaError(f"coefficient range [{coeff_min}, {coeff_max}] has no nonzero integer")
+
+
 def sample_instance(
     t: ProblemType,
     rng: random.Random,
@@ -144,8 +150,7 @@ def sample_instance(
     exactly ``m`` and end somewhere distinguishable from the correct answer.
     At most ``MAX_TRIES`` draws are made."""
     mals = () if m is None else (get_misconception(m),)
-    if coeff_min > coeff_max or (coeff_min == 0 and coeff_max == 0):
-        raise SchemaError(f"coefficient range [{coeff_min}, {coeff_max}] has no nonzero integer")
+    _check_range(coeff_min, coeff_max)
     for _ in range(MAX_TRIES):
         values = _draw(t, rng, coeff_min, coeff_max)
         line = _line(t, values)
@@ -253,6 +258,7 @@ class DatasetConfig:
         for name in ("coeff_min", "coeff_max"):  # each draw must read back as a numeral
             if abs(getattr(self, name)) >= 10**MAX_NUMERAL_DIGITS:
                 raise SchemaError(f"{name} must have at most {MAX_NUMERAL_DIGITS} digits")
+        _check_range(self.coeff_min, self.coeff_max)
         if self.misconception is not None:
             get_misconception(self.misconception)
 

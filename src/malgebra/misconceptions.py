@@ -4,7 +4,9 @@ Each catalog row is the whole rule: the set of problem types it can fire on
 and a rewrite that edits the matched subterm in place, exactly following the
 rule's expression.  A misconception step replaces the correct step at its
 node; the result is reclassified structurally from the sides it built, so
-the target of an erroneous edge is computed, never hardcoded.
+the target of an erroneous edge is computed, never hardcoded.  A rule at a
+correct rule's site is only the edit it hands that site's reader in
+``reduction`` (``at_first``, ``at_group``, ``at_product_group``).
 
 Four rules (M19, M20_S20, M21, M22_S1) apply to every type because they fire
 at the terminal solve step rather than at a reduction node.
@@ -33,10 +35,12 @@ from .reduction import (
     after,
     apply_step,
     at_first,
-    signed_sum,
+    at_group,
+    at_product_group,
     solve_t1,
     solved,
     t1_parts,
+    xc,
 )
 from .taxonomy import (
     CAtom,
@@ -91,28 +95,8 @@ _ALL_TYPES = frozenset(ORDERED_TYPES)
 
 # ---------------------------------------------------------------------------
 # Rewrites.  Each maps an instance's views to what it emits, or None where the
-# pattern has no site.  Group and product sites are the first such atom on the
-# right side (``at_first``); an edit may fold a sign into an x or constant.
+# pattern has no site; an edit may fold a sign into an x or constant.
 # ---------------------------------------------------------------------------
-
-
-def _xc(atoms: Sequence[SignedAtom]) -> tuple[Fraction, Fraction] | None:
-    """Additive (x-coefficient, constant) of a two-term x/constant chain in
-    either order: a whole side, or a ``(Bx +/- C)`` interior."""
-    if len(atoms) != 2 or {type(a) for _, a in atoms} != {XAtom, CAtom}:
-        return None
-    return signed_sum(atoms, XAtom)[0], signed_sum(atoms, CAtom)[0]
-
-
-def _at_group(rhs: Views, edit: Callable[..., list[SignedAtom] | None]) -> Emitted | None:
-    """Edit the first parenthesized group on the right side whose interior is
-    ``Bx +/- C``; ``edit(s, g, x, c)`` gets the interior's additive values."""
-
-    def site(s: int, g: GroupAtom) -> list[SignedAtom] | None:
-        xc = _xc(g.inner)
-        return None if xc is None else edit(s, g, *xc)
-
-    return at_first(rhs, GroupAtom, site)
 
 
 def _rw_m1(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
@@ -127,7 +111,7 @@ def _rw_m1(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
 
 
 def _rw_m2(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
-    return _at_group(rhs, lambda s, g, x, c: [(1, XAtom(s * g.multiplier * x)), (1, CAtom(c))])
+    return at_group(rhs, lambda s, g, x, c: [(1, XAtom(s * g.multiplier * x)), (1, CAtom(c))])
 
 
 def _rw_m3(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
@@ -146,15 +130,8 @@ def _rw_m3(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
 
 
 def _rw_m4(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
-    def interleave(s: int, g: GroupAtom) -> list[SignedAtom] | None:
-        if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
-            return None
-        s1, prod = g.inner[0]
-        head, *rest = prod.factors
-        factors = tuple(v for f in (s1 * head, *rest) for v in (g.multiplier, f))
-        return [(s, ProdAtom(factors))]
-
-    return at_first(rhs, GroupAtom, interleave)
+    return at_product_group(
+        rhs, lambda s, g, f: [(s, ProdAtom(tuple(v for b in f for v in (g.multiplier, b))))])
 
 
 def _rw_m5(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
@@ -162,7 +139,7 @@ def _rw_m5(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
         m = s * g.multiplier
         return [(s, GroupAtom(g.multiplier, ((1, XAtom(m * x)), (1, CAtom(m * c)))))]
 
-    return _at_group(rhs, over)
+    return at_group(rhs, over)
 
 
 def _rw_m6(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
@@ -174,15 +151,15 @@ def _rw_m6(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
             return None
         return [(1, XAtom(m * x)), (1, CAtom(-m * c))]
 
-    return _at_group(rhs, no_flip)
+    return at_group(rhs, no_flip)
 
 
 def _rw_m8(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
-    return _at_group(rhs, lambda s, g, x, c: [(1, XAtom(s * x)), (1, CAtom(s * g.multiplier * c))])
+    return at_group(rhs, lambda s, g, x, c: [(1, XAtom(s * x)), (1, CAtom(s * g.multiplier * c))])
 
 
 def _rw_m11(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
-    left, right = _xc(lhs), _xc(rhs)
+    left, right = xc(lhs), xc(rhs)
     if left is None or right is None:
         return None
     (a, b), (c, d) = left, right
@@ -194,10 +171,10 @@ def _rw_factor(lhs: Views, rhs: Views, t: ProblemType,
     """M12/M13: fold ``Ax +/- B`` into one ``atom`` of value ``A +/- B``: the
     whole side on T5-T7, the parenthesized interior on T9/T12."""
     if t in (T.T5, T.T6, T.T7):
-        xc = _xc(rhs if t is T.T7 else lhs)
-        new = None if xc is None else [(1, atom(xc[0] + xc[1]))]
+        parts = xc(rhs if t is T.T7 else lhs)
+        new = None if parts is None else [(1, atom(parts[0] + parts[1]))]
         return None if new is None else (None, new) if t is T.T7 else (new, None)
-    return _at_group(rhs, lambda s, g, x, c: [(s, GroupAtom(g.multiplier, ((1, atom(x + c)),)))])
+    return at_group(rhs, lambda s, g, x, c: [(s, GroupAtom(g.multiplier, ((1, atom(x + c)),)))])
 
 
 def _rw_op(lhs: Views, rhs: Views, t: ProblemType, want: int,

@@ -2,10 +2,11 @@
 
 Each rule performs exactly one algebraic operation and strictly shrinks the
 AST, so every correct trace reaches T1 within five rewrites and ends with the
-divide-through solve step ``x = B/A``.  Misconception handling lives
-elsewhere; everything here is solution-preserving and serves as the oracle
-side of the engine.  The step loop itself is ``misconceptions.walk``, run
-with an empty set.
+divide-through solve step ``x = B/A``.  Every body is solution-preserving
+and serves as the oracle side of the engine.  The site readers (``at_first``,
+``at_group``, ``at_product_group``) serve misconceptions too: a malrule at a
+correct rule's site is another edit handed to that site's reader.  The step
+loop itself is ``misconceptions.walk``, run with an empty set.
 """
 
 from __future__ import annotations
@@ -78,6 +79,38 @@ def at_first(
     return None
 
 
+def xc(atoms: Sequence[SignedAtom]) -> tuple[Fraction, Fraction] | None:
+    """Additive (x-coefficient, constant) of a two-term x/constant chain in
+    either order: a whole side, or a ``(Bx +/- C)`` interior."""
+    if len(atoms) != 2 or {type(a) for _, a in atoms} != {XAtom, CAtom}:
+        return None
+    return signed_sum(atoms, XAtom)[0], signed_sum(atoms, CAtom)[0]
+
+
+def at_group(rhs: Sequence[SignedAtom], edit: Callable[..., Any]) -> Emitted | None:
+    """The T9/T12 site: ``at_first``'s first group, where its interior is
+    ``Bx +/- C``; ``edit(s, g, x, c)`` also gets the interior's ``xc``."""
+
+    def site(s: int, g: GroupAtom) -> list[SignedAtom] | None:
+        parts = xc(g.inner)
+        return None if parts is None else edit(s, g, *parts)
+
+    return at_first(rhs, GroupAtom, site)
+
+
+def at_product_group(rhs: Sequence[SignedAtom], edit: Callable[..., Any]) -> Emitted | None:
+    """The T8 site: ``at_first``'s first group, where its interior is one product
+    ``(B*C)``; ``edit(s, g, factors)`` gets them, the interior's sign in the first."""
+
+    def site(s: int, g: GroupAtom) -> list[SignedAtom] | None:
+        if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
+            return None
+        s1, p = g.inner[0]
+        return edit(s, g, (s1 * p.factors[0], *p.factors[1:]))
+
+    return at_first(rhs, GroupAtom, site)
+
+
 _ZERO = Fraction(0)
 
 
@@ -130,22 +163,13 @@ def _fold_sum(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
 
 
 def _fold_product(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
-    """Fold each explicit constant product on the RHS into a constant."""
-    if not any(isinstance(a, ProdAtom) for _, a in rhs):
-        return None
-    return None, [(s, CAtom(prod(a.factors)) if isinstance(a, ProdAtom) else a) for s, a in rhs]
+    """Fold the RHS's constant product (T3 and T10 hold one) into a constant."""
+    return at_first(rhs, ProdAtom, lambda s, p: [(s, CAtom(prod(p.factors)))])
 
 
 def _fold_inner_product(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
     """T8: fold the product inside the parentheses, keeping the multiplier."""
-
-    def fold(s: int, g: GroupAtom) -> list[SignedAtom] | None:
-        if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
-            return None
-        s1, inner = g.inner[0]
-        return [(s, ProdAtom((g.multiplier, s1 * prod(inner.factors))))]
-
-    return at_first(rhs, GroupAtom, fold)
+    return at_product_group(rhs, lambda s, g, f: [(s, ProdAtom((g.multiplier, prod(f))))])
 
 
 def _combine_x(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
@@ -175,18 +199,11 @@ def _move_x(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
 def _distribute(lhs: list[SignedAtom], rhs: list[SignedAtom]) -> Emitted | None:
     """Multiply the first parenthesized group on the RHS through, in place."""
 
-    def spread(s: int, g: GroupAtom) -> list[SignedAtom] | None:
+    def spread(s: int, g: GroupAtom, x: Fraction, c: Fraction) -> list[SignedAtom]:
         m = g.multiplier if s > 0 else -g.multiplier
-        out: list[SignedAtom] = []
-        for s1, a in g.inner:
-            kind = type(a)
-            if kind is not XAtom and kind is not CAtom:
-                return None
-            v = m * (a.coef if kind is XAtom else a.value)
-            out.append((1, kind(v if s1 > 0 else -v)))
-        return out
+        return [(1, XAtom(m * x)), (1, CAtom(m * c))]
 
-    return at_first(rhs, GroupAtom, spread)
+    return at_group(rhs, spread)
 
 
 _RULE_BODIES: dict[str, Callable[[list[SignedAtom], list[SignedAtom]], Emitted | None]] = {

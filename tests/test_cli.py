@@ -228,6 +228,35 @@ def test_gen_bad_config_exit_2(capsys, tmp_path, monkeypatch, config):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("config", [
+    {"coeff_min": 5, "coeff_max": 1, "n_correct_per_type": 0, "test_per_type": 0},
+    {"coeff_min": 5, "coeff_max": 1, "misconception": "M19", "n_m": 1, "ratio": 0,
+     "test_per_type": 0},
+    {"coeff_min": 0, "coeff_max": 0, "n_correct_per_type": 0, "test_per_type": 0},
+])
+def test_gen_empty_coefficient_range_exit_2(capsys, tmp_path, config):
+    # a range with no nonzero integer is refused before any write, whether
+    # or not the config asks for a record to draw from it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    lo, hi = config["coeff_min"], config["coeff_max"]
+    assert run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "ds")) == (
+        2, "", f"error: coefficient range [{lo}, {hi}] has no nonzero integer\n")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_verbose_prints_the_resolved_config_on_stderr_only(capsys, tmp_path):
+    # -v adds one stderr line and leaves stdout byte for byte as it was
+    gen = ["gen", "--n-correct-per-type", "1", "--test-per-type", "0", "--out", str(tmp_path)]
+    for argv, opens, closes in ((gen, "DatasetConfig(", ")"), (["classify", "4x = 12"], "{", "}")):
+        code, quiet, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "-v", *argv)
+        assert (code, out) == (0, quiet)
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"resolved config: {opens}") and err.endswith(f"{closes}\n"), err
+
+
 @pytest.mark.parametrize("counts", [
     ["--n-correct-per-type", "1000000000"],
     ["--n-correct-per-type", "0", "--test-per-type", "1000000000"],

@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,17 @@ def test_exhaustion_on_impossible_range():
     rng = random.Random(0)
     with pytest.raises(SamplingExhaustedError):
         sample_instance(T.T9, rng, coeff_min=1, coeff_max=1)
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 1), (0, 0)])
+def test_empty_coefficient_range_rejected(lo, hi):
+    # validate refuses a range with no nonzero integer whatever the record
+    # counts, and sample_instance, a public entry point, refuses it itself
+    message = rf"coefficient range \[{lo}, {hi}\] has no nonzero integer"
+    with pytest.raises(SchemaError, match=message):
+        DatasetConfig(coeff_min=lo, coeff_max=hi, n_correct_per_type=0, test_per_type=0).validate()
+    with pytest.raises(SchemaError, match=message):
+        sample_instance(T.T1, random.Random(0), lo, hi)
 
 
 def test_conforming_misconception_sampling(rng):
@@ -220,6 +233,31 @@ def test_every_rule_matches_pinned_digest(tmp_path):
                                    out_dir=str(out)))
             h.update((out / "train.jsonl").read_bytes())
     assert h.hexdigest() == "62931eb1beb34bebf447be9851ebb4e32cfd2aa35f5a55e11c9ef9f192ded253"
+
+
+@pytest.mark.parametrize("cell, most", [
+    ({"n_correct_per_type": 20}, 2932),  # 360 records
+    ({"misconception": "M6", "n_m": 60, "ratio": 0.5}, 5006),  # 150 records
+    ({"misconception": "M4", "n_m": 60, "ratio": 0.5}, 1681),  # 150 records
+])
+def test_fraction_constructions_per_gen_record(tmp_path, cell, most):
+    # a record's values become Fractions once, and a walk step makes only
+    # the Fractions its arithmetic needs: an upper bound on the Fractions
+    # generate makes for small cells at seed 0 (CPython 3.11; a later
+    # CPython makes arithmetic results without calling Fraction.__new__)
+    config = DatasetConfig(seed=0, test_per_type=4, out_dir=str(tmp_path), **cell)
+    made, new = 0, Fraction.__new__.__code__
+
+    def count(frame, event, arg):
+        nonlocal made
+        made += event == "call" and frame.f_code is new
+
+    sys.setprofile(count)
+    try:
+        generate(config)
+    finally:
+        sys.setprofile(None)
+    assert 0 < made <= most, made
 
 
 def test_train_and_test_are_disjoint(tmp_path):

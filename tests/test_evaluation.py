@@ -269,6 +269,41 @@ def test_diagnose_recovers_sampled_malgorithms(rng):
         assert m.id in result[0].misconceptions
 
 
+def _wrong_batch():
+    """A small fixed diagnose batch of wrong transcripts with steps: one per
+    rule on its first type, explained by that rule, and one per type whose
+    correct steps end in an answer no rule gives."""
+    sampler = InstanceSampler(seed=4365)
+    rng = sampler.rng_for("wrong-batch")
+    rows = []
+    for m in CATALOG:
+        t = min(m.applicable_types, key=ORDERED_TYPES.index)
+        eq, trace = sample_for_misconception(m, t, rng)
+        lines = trace.equation_lines()
+        rows.append(_tr(t.name, str(eq), lines[-1], lines))
+    for t in ORDERED_TYPES:
+        eq = sampler.sample(t, f"wrong-batch:{t.name}")
+        lines = reduce(eq).equation_lines()
+        lines[-1] = f"x = {closed_form_solution(eq) + Fraction(1, 997)}"
+        rows.append(_tr(t.name, str(eq), lines[-1], lines))
+    return rows
+
+
+def test_rule_attempts_per_diagnosed_transcript(monkeypatch):
+    # walks from one root share every rule attempt they have in common and
+    # pruning skips candidates that cannot match: an upper bound on the
+    # try_apply calls diagnose makes over a small fixed batch
+    from malgebra import misconceptions
+
+    calls, original = [], misconceptions.try_apply
+    monkeypatch.setattr(misconceptions, "try_apply",
+                        lambda m, node: calls.append(m) or original(m, node))
+    batch = _wrong_batch()
+    for transcript in batch:
+        diagnose(transcript)
+    assert len(batch) == 34 and len(calls) <= 447  # 13.1 per transcript
+
+
 _parse = functools.lru_cache(maxsize=None)(parse_equation)
 
 

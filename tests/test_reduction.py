@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -33,6 +35,8 @@ from malgebra.misconceptions import (
     reduce_with_misconceptions,
 )
 from malgebra.reduction import (
+    _RULE_BODIES,
+    at_first,
     reduce,
     reduce_step,
     signed_sum,
@@ -91,6 +95,46 @@ def _view_term(sign: int, node: Expr) -> list:
                 inner_view.append((s, a))
         return [(sign, group_view(atom.multiplier, inner_view))]
     return [(sign, atom)]
+
+
+# Reference bodies of the three correct rules whose sites the misconceptions
+# share, each finding its site by hand rather than through a site reader.
+
+
+def _ref_fold_product(lhs: list, rhs: list):
+    if not any(isinstance(a, ProdAtom) for _, a in rhs):
+        return None
+    return None, [(s, CAtom(prod(a.factors)) if isinstance(a, ProdAtom) else a) for s, a in rhs]
+
+
+def _ref_fold_inner_product(lhs: list, rhs: list):
+    def fold(s, g):
+        if len(g.inner) != 1 or not isinstance(g.inner[0][1], ProdAtom):
+            return None
+        s1, inner = g.inner[0]
+        return [(s, ProdAtom((g.multiplier, s1 * prod(inner.factors))))]
+
+    return at_first(rhs, GroupAtom, fold)
+
+
+def _ref_distribute(lhs: list, rhs: list):
+    def spread(s, g):
+        m = g.multiplier if s > 0 else -g.multiplier
+        out = []
+        for s1, a in g.inner:
+            kind = type(a)
+            if kind is not XAtom and kind is not CAtom:
+                return None
+            v = m * (a.coef if kind is XAtom else a.value)
+            out.append((1, kind(v if s1 > 0 else -v)))
+        return out
+
+    return at_first(rhs, GroupAtom, spread)
+
+
+_REFERENCE_BODIES = {"fold-product": _ref_fold_product,
+                     "fold-inner-product": _ref_fold_inner_product,
+                     "distribute": _ref_distribute}
 
 
 def test_reduce_step_distribute():
@@ -477,6 +521,37 @@ def test_a_rewrite_is_typed_from_its_sides_as_its_equation_is():
             dead_ends += 1
             assert kid.label == DEAD_END, (node.line, rule_id)
     assert rewrites > 10_000 and dead_ends
+
+
+# parsed sites whose interiors are signed or wrapped, and the line the
+# correct step out of each leaves
+_SIGNED_SITES = (("2x = 3((4x) - -5)", T.T9, "2x = 12x + 15"),
+                 ("2x = -3(-(4x) + 5)", T.T9, "2x = 12x - 15"),
+                 ("x = 2(-(3 * 4))", T.T8, "x = 2 * -12"),
+                 ("x = -2(3 * -4)", T.T8, "x = -2 * -12"),
+                 ("x = 1 + -2 * 3", T.T10, "x = 1 - 6"),
+                 ("2x = 7 - 3(4x - 5)", T.T12, "2x = 7 - 12x + 15"))
+
+
+def test_correct_bodies_emit_what_their_hand_found_sites_did():
+    # distribute, fold-inner-product and fold-product find their sites with
+    # the readers their malrules use; on every typed state the lemma walks
+    # reach, and on each signed site, a body emits what its reference does
+    states = {id(n): n for node, _, kid in _fired_edges() for n in (node, kid)
+              if isinstance(n.label, ProblemType)}
+    signed = [Node(parse_equation(text)) for text, _, _ in _SIGNED_SITES]
+    compared = collections.Counter()
+    for node in (*states.values(), *signed):
+        lhs, rhs = node.sides
+        for edge in CORRECT_OUT[node.label]:
+            if (ref := _REFERENCE_BODIES.get(edge.rule_id)) is not None:
+                want, got = ref(lhs.view, rhs.view), _RULE_BODIES[edge.rule_id](lhs.view, rhs.view)
+                assert want is not None and got == want, (node.line, edge.rule_id)
+                compared[edge.rule_id] += 1
+    assert min(compared.values()) > 100, compared
+    for node, (text, t, line) in zip(signed, _SIGNED_SITES):
+        assert node.label is t, text
+        assert node.child(CORRECT_OUT[t][0]).line == line, text
 
 
 def test_view_signs_are_unit_and_sums_exact():
