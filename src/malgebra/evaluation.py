@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 from .equations import Const, XTerm, closed_form_solution, parse_equation, parse_number
-from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
-from .misconceptions import CATALOG, Misconception, Node, get_misconception, steps, walk
+from .errors import (EmptyBatchError, EngineError, SchemaError, ZeroCoefficientError,
+                     decode_json_object, read_input)
+from .misconceptions import (CATALOG, CORRECT_OUT, RULE_EDGE, Misconception, Node,
+                             get_misconception, outcome, steps, walk)
 from .reduction import ReductionTrace
-from .solution_space import Leaf, enumerate_tree
 from .taxonomy import ORDERED_TYPES, reachable
 
 GRADE_CORRECT = "correct"
@@ -110,20 +112,29 @@ def _printed_steps(transcript: Transcript) -> list[str]:
 
 def _mal_outcomes(
     root: Node, m: Misconception, correct: Fraction
-) -> list[tuple[Fraction | str, Leaf]]:
-    """Every terminal reachable with exactly one firing of ``m``, paired with
-    its leaf; outcomes equal to ``correct``, the answer, are excluded.  Only
-    a dead end's outcome, its last line, is printed here."""
-    tree = enumerate_tree(root, [m], max_misconceptions_per_path=1)
-    out = []
-    for leaf in tree.leaves:
-        if leaf.misconceptions != (m.id,):
-            continue
-        if leaf.dead_end == "variable eliminated":
-            out.append((leaf.path[-1].line, leaf))
-        elif leaf.answer is not None and leaf.answer != correct:
-            out.append((leaf.answer, leaf))
-    return out
+) -> list[tuple[Fraction | str, tuple[Node, ...]]]:
+    """Each terminal that a path of correct steps and one firing of ``m``
+    reaches from ``root``, depth first, with its outcome (a dead end's line,
+    or an answer other than ``correct``) and its states.  The tree's other
+    paths are not solved, and no other line is printed."""
+
+    def firings(node: Node, path: tuple[Node, ...], fired: bool) -> Iterator[tuple]:
+        path += (node,)
+        if (end := outcome(node)) is not None:
+            if fired:
+                yield (node.line if end[1] else end[0]), path
+            return
+        for edge in CORRECT_OUT[node.label]:
+            if fired or edge.kind != "solve":  # an unfired path's solve yields nothing
+                try:
+                    kid = node.child(edge)
+                except ZeroCoefficientError:
+                    continue  # nor does a zero coefficient
+                yield from firings(kid, path, fired)
+        if not fired and (kid := node.child(RULE_EDGE[m.id])) is not None:
+            yield from firings(kid, path, True)
+
+    return [(end, path) for end, path in firings(root, (), False) if end != correct]
 
 
 def grade(
@@ -135,8 +146,12 @@ def grade(
 
     ``answer`` mode compares final answers as exact rationals;
     ``steps`` mode additionally requires the step sequence to replay the
-    corresponding engine trace line for line.  A transcript whose equation
-    is of another type than it claims raises ``SchemaError``.
+    corresponding engine trace line for line.  A wrong answer matches ``m``
+    when some path of correct steps and one firing of ``m`` ends at a
+    terminal whose outcome is the answer and, in ``steps`` mode, whose lines
+    are the steps; only such paths are searched (``_mal_outcomes``).  A
+    transcript whose equation is of another type than it claims raises
+    ``SchemaError``.
     """
     if mode not in ("answer", "steps"):
         raise SchemaError(f"unknown grading mode {mode!r}")
@@ -160,8 +175,8 @@ def grade(
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:
-        for outcome, leaf in _mal_outcomes(root, m, correct):
-            if answer == outcome and (mode == "answer" or model == list(leaf.equations)):
+        for end, path in _mal_outcomes(root, m, correct):
+            if answer == end and (mode == "answer" or model == [node.line for node in path]):
                 return GRADE_MATCH
     return GRADE_OTHER
 
@@ -261,20 +276,26 @@ def score(
     theta_c: Fraction = DEFAULT_THETA,
 ) -> MetricsReport:
     """Aggregate per-type accuracies into MA, CA_A, CA_NA, OCA and the
-    two-property verdict at the given thresholds."""
+    two-property verdict at the given thresholds.  A transcript of an unknown
+    type, or one whose ``grade`` raises other than ``TranscriptError``, stops
+    the batch with an error naming its index in ``transcripts``."""
     if not transcripts:
         raise EmptyBatchError("no transcripts to score")
     m = get_misconception(m)
     counts: dict[str, dict[str, int]] = {
         t.name: {"n": 0, "correct": 0, "match": 0, "other": 0} for t in ORDERED_TYPES
     }
-    for tr in transcripts:
-        if tr.problem_type not in counts:
-            raise SchemaError(f"unknown problem type {tr.problem_type!r}")
+    for i, tr in enumerate(transcripts):
         try:
+            if tr.problem_type not in counts:
+                raise SchemaError(f"unknown problem type {tr.problem_type!r}")
             g = grade(tr, m, mode)
         except TranscriptError:
             g = GRADE_OTHER
+        except SchemaError as exc:
+            raise SchemaError(f"transcript {i}: {exc}") from None
+        except EngineError as exc:
+            raise EngineError(f"transcript {i}: {exc}") from None
         slot = counts[tr.problem_type]
         slot["n"] += 1
         slot["correct" if g == GRADE_CORRECT else "match" if g == GRADE_MATCH else "other"] += 1

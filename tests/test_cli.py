@@ -435,12 +435,28 @@ def test_score_schema_error_exit_2(capsys, tmp_path):
 
 
 def test_score_type_mismatch_exit_2(capsys, tmp_path):
-    # a T9 equation claimed as T1 would count under T1 (there with CA 100)
+    # a T9 equation claimed as T1 would count under T1 (there with CA 100);
+    # the error names the transcript by its index, blank lines skipped
     path = tmp_path / "tr.jsonl"
     path.write_text('{"problem_type": "T1", "equation": "2x = 3(4x + 5)", "model_answer": "-3/2"}\n')
     code, out, err = run(capsys, "score", str(path), "--misconception", "M8")
     assert (code, out) == (2, "")
-    assert err == "error: transcript claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
+    assert err == "error: transcript 0: transcript claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
+    good = json.dumps({"problem_type": "T1", "equation": "4x = 12", "model_answer": "3"})
+    bad = json.dumps({"problem_type": "T3", "equation": "3x + 4 = 7", "model_answer": "1"})
+    path.write_text(f"{good}\n\n{bad}\n")
+    code, out, err = run(capsys, "score", str(path), "--misconception", "M8")
+    assert (code, out) == (2, "")
+    assert err == "error: transcript 1: transcript claims T3 for a T5 equation: 3x + 4 = 7\n"
+
+
+def test_score_unknown_type_names_its_transcript_exit_2(capsys, tmp_path):
+    good = json.dumps({"problem_type": "T1", "equation": "4x = 12", "model_answer": "3"})
+    bad = json.dumps({"problem_type": "T13", "equation": "4x = 12", "model_answer": "3"})
+    path = tmp_path / "tr.jsonl"
+    path.write_text(f"{good}\n{good}\n\n{bad}\n")
+    code, out, err = run(capsys, "score", str(path), "--misconception", "M8")
+    assert (code, out, err) == (2, "", "error: transcript 2: unknown problem type 'T13'\n")
 
 
 def test_diagnose_type_mismatch_exit_2(capsys, tmp_path):

@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import collections
 import functools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from test_fuzz import _mutate, _seeds
+
+from malgebra import evaluation
 from malgebra.datasets import InstanceSampler, sample_for_misconception
 from malgebra.equations import closed_form_solution, parse_equation
-from malgebra.errors import EmptyBatchError, EngineError, NonterminationError, SchemaError
+from malgebra.errors import (
+    EmptyBatchError,
+    EngineError,
+    NonterminationError,
+    RuleNotApplicableError,
+    SchemaError,
+)
 from malgebra.evaluation import (
     GRADE_CORRECT,
     GRADE_MATCH,
@@ -17,6 +28,7 @@ from malgebra.evaluation import (
     Transcript,
     TranscriptError,
     _agreed,
+    _mal_outcomes,
     _prefix_len,
     _printed_steps,
     _typed_root,
@@ -26,8 +38,9 @@ from malgebra.evaluation import (
     parse_answer,
     score,
 )
-from malgebra.misconceptions import CATALOG, reduce_with_misconceptions, steps, walk
+from malgebra.misconceptions import CATALOG, Node, reduce_with_misconceptions, steps, walk
 from malgebra.reduction import reduce
+from malgebra.solution_space import enumerate_tree
 from malgebra.taxonomy import ORDERED_TYPES, ProblemType, classify, reachable
 
 T = ProblemType
@@ -74,8 +87,8 @@ def test_grade_formatting_never_matters():
 
 
 def test_grade_types_a_wrong_answers_root_once(monkeypatch):
-    # the tree grows from the root grade typed, so the root is classified
-    # once; wrap every module's binding of classify
+    # grade's walk and its firing search grow from the root it typed, so the
+    # root is classified once; wrap every module's binding of classify
     import sys
 
     from malgebra import taxonomy
@@ -135,6 +148,124 @@ def test_grade_dead_end_transcript():
     trace = reduce_with_misconceptions(parse_equation("4x + 5 = 9"), ["M13"])
     t = _tr("T5", "4x + 5 = 9", trace.equation_lines()[-1])
     assert grade(t, "M13") == GRADE_MATCH
+
+
+def _tree_mal_outcomes(root, m, correct):
+    """``_mal_outcomes`` read off the full solution tree of ``m`` with at
+    most one firing per path, leaf by leaf: the reference the firing search
+    replaced."""
+    tree = enumerate_tree(root, [m], max_misconceptions_per_path=1)
+    out = []
+    for leaf in tree.leaves:
+        if leaf.misconceptions != (m.id,):
+            continue
+        if leaf.dead_end == "variable eliminated":
+            out.append((leaf.path[-1].line, leaf.path))
+        elif leaf.answer is not None and leaf.answer != correct:
+            out.append((leaf.answer, leaf.path))
+    return out
+
+
+def _firing_roots():
+    """Drawn roots of every type at coefficients within 2, 9 and 10**19, and
+    fuzzed parsed roots, each one that types and has a closed form."""
+    eqs = [InstanceSampler(seed, -bound, bound).sample(t, "firings")
+           for seed in range(3) for bound in (2, 9, 10**19) for t in ORDERED_TYPES]
+    rng, seeds = random.Random(24), _seeds()
+    while len(eqs) < 360:
+        try:
+            eq = parse_equation(_mutate(rng, rng.choice(seeds)))
+            Node(eq), closed_form_solution(eq)
+        except EngineError:
+            continue
+        eqs.append(eq)
+    return eqs
+
+
+def _sorted_outcomes(fn, eq, m, correct):
+    """The outcomes and path lines ``fn`` finds from a fresh root, sorted, or
+    the type and message of the error it raises."""
+    try:
+        found = fn(Node(eq), m, correct)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return sorted((str(end), [node.line for node in path]) for end, path in found)
+
+
+def test_firing_search_matches_the_solution_tree(monkeypatch):
+    # every rule on every root: the same outcomes and paths, or the same
+    # error; then a transcript of each leaf of the reference tree where the
+    # rule fired (a match, a dead end or a zero coefficient), and one
+    # answering the correct answer plus one, graded in both modes as the
+    # reference grades them
+    transcripts, pairs, kinds = [], 0, collections.Counter()
+    for eq in _firing_roots():
+        correct, t = closed_form_solution(eq), Node(eq).label.name
+        for m in CATALOG:
+            want = _sorted_outcomes(_tree_mal_outcomes, eq, m, correct)
+            assert _sorted_outcomes(_mal_outcomes, eq, m, correct) == want, (str(eq), m.id)
+            pairs += 1
+            transcripts.append((_tr(t, str(eq), str(correct + 1)), m))
+            if type(want) is tuple:
+                kinds["raised"] += 1
+                continue
+            for leaf in enumerate_tree(eq, [m], 1).leaves:
+                if leaf.misconceptions == (m.id,):
+                    lines = list(leaf.equations)
+                    answer = lines[-1] if leaf.answer is None else str(leaf.answer)
+                    transcripts.append((_tr(t, str(eq), answer, lines), m))
+                    kinds[leaf.dead_end] += 1
+    assert pairs == 360 * len(CATALOG)
+    assert min(kinds[k] for k in (None, "variable eliminated", "zero x coefficient")) > 0, kinds
+
+    def grades():
+        return [_outcome(grade, tr, m, mode) for tr, m in dict.fromkeys(transcripts)
+                for mode in ("answer", "steps")]
+
+    got = grades()
+    monkeypatch.setattr(evaluation, "_mal_outcomes", _tree_mal_outcomes)
+    want = grades()
+    assert got == want
+    assert want.count(GRADE_MATCH) > 1000
+
+
+def test_scoring_solves_only_paths_that_fire_the_rule(monkeypatch):
+    # an upper bound on the solve steps and walk states one score of a small
+    # fixed batch makes: per type, a correct answer, the rule's answer and
+    # another rule's; grading never builds a solution tree
+    from malgebra import misconceptions, solution_space
+
+    sampler = InstanceSampler(seed=24)
+    batches = {m: [] for m in ("M2_S3", "M8", "M13", "M19")}
+    for mid, rows in batches.items():
+        for k, t in enumerate(ORDERED_TYPES):
+            eq = sampler.sample(t, f"count:{t.name}")
+            rows.append(_tr(t.name, str(eq), str(closed_form_solution(eq))))
+            for rule in [mid] + [r.id for r in CATALOG[k:] + CATALOG[:k] if r.id != mid]:
+                try:
+                    trace = reduce_with_misconceptions(eq, [rule])
+                except EngineError:
+                    continue
+                if trace.misconceptions_used == (rule,):
+                    answer = trace.equation_lines()[-1] if trace.answer is None else trace.answer
+                    rows.append(_tr(t.name, str(eq), str(answer)))
+                    if rule != mid:
+                        break
+
+    def boom(*args, **kwargs):
+        raise AssertionError("grading built a solution tree")
+
+    monkeypatch.setattr(solution_space, "enumerate_tree", boom)
+    monkeypatch.setattr(evaluation, "enumerate_tree", boom, raising=False)  # an imported binding
+    solves, nodes = [], []
+    solve_t1, init = misconceptions.solve_t1, Node.__init__
+    monkeypatch.setattr(misconceptions, "solve_t1", lambda sides: solves.append(1) or solve_t1(sides))
+    monkeypatch.setattr(Node, "__init__", lambda self, *a: nodes.append(1) or init(self, *a))
+    reports = [score(rows, mid) for mid, rows in batches.items()]
+    # each applicable type holds one match in three answers
+    assert [len(rows) for rows in batches.values()] == [32, 32, 38, 45]
+    assert [r.ma for r in reports] == [Fraction(100, 3)] * 4
+    assert len(solves) <= 26 and len(nodes) <= 456  # 138 and 568 from the full trees
 
 
 def test_unparsable_counts_as_other_in_batches():
@@ -222,6 +353,23 @@ def test_score_empty_batch():
 def test_score_unknown_type_rejected():
     with pytest.raises(SchemaError):
         score([_tr("T13", "3x = 12", "4")], "M8")
+
+
+def test_score_names_the_transcript_that_stopped_it(monkeypatch):
+    # by its index in the batch, for a claimed type the batch has no slot
+    # for, a claimed type its equation does not have, and an engine error
+    good = _tr("T1", "4x = 12", "16")
+    with pytest.raises(SchemaError, match=r"^transcript 1: unknown problem type 'T13'$"):
+        score([good, _tr("T13", "4x = 12", "3")], "M19")
+    with pytest.raises(SchemaError, match=r"^transcript 2: transcript claims T3 for a T5 "):
+        score([good, good, _tr("T3", "3x + 4 = 7", "1")], "M19")
+
+    def raising(root, m, correct):
+        raise RuleNotApplicableError(f"no edge out of {root.line}")
+
+    monkeypatch.setattr(evaluation, "_mal_outcomes", raising)
+    with pytest.raises(EngineError, match=r"^transcript 0: no edge out of 4x = 12$"):
+        score([good], "M19")
 
 
 def test_diagnose_spot_fixtures():
