@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .datasets import (
+    DatasetConfig,
     config_from_dict,
     generate,
     type_graph,
@@ -24,7 +25,7 @@ from .equations import parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .evaluation import diagnose, load_transcripts, score
 from .misconceptions import CATALOG, reduce_with_misconceptions
-from .reduction import ReductionTrace, reduce
+from .reduction import ReductionTrace
 from .solution_space import enumerate_tree, to_dot, to_json_dict
 from .taxonomy import ORDERED_TYPES, classify
 
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="reduce an equation correctly and print the answer")
     p.add_argument("equation")
     p.add_argument("--trace", action="store_true", help="print one line per step")
-    p.set_defaults(handler=_cmd_solve)
+    p.set_defaults(handler=_cmd_malsolve)
 
     p = sub.add_parser("malsolve", help="solve while applying misconceptions")
     p.add_argument("equation")
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, help="correct-to-misconception ratio")
     p.add_argument("--misconception", help="misconception id to train")
     p.add_argument("--seed", type=int, help="generation seed")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     p.add_argument("--n-correct-per-type", type=int, dest="n_correct_per_type")
     p.add_argument("--test-per-type", type=int, dest="test_per_type")
     p.set_defaults(handler=_cmd_gen)
@@ -165,14 +166,9 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    trace = reduce(parse_equation(args.equation))
-    _print_trace_result(trace, args.trace)
-    return 0
-
-
 def _cmd_malsolve(args) -> int:
-    ids = [s for s in args.misconceptions.split(",") if s]
+    """``malsolve``, and ``solve`` as ``malsolve`` with no rules."""
+    ids = [s for s in getattr(args, "misconceptions", "").split(",") if s]
     trace = reduce_with_misconceptions(parse_equation(args.equation), ids)
     _print_trace_result(trace, args.trace)
     return 0
@@ -211,18 +207,9 @@ def _cmd_gen(args) -> int:
             base = decode_json_object(text)
         except SchemaError as exc:
             raise SchemaError(f"cannot read config {args.config}: {exc}") from None
-    overrides = {
-        "n_m": args.n_m,
-        "ratio": args.ratio,
-        "misconception": args.misconception,
-        "seed": args.seed,
-        "out_dir": args.out,
-        "n_correct_per_type": args.n_correct_per_type,
-        "test_per_type": args.test_per_type,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
+    # a gen option whose dest names a config field overrides that field
+    fields = DatasetConfig.__dataclass_fields__
+    base.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     config = config_from_dict(base)
     if args.verbose:
         print(f"resolved config: {config}", file=sys.stderr)
@@ -240,8 +227,7 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     report = verify_dataset(args.dataset)
     if report.total == 0:
-        print("no records found", file=sys.stderr)
-        return 3
+        raise EmptyBatchError("no records found")
     for lineno, msg in report.failures:
         print(_one_line(f"line {lineno}: {msg}"), file=sys.stderr)
     print(f"{report.passed}/{report.total} records replay cleanly")

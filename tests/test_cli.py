@@ -82,7 +82,8 @@ def test_misconception_workloads_build_no_expression(capsys, monkeypatch, tmp_pa
     # a walk types each rewrite from the sides it built, so gen, verify,
     # score and diagnose of a small M6 cell build no expression from a walk
     # state.  M1's (part) atom, which diagnose tries on these roots, builds
-    # its own chain through misconceptions' binding and is not counted here.
+    # its own chain through misconceptions' binding and is not counted here;
+    # test_datasets.py::test_m1_gen_builds_one_chain_per_firing bounds it.
     from malgebra import taxonomy
 
     calls, original = [], taxonomy.rebuild
@@ -204,6 +205,40 @@ def test_gen_config_file_with_overrides(capsys, tmp_path):
     assert len((out_dir / "train.jsonl").read_text().splitlines()) == 30
 
 
+@pytest.mark.parametrize("flag, value, field, want", [
+    ("--seed", "2", "seed", 2),
+    ("--misconception", "M6", "misconception", "M6"),
+    ("--n-m", "0", "n_m", 0),
+    ("--ratio", "1.0", "ratio", 1.0),
+    ("--n-correct-per-type", "0", "n_correct_per_type", 0),
+    ("--test-per-type", "0", "test_per_type", 0),
+    ("--out", "flag_dir", "out_dir", None),
+])
+def test_gen_flag_overrides_its_config_field(capsys, tmp_path, monkeypatch, flag, value, field,
+                                             want):
+    # a config file sets every field; the one flag given wins over its field
+    # and every other field keeps the file's value
+    monkeypatch.chdir(tmp_path)
+    base = {"seed": 1, "misconception": "M8", "n_m": 2, "ratio": 0.5, "n_correct_per_type": 1,
+            "test_per_type": 1, "coeff_min": -5, "coeff_max": 5, "out_dir": "config_dir"}
+    (tmp_path / "cfg.json").write_text(json.dumps(base))
+    code, _, err = run(capsys, "gen", "--config", "cfg.json", flag, value)
+    assert (code, err) == (0, "")
+    out_dir = tmp_path / (value if field == "out_dir" else "config_dir")
+    echoed = json.loads((out_dir / "manifest.json").read_text())["config"]
+    assert echoed == {k: v for k, v in base.items() if k != "out_dir"} | (
+        {} if field == "out_dir" else {field: want})
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", out_dir.name])
+
+
+def test_every_gen_option_names_a_config_field():
+    # an option's dest is the field it overrides; --config alone is not one
+    parser = build_parser()
+    dests = set(vars(parser.parse_args(["gen"]))) - set(vars(parser.parse_args(["catalog"])))
+    assert dests - {"config"} <= set(DatasetConfig.__dataclass_fields__)
+    assert "config" in dests and "out_dir" in dests
+
+
 def test_gen_invalid_ratio_exit_2(capsys, tmp_path):
     code, _, err = run(
         capsys, "gen", "--misconception", "M8", "--n-m", "4", "--ratio", "0.4",
@@ -255,6 +290,16 @@ def test_verbose_prints_the_resolved_config_on_stderr_only(capsys, tmp_path):
         assert (code, out) == (0, quiet)
         assert err.count("\n") == 1, err
         assert err.startswith(f"resolved config: {opens}") and err.endswith(f"{closes}\n"), err
+    # solve shares malsolve's handler yet prints its own namespace, no rule ids
+    for argv, shown, answer in (
+        (["solve", "4x = 12"], "'command': 'solve', 'equation': '4x = 12', 'trace': False", "3"),
+        (["malsolve", "4x = 12", "--misconceptions", "M19"],
+         "'command': 'malsolve', 'equation': '4x = 12', 'misconceptions': 'M19', 'trace': False",
+         "16"),
+    ):
+        assert run(capsys, *argv) == (0, f"x = {answer}\n", "")
+        assert run(capsys, "-v", *argv) == (
+            0, f"x = {answer}\n", f"resolved config: {{'verbose': True, {shown}}}\n")
 
 
 @pytest.mark.parametrize("counts", [
@@ -398,8 +443,7 @@ def test_verify_rejects_records_generation_never_writes(capsys, tmp_path, edit, 
 def test_verify_empty_file_exit_3(capsys, tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    code, _, _ = run(capsys, "verify", str(empty))
-    assert code == 3
+    assert run(capsys, "verify", str(empty)) == (3, "", "error: no records found\n")
 
 
 def test_score_text_and_json(capsys, tmp_path, sampler):
@@ -664,9 +708,21 @@ def test_usage_error_exit_2(capsys):
     assert err.count("\n") == 1
 
 
-def test_help_snapshot(capsys):
+def test_help_snapshot(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
     golden = Path(__file__).parent / "data" / "cli_help.txt"
     assert build_parser().format_help() == golden.read_text()
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "malsolve", "tree", "catalog", "gen",
+                                     "verify", "score", "diagnose", "dump-graph"])
+def test_subcommand_help_snapshot(capsys, monkeypatch, command):
+    # each metavar is pinned, so a renamed dest cannot change what --help prints
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    golden = Path(__file__).parent / "data" / f"cli_help_{command}.txt"
+    assert (info.value.code, capsys.readouterr()) == (0, (golden.read_text(), ""))
 
 
 _GOOD = {"problem_type": "T1", "equation": "4x = 12", "model_answer": "3", "model_steps": ["x = 3"]}

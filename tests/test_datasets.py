@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -258,6 +259,43 @@ def test_fraction_constructions_per_gen_record(tmp_path, cell, most):
     finally:
         sys.setprofile(None)
     assert 0 < made <= most, made
+
+
+def _expr_builds(config: DatasetConfig) -> tuple[int, int]:
+    """``(Expr nodes constructed, rebuild calls)`` while ``generate(config)``
+    runs; a code object compares by value, so each is matched by identity."""
+    from malgebra import equations, taxonomy
+
+    nodes = {id(c.__init__.__code__) for c in get_args(equations.Expr)}
+    chain = id(taxonomy.rebuild.__code__)
+    built = rebuilt = 0
+
+    def count(frame, event, arg):
+        nonlocal built, rebuilt
+        if event == "call":
+            built += id(frame.f_code) in nodes
+            rebuilt += id(frame.f_code) == chain
+
+    sys.setprofile(count)
+    try:
+        generate(config)
+    finally:
+        sys.setprofile(None)
+    return built, rebuilt
+
+
+def test_correct_gen_builds_no_expression(tmp_path):
+    # a draw is its atoms and a correct walk's states print from their sides
+    assert _expr_builds(DatasetConfig(seed=0, n_correct_per_type=4, test_per_type=4,
+                                      out_dir=str(tmp_path))) == (0, 0)
+
+
+def test_m1_gen_builds_one_chain_per_firing(tmp_path):
+    # the one rule that builds an Expr: M1's A + (part) rewrite rebuilds
+    # (part) as a chain each time it fires: 21 calls for these 20 records
+    built, rebuilt = _expr_builds(DatasetConfig(
+        seed=0, misconception="M1", n_m=20, ratio=0.0, test_per_type=0, out_dir=str(tmp_path)))
+    assert 0 < rebuilt <= 21 and built > 0, (built, rebuilt)
 
 
 def test_train_and_test_are_disjoint(tmp_path):

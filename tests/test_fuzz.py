@@ -63,8 +63,7 @@ def _run(capsys, argv: list[str]) -> int:
     assert _RAW_BREAK.search(err) is None and err[-1:] in ("", "\n"), (argv, err)
     lines = err.splitlines()
     if argv[0] == "verify":  # one line per failing record, or one error
-        assert all(line.startswith(("line ", "error: ")) or line == "no records found"
-                   for line in lines), (argv, err)
+        assert all(line.startswith(("line ", "error: ")) for line in lines), (argv, err)
     else:
         assert lines == [] or len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
     return code
