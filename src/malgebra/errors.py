@@ -10,6 +10,8 @@ the one decoder of external JSON, and both raise it.
 from __future__ import annotations
 
 import json
+import re
+from itertools import accumulate
 from pathlib import Path
 
 
@@ -79,13 +81,44 @@ class EmptyBatchError(Exception):
     """An operation that needs at least one input record received none."""
 
 
+# explicit bounds on external JSON, checked before the decoder recurses or
+# converts: a dataset or transcript line nests two deep and a config one, and
+# 100 characters hold a 256-bit seed (78 digits) and any numeric answer the
+# answer grammar reads (two 20-digit runs and a sign)
+MAX_JSON_DEPTH = 16
+MAX_JSON_NUMERAL = 100  # characters, sign, point and exponent included
+
+
+def _bounded(numeral: str) -> str:
+    if len(numeral) > MAX_JSON_NUMERAL:
+        raise SchemaError(f"JSON numeral longer than {MAX_JSON_NUMERAL} characters")
+    return numeral
+
+
+_DECODER = json.JSONDecoder(parse_int=lambda s: int(_bounded(s)),
+                            parse_float=lambda s: float(_bounded(s)))
+_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]', re.DOTALL)  # a string or a bracket
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _depth(text: str) -> int:
+    """How deep ``text`` nests arrays and objects outside its strings: on any
+    prefix that the decoder reads as JSON, the depth it recurses to."""
+    tokens = _JSON_TOKEN.finditer(text)
+    return max(accumulate((_NESTING.get(t.group(), 0) for t in tokens), initial=0))
+
+
 def decode_json_object(text: str) -> dict:
     """The JSON object in ``text`` (a dataset or transcript line, a config
-    file).  Any failure raises ``SchemaError``, including nesting past the
-    recursion limit and integers past the int digit limit."""
+    file).  Any failure raises ``SchemaError``, including nesting deeper than
+    ``MAX_JSON_DEPTH`` and a numeral longer than ``MAX_JSON_NUMERAL``."""
+    if text.count("[") + text.count("{") > MAX_JSON_DEPTH and _depth(text) > MAX_JSON_DEPTH:
+        raise SchemaError(f"JSON nested deeper than {MAX_JSON_DEPTH}")
     try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        if text.startswith("\ufeff"):  # the error json.loads raises
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
+    except ValueError as exc:  # JSONDecodeError is a ValueError
         raise SchemaError(f"bad JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError("not a JSON object")

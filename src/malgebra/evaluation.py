@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
 
 from .equations import Const, XTerm, closed_form_solution, parse_equation, parse_number
-from .errors import (EmptyBatchError, EngineError, SchemaError, ZeroCoefficientError,
-                     decode_json_object, read_input)
-from .misconceptions import (CATALOG, CORRECT_OUT, RULE_EDGE, Misconception, Node,
-                             get_misconception, outcome, steps, walk)
+from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
+from .misconceptions import CATALOG, RULE_EDGE, Misconception, Node, get_misconception, steps, walk
 from .reduction import ReductionTrace
+from .solution_space import leaf_paths
 from .taxonomy import ORDERED_TYPES, reachable
 
 GRADE_CORRECT = "correct"
@@ -115,26 +113,11 @@ def _mal_outcomes(
 ) -> list[tuple[Fraction | str, tuple[Node, ...]]]:
     """Each terminal that a path of correct steps and one firing of ``m``
     reaches from ``root``, depth first, with its outcome (a dead end's line,
-    or an answer other than ``correct``) and its states.  The tree's other
-    paths are not solved, and no other line is printed."""
-
-    def firings(node: Node, path: tuple[Node, ...], fired: bool) -> Iterator[tuple]:
-        path += (node,)
-        if (end := outcome(node)) is not None:
-            if fired:
-                yield (node.line if end[1] else end[0]), path
-            return
-        for edge in CORRECT_OUT[node.label]:
-            if fired or edge.kind != "solve":  # an unfired path's solve yields nothing
-                try:
-                    kid = node.child(edge)
-                except ZeroCoefficientError:
-                    continue  # nor does a zero coefficient
-                yield from firings(kid, path, fired)
-        if not fired and (kid := node.child(RULE_EDGE[m.id])) is not None:
-            yield from firings(kid, path, True)
-
-    return [(end, path) for end, path in firings(root, (), False) if end != correct]
+    or an answer other than ``correct``) and its states: ``leaf_paths`` solving
+    only after ``m`` fired (only a solve or ``m`` ends a path), less a zero coefficient."""
+    return [(path[-1].line if dead_end else answer, path)
+            for answer, dead_end, _, path in leaf_paths(root, (RULE_EDGE[m.id],), 1, True)
+            if dead_end != "zero x coefficient" and answer != correct]
 
 
 def grade(

@@ -1,15 +1,18 @@
 """Exhaustive enumeration of an instance's solution tree.
 
-Every node branches on all correct successor edges and on every not-yet-used
-misconception from the requested set, subject to a per-path cap, producing
-the complete space of correct paths and malgorithms.  States reached along
-different histories are kept distinct: paths, not states, carry the meaning.
+One depth-first search (``leaf_paths``) branches on all correct successor
+edges and on every not-yet-used misconception from the requested set, subject
+to a per-path cap: the complete space of correct paths and malgorithms.
+States reached along different histories are kept distinct: paths, not
+states, carry the meaning.  Its one policy, whether a path that has fired no
+rule may solve, is yes for the tree and no for grading (``evaluation.grade``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .equations import Equation
 from .errors import BudgetExceededError, ZeroCoefficientError
@@ -44,6 +47,33 @@ class SolutionTree:
     leaves: tuple[Leaf, ...]
 
 
+def leaf_paths(root: Node, rules: Sequence[EdgeRef], cap: int,
+               fired_to_solve: bool) -> Iterator[tuple]:
+    """Each path from ``root`` to a terminal or a zero x coefficient, depth
+    first, as (answer, dead-end reason, rule ids used, states).  At a node:
+    its correct edges, then each unused edge of ``rules`` while fewer than
+    ``cap`` are used; with ``fired_to_solve``, a path using none takes no solve edge."""
+
+    def grow(node: Node, used: tuple[str, ...], path: tuple[Node, ...], left: int) -> Iterator:
+        path += (node,)
+        if (end := outcome(node)) is not None:
+            yield *end, used, path
+            return
+        for edge in CORRECT_OUT[node.label]:
+            if used or not fired_to_solve or edge.kind != "solve":
+                try:
+                    kid = node.child(edge)
+                except ZeroCoefficientError:
+                    yield None, "zero x coefficient", used, path
+                    continue
+                yield from grow(kid, used, path, left)
+        for edge in rules if left > 0 else ():
+            if edge.rule_id not in used and (kid := node.child(edge)) is not None:
+                yield from grow(kid, used + (edge.rule_id,), path, left - 1)
+
+    return grow(root, (), (), cap)
+
+
 def enumerate_tree(
     eq: Equation | Node,
     ms: list[Misconception | str],
@@ -51,39 +81,25 @@ def enumerate_tree(
 ) -> SolutionTree:
     """Build the full solution tree with at most the given number of
     misconception steps per path, from an equation or from a walk state,
-    grown as it is.  Children are ordered correct-edges-first, then by
-    position in ``ms``.  Unlike the walk, a T1 node with a zero x
-    coefficient becomes a leaf, and the rules are still tried there."""
-    rules = [RULE_EDGE[m.id] for m in resolve_set(ms)]
-    cap = max_misconceptions_per_path
+    grown as it is: every path of ``leaf_paths``, each state numbered where a
+    path first reaches it (correct edges first, then ``ms`` in order).  Unlike
+    the walk, a zero x coefficient on T1 is a leaf, and the rules are still tried there."""
+    index: dict[int, int] = {}  # id(state) -> node id; ``nodes`` keeps each state alive
     nodes: list[Node] = []
     parents: list[int] = []
     leaves: list[Leaf] = []
-
-    def grow(parent: int, node: Node, used: tuple[str, ...], path: tuple[Node, ...]) -> None:
-        if len(nodes) >= NODE_BUDGET:
+    root = eq if isinstance(eq, Node) else Node(eq)
+    rules = [RULE_EDGE[m.id] for m in resolve_set(ms)]
+    for *end, used, path in leaf_paths(root, rules, max_misconceptions_per_path, False):
+        nid = -1
+        for node in path:  # a typed state has a correct edge, so it lies on some path
+            parent, nid = nid, index.setdefault(id(node), len(nodes))
+            if nid == len(nodes):
+                nodes.append(node)
+                parents.append(parent)
+        if len(nodes) > NODE_BUDGET:
             raise BudgetExceededError(f"solution tree exceeded the {NODE_BUDGET}-node budget")
-        nid = len(nodes)
-        nodes.append(node)
-        parents.append(parent)
-        path += (node,)
-        end = outcome(node)
-        if end is not None:
-            leaves.append(Leaf(nid, *end, used, path))
-            return
-        for edge in CORRECT_OUT[node.label]:
-            try:
-                kid = node.child(edge)
-            except ZeroCoefficientError:
-                leaves.append(Leaf(nid, None, "zero x coefficient", used, path))
-                continue
-            grow(nid, kid, used, path)
-        if len(used) < cap:
-            for edge in rules:
-                if edge.rule_id not in used and (kid := node.child(edge)) is not None:
-                    grow(nid, kid, used + (edge.rule_id,), path)
-
-    grow(-1, eq if isinstance(eq, Node) else Node(eq), (), ())
+        leaves.append(Leaf(nid, *end, used, path))
     return SolutionTree(tuple(nodes), tuple(parents), tuple(leaves))
 
 

@@ -381,8 +381,9 @@ def test_verify_bad_json_lines(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out) == (1, "0/3 records replay cleanly\n")
     lines = err.splitlines()
-    assert [line.split(": bad JSON: ")[0] for line in lines] == ["line 1", "line 2", "line 3"]
-    assert "recursion" in lines[0] and "digits" in lines[1]
+    assert lines[:2] == ["line 1: JSON nested deeper than 16",
+                         "line 2: JSON numeral longer than 100 characters"]
+    assert lines[2].startswith("line 3: bad JSON: ") and len(lines) == 3
 
 
 @pytest.mark.parametrize("text", [_DEEP, _HUGE, "{", "[1, 2]"], ids=["deep", "huge", "cut", "list"])
@@ -393,6 +394,50 @@ def test_gen_config_bad_json_exit_2(capsys, tmp_path, text):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read config {cfg}: ") and err.count("\n") == 1
     assert not (tmp_path / "ds").exists()
+
+
+def _json_limits():
+    """(name, the text of a value that nests its object ``n`` deep or is ``n``
+    characters long, n, message)."""
+    from malgebra.errors import MAX_JSON_DEPTH, MAX_JSON_NUMERAL
+
+    nest = lambda n: "[" * (n - 1) + "]" * (n - 1)  # noqa: E731
+    return [("depth", nest, MAX_JSON_DEPTH, f"JSON nested deeper than {MAX_JSON_DEPTH}"),
+            ("numeral", lambda n: "1" * n, MAX_JSON_NUMERAL,
+             f"JSON numeral longer than {MAX_JSON_NUMERAL} characters")]
+
+
+@pytest.mark.parametrize("source", ["transcript", "dataset", "config"])
+@pytest.mark.parametrize("limit", _json_limits(), ids=lambda c: c[0])
+def test_json_limits(capsys, tmp_path, limit, source):
+    # each limit at N is read as JSON, and at N + 1 stops with malgebra's
+    # own message, never the interpreter's, with the input's usual exit code
+    name, value, n, message = limit
+    if source == "dataset":
+        generate(DatasetConfig(seed=1, n_correct_per_type=1, test_per_type=0,
+                               out_dir=str(tmp_path / "ds")))
+        record = (tmp_path / "ds" / "train.jsonl").read_text().split("\n")[0]
+    path = tmp_path / "input"
+    for size in (n, n + 1):
+        if source == "transcript":
+            path.write_text('{"problem_type": "T1", "equation": "4x = 12", '
+                            f'"model_answer": {value(size)}}}\n')
+            argv = ["score", str(path), "--misconception", "M8"]
+            at, past = (0, ""), (2, f"error: line 1: {message}\n")
+        elif source == "dataset":
+            path.write_text('{"id": ' + value(size) + ", " + record.split(", ", 1)[1] + "\n")
+            argv = ["verify", str(path)]
+            at, past = (1, "line 1: field 'id' must be a string\n"), (1, f"line 1: {message}\n")
+        else:
+            path.write_text('{"seed": ' + value(size) + ', "n_correct_per_type": 1, '
+                            '"test_per_type": 0}')
+            argv = ["gen", "--config", str(path), "--out", str(tmp_path / f"out{size}")]
+            at = (0, "") if name == "numeral" else (
+                2, f"error: seed must be an integer, got {value(n)}\n")
+            past = (2, f"error: cannot read config {path}: {message}\n")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (at if size == n else past)
+        assert "sys." not in err and "recursion" not in err
 
 
 @pytest.mark.parametrize("field,value", [

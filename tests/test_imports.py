@@ -1,5 +1,7 @@
 """Every import in the package is used, and a module imports its siblings at
-its top, not inside a function.
+its top, not inside a function.  One search walks a node's correct edges
+beside the walk: only the node expansion and the walk (``misconceptions``)
+and the path search (``solution_space``) read ``CORRECT_OUT``.
 
 One call-time import stays: ``reduction.reduce`` delegates to the walk in
 ``misconceptions``, which imports ``reduction`` itself, and perfbench's
@@ -57,3 +59,10 @@ def test_siblings_are_imported_at_the_top():
                         a.name.startswith("malgebra") for a in node.names):
                     local.add((name, fn.name, *(a.name for a in node.names)))
     assert local == {("reduction.py", "reduce", "misconceptions", "reduce_with_misconceptions")}
+
+
+def test_one_search_reads_the_correct_edges():
+    readers = {name for name, tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "CORRECT_OUT"
+               or isinstance(node, ast.alias) and node.name == "CORRECT_OUT"}
+    assert readers == {"misconceptions.py", "solution_space.py"}

@@ -10,6 +10,7 @@ from malgebra.cli import main
 from malgebra.datasets import InstanceSampler
 from malgebra.equations import closed_form_solution, parse_equation
 from malgebra.errors import BudgetExceededError, ZeroCoefficientError
+from malgebra.evaluation import GRADE_OTHER, Transcript, _mal_outcomes, grade
 from malgebra.misconceptions import CATALOG, Node, get_misconception, try_apply, walk
 from malgebra.reduction import reduce, reduce_step, solve_terminal
 from malgebra import solution_space
@@ -126,6 +127,16 @@ def test_zero_coefficient_walk_raises_tree_keeps_leaf():
         (7, Fraction(15), None, ("M8", "M19")),
     ]
 
+    # the one policy the tree and grading differ in: grading takes no path
+    # that ends on a zero coefficient, so answering that leaf's line is other
+    lines = ("4x = 3(4x + 5)", "4x = 4x + 15", "0x = 15")
+    tree = enumerate_tree(parse_equation(lines[0]), ["M8"], 1)
+    assert [(l.dead_end, l.equations) for l in tree.leaves if l.misconceptions] == [
+        ("zero x coefficient", lines)]
+    for steps in (None, lines):
+        for mode in ("answer", "steps"):
+            assert grade(Transcript("T9", lines[0], lines[-1], steps), "M8", mode) == GRADE_OTHER
+
 
 def test_correct_leaf_matches_oracle_and_default_path_unique(sampler):
     for t in ORDERED_TYPES:
@@ -165,7 +176,14 @@ def test_brute_force_equivalence(mid, sampler):
             got = Counter(
                 (l.answer, l.misconceptions) for l in tree.leaves
             )
-            assert got == brute_force_leaves(eq, mid, 1)
+            brute = brute_force_leaves(eq, mid, 1)
+            assert got == brute
+            # grading's firing search, against the same oracle
+            correct = closed_form_solution(eq)
+            fired = Counter(end for end, _ in _mal_outcomes(Node(eq), m, correct)
+                            if isinstance(end, Fraction))
+            assert fired == Counter({a: k for (a, ms), k in brute.items()
+                                     if ms == (mid,) and a is not None and a != correct})
 
 
 def test_count_law_single_spine(sampler):
