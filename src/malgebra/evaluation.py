@@ -17,7 +17,7 @@ from pathlib import Path
 from .equations import Const, XTerm, closed_form_solution, parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
 from .misconceptions import CATALOG, RULE_EDGE, Misconception, Node, get_misconception, steps, walk
-from .reduction import ReductionTrace
+from .reduction import fired
 from .solution_space import leaf_paths
 from .taxonomy import ORDERED_TYPES, reachable
 
@@ -325,30 +325,32 @@ class Diagnosis:
     trace_length: int
 
 
-def _prefix_len(model: list[str], lines: list[str]) -> int:
-    """How many leading ``lines`` equal the model's steps as printed."""
-    n = 0
-    for got, want in zip(model, lines):
-        if got != want:
-            break
-        n += 1
-    return n
-
-
-def _agreed(root: Node, ms: tuple[Misconception, ...], model: list[str]) -> int:
-    """How many leading lines of the walk of ``ms`` equal the model's steps,
-    reading the walk only up to the first line that differs, the model's
-    end, or an engine error.  For a set with a trace this is its
-    ``matched``."""
-    n = 0
+def _read(
+    root: Node, ms: tuple[Misconception, ...], model: list[str], need: int
+) -> tuple[Diagnosis | None, Node | None]:
+    """Read the walk of ``ms`` from ``root`` once, counting its leading lines
+    that equal the model's steps.  Gives ``(None, None)`` at an engine error,
+    or where fewer than ``need`` lines agree and the model has steps left:
+    at the first line that differs, or at the walk's end.  Otherwise gives
+    the set's diagnosis, None when the walk did not use exactly ``ms`` in
+    order, and the walk's last state."""
+    path, k = [], 0
     try:
         for node in chain((root,), steps(root, ms)):
-            if n == len(model) or node.line != model[n]:
-                break
-            n += 1
+            if k == len(path) < len(model):
+                if node.line == model[k]:
+                    k += 1
+                elif k < need:
+                    return None, None
+            path.append(node)
     except EngineError:
-        pass
-    return n
+        return None, None
+    if k < min(need, len(model)):
+        return None, None
+    ids, n = tuple(m.id for m in ms), len(path)
+    if fired(path) != ids:
+        return None, path[-1]
+    return Diagnosis(ids, "full" if k == len(model) == n else f"prefix {k}/{n}", k, n), path[-1]
 
 
 def diagnose(transcript: Transcript) -> list[Diagnosis]:
@@ -363,17 +365,18 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     order, has no trace.  All walks start from one root, so a state or a
     rule attempt shared by several sets is computed once.
 
-    A candidate's walk is read to its end only where the end can change the
-    result; elsewhere it is read only as far as the steps agree with it
-    (``_agreed``).  Only a single that agrees on every step can be full, so
-    those are walked first, and a full one ends the search.  Otherwise every
-    single is walked, and a pair is walked only when it agrees on every
-    step or on more than ``floor`` lines: the ``MAX_CANDIDATES``-th largest
-    ``matched`` among the singles with ``matched > 0``, or 0 when there are
-    fewer.  This is exact.  Ranking sorts by ``(-matched, len)`` and the
-    sort is stable, so a pair that is not full and matches ``k <= floor``
-    lines comes after at least ``MAX_CANDIDATES`` singles and can appear in
-    no output; a pair without a trace is no candidate either way.
+    One reader, ``_read``, takes a candidate's walk in one pass: to its end
+    only where the end can change the result, elsewhere only as far as the
+    steps agree with it.  Only a single that agrees on every step can be
+    full, so the singles are read that far first, and a full one ends the
+    search.  Otherwise every single is read to its end, and a pair only
+    when it agrees on every step or on more than ``floor`` lines: the
+    ``MAX_CANDIDATES``-th largest ``matched`` among the singles with
+    ``matched > 0``, or 0 when there are fewer.  This is exact.  Ranking
+    sorts by ``(-matched, len)`` and the sort is stable, so a pair that is
+    not full and matches ``k <= floor`` lines comes after at least
+    ``MAX_CANDIDATES`` singles and can appear in no output; a pair without a
+    trace is no candidate either way.
     """
     if not transcript.model_steps:  # an empty list of steps agrees with every walk
         raise SchemaError("diagnosis needs model_steps")
@@ -382,38 +385,24 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     if model == walk(root, ()).equation_lines():
         return []
 
-    def run(ms: tuple[Misconception, ...]) -> tuple[ReductionTrace | None, Diagnosis | None]:
-        try:
-            trace = walk(root, ms)
-        except EngineError:
-            return None, None
-        ids = tuple(m.id for m in ms)
-        if trace.misconceptions_used != ids:
-            return trace, None
-        lines = trace.equation_lines()
-        k = _prefix_len(model, lines)
-        quality = "full" if model == lines else f"prefix {k}/{len(lines)}"
-        return trace, Diagnosis(ids, quality, k, len(lines))
-
     reach = reachable(root.label)
     relevant = [m for m in CATALOG if m.applicable_types & reach]
     full_singles = [
-        d
-        for m in relevant if _agreed(root, (m,), model) == len(model)
-        if (d := run((m,))[1]) is not None and d.quality == "full"
+        d for m in relevant
+        if (d := _read(root, (m,), model, len(model))[0]) is not None and d.quality == "full"
     ]
     if full_singles:
         return full_singles
 
     singles, leaders = [], []
     for m in relevant:
-        trace, d = run((m,))
+        d, last = _read(root, (m,), model, 0)
         if d is not None:
             singles.append(d)
         # a pair's walk follows m's single walk until m fires (m2 firing
         # first breaks the order), so a walk that ends without m, or with
         # m's own step, leaves m no pair
-        if trace is None or d is not None and trace.steps[-1].via.rule_id != m.id:
+        if last is None or d is not None and last.via.rule_id != m.id:
             leaders.append(m)
     cap = MAX_CANDIDATES
     tops = sorted((d.matched for d in singles if d.matched > 0), reverse=True)
@@ -422,8 +411,7 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
         d
         for m1 in leaders
         for m2 in relevant if m2 is not m1
-        if ((k := _agreed(root, (m1, m2), model)) == len(model) or k > floor)
-        and (d := run((m1, m2))[1]) is not None
+        if (d := _read(root, (m1, m2), model, floor + 1)[0]) is not None
     ]
     ranked = sorted(
         singles + pairs,

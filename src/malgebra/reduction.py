@@ -54,12 +54,15 @@ class ReductionTrace:
 
     @property
     def misconceptions_used(self) -> tuple[str, ...]:
-        return tuple(
-            s.via.rule_id for s in self.steps if s.via and s.via.kind == "misconception"
-        )
+        return fired(self.steps)
 
     def equation_lines(self) -> list[str]:
         return [s.line for s in self.steps]
+
+
+def fired(states: Sequence[Node]) -> tuple[str, ...]:
+    """The misconceptions whose edges produced ``states``, in order."""
+    return tuple(s.via.rule_id for s in states if s.via and s.via.kind == "misconception")
 
 
 # ---------------------------------------------------------------------------

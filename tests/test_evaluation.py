@@ -27,10 +27,9 @@ from malgebra.evaluation import (
     Diagnosis,
     Transcript,
     TranscriptError,
-    _agreed,
     _mal_outcomes,
-    _prefix_len,
     _printed_steps,
+    _read,
     _typed_root,
     diagnose,
     grade,
@@ -452,6 +451,22 @@ def test_rule_attempts_per_diagnosed_transcript(monkeypatch):
     assert len(batch) == 34 and len(calls) <= 447  # 13.1 per transcript
 
 
+def test_states_read_per_diagnosed_transcript(monkeypatch):
+    # each candidate's walk is read in one pass, never walked again for its
+    # trace: an upper bound on the states diagnose reads over the same batch,
+    # by its reader and by ``walk``
+    from malgebra import misconceptions
+
+    read, original = [], misconceptions.steps
+    counted = lambda root, ms: (read.append(node) or node for node in original(root, ms))
+    batch = _wrong_batch()
+    monkeypatch.setattr(misconceptions, "steps", counted)
+    monkeypatch.setattr(evaluation, "steps", counted)
+    for transcript in batch:
+        diagnose(transcript)
+    assert len(batch) == 34 and len(read) <= 1257  # 37.0 per transcript
+
+
 _parse = functools.lru_cache(maxsize=None)(parse_equation)
 
 
@@ -581,10 +596,10 @@ def test_diagnose_matches_exhaustive_search(monkeypatch):
             assert _outcome(diagnose, transcript) == want, (transcript, cap)
 
 
-def test_agreed_reads_the_walk_as_far_as_the_steps_agree():
-    # on every single and pair with a trace, the count read from the walk's
-    # first states is the trace's matched prefix, and the states read one
-    # by one are the walk's
+def test_read_gives_the_diagnosis_of_the_walk():
+    # on every single and pair with a trace, one read of the walk gives the
+    # diagnosis built from the whole trace and its last state; asked for
+    # more agreeing lines than there are, it stops and gives neither
     checked = 0
     for transcript in _diagnose_corpus():
         try:
@@ -598,9 +613,18 @@ def test_agreed_reads_the_walk_as_far_as_the_steps_agree():
                 trace = walk(root, ms)
             except EngineError:
                 continue
-            if trace.misconceptions_used != tuple(m.id for m in ms):
+            ids = tuple(m.id for m in ms)
+            if trace.misconceptions_used != ids:
                 continue
-            assert _agreed(root, ms, model) == _prefix_len(model, trace.equation_lines())
+            lines = trace.equation_lines()
+            k = 0
+            while k < min(len(model), len(lines)) and model[k] == lines[k]:
+                k += 1
+            quality = "full" if model == lines else f"prefix {k}/{len(lines)}"
+            want = Diagnosis(ids, quality, k, len(lines))
+            assert _read(root, ms, model, 0) == (want, trace.steps[-1])
+            if k < len(model):
+                assert _read(root, ms, model, k + 1) == (None, None)
             assert tuple(steps(root, ms)) == trace.steps[1:]
             checked += 1
     assert checked > 10000, checked

@@ -1,7 +1,9 @@
 """Every import in the package is used, and a module imports its siblings at
 its top, not inside a function.  One search walks a node's correct edges
 beside the walk: only the node expansion and the walk (``misconceptions``)
-and the path search (``solution_space``) read ``CORRECT_OUT``.
+and the path search (``solution_space``) read ``CORRECT_OUT``.  One reader
+in ``evaluation`` takes each diagnose candidate's walk: it alone calls
+``steps``, and ``walk`` runs there only with no rules.
 
 One call-time import stays: ``reduction.reduce`` delegates to the walk in
 ``misconceptions``, which imports ``reduction`` itself, and perfbench's
@@ -66,3 +68,17 @@ def test_one_search_reads_the_correct_edges():
                if isinstance(node, ast.Name) and node.id == "CORRECT_OUT"
                or isinstance(node, ast.alias) and node.name == "CORRECT_OUT"}
     assert readers == {"misconceptions.py", "solution_space.py"}
+
+
+def test_one_reader_takes_each_diagnose_walk():
+    tree = dict(_trees())["evaluation.py"]
+
+    def calls(node: ast.AST, name: str) -> list[ast.Call]:
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == name]
+
+    readers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and calls(fn, "steps")}
+    assert readers == {"_read"}
+    rule_sets = [ast.unparse(call.args[1]) for call in calls(tree, "walk")]
+    assert rule_sets and set(rule_sets) == {"()"}, rule_sets
