@@ -20,8 +20,9 @@ from os import PathLike
 from pathlib import Path
 from typing import Sequence
 
-from .equations import MAX_NUMERAL_DIGITS, Equation, closed_form_solution, parse_equation
+from .equations import MAX_NUMERAL_DIGITS, Equation, closed_form_solution
 from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_input
+from .evaluation import _typed_root
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
 from .reduction import ReductionTrace
 from .taxonomy import (
@@ -194,17 +195,10 @@ def sample_for_misconception(
     rng: random.Random,
     coeff_min: int = -9,
     coeff_max: int = 9,
-    accept=None,
 ) -> tuple[Equation, ReductionTrace]:
-    """``sample_instance`` of ``t`` firing ``m``, drawn again until the
-    optional ``accept(eq, trace)`` hook takes the instance and its trace."""
-    for _ in range(MAX_TRIES):
-        root, trace = sample_instance(t, rng, coeff_min, coeff_max, m=m)
-        if accept is None or accept(root.equation, trace):
-            return root.equation, trace
-    raise SamplingExhaustedError(
-        f"no ({m}, {t}) instance the hook accepts after {MAX_TRIES} attempts"
-    )
+    """``sample_instance`` of ``t`` firing ``m``, as its equation and trace."""
+    root, trace = sample_instance(t, rng, coeff_min, coeff_max, m=m)
+    return root.equation, trace
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +395,7 @@ def _replay(rec: dict) -> None:
         raise SchemaError(f"unknown fields: {unknown}")
     if rec["label"] == "correct" and "misconception_id" in rec:
         raise SchemaError("correct record carries misconception_id")
-    root, label = Node(parse_equation(rec["equation"])), rec["label"]
-    if root.label.name != rec["problem_type"]:
-        raise SchemaError(f"classifies as {root.label.name}, recorded {rec['problem_type']}")
+    root, label = _typed_root(rec["problem_type"], rec["equation"]), rec["label"]
     if label == "correct":
         trace = walk(root, ())
         if trace.answer != closed_form_solution(root.equation):

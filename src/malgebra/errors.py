@@ -125,11 +125,30 @@ def decode_json_object(text: str) -> dict:
     return data
 
 
+# the largest input file read, in bytes: 200,000 lines (``MAX_RECORDS``, the
+# most records one gen config writes) of 8 KiB each, so every file gen writes
+# passes.  The longest line measured is 5,578 bytes with its newline: every
+# rule at coefficients of up to +/-(10**20 - 1), under the longest seed that
+# ``--seed`` takes (a sign and 4,300 digits, the interpreter's default limit),
+# which alone is 4,301 of those bytes
+MAX_INPUT_BYTES = 200_000 * 8192
+_CHUNK = 1 << 20
+
+
 def read_input(path: str | Path, what: str) -> str:
     """The UTF-8 text of the input file ``path``, a ``what`` such as "dataset",
     with its line ends as written (a lone carriage return may be JSON
-    whitespace); any failure to read it raises ``SchemaError`` naming the path."""
+    whitespace); any failure to read it raises ``SchemaError`` naming the path,
+    as does a file longer than ``MAX_INPUT_BYTES``.  It reads in chunks up to
+    one byte past the bound, so a pipe is bounded too and no buffer of the
+    bound's size is made up front."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        with Path(path).open("rb") as f:
+            data = bytearray()
+            while chunk := f.read(min(_CHUNK, MAX_INPUT_BYTES + 1 - len(data))):
+                data += chunk
+        if len(data) > MAX_INPUT_BYTES:
+            raise SchemaError(f"{what} {path} is longer than {MAX_INPUT_BYTES} bytes")
+        return data.decode("utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise SchemaError(f"cannot read {what} {path}: {exc}") from None

@@ -92,13 +92,13 @@ def parse_answer(text: str) -> Fraction | str:
         raise TranscriptError(f"unparsable answer {text!r}") from exc
 
 
-def _typed_root(transcript: Transcript) -> Node:
-    """The transcript's equation, parsed and typed, as a walk state.  Raises
-    ``SchemaError`` when the transcript claims another type."""
-    root = Node(parse_equation(transcript.equation))
-    if root.label.name != transcript.problem_type:
-        raise SchemaError(f"transcript claims {transcript.problem_type} for a {root.label.name} "
-                          f"equation: {transcript.equation}")
+def _typed_root(problem_type: str, equation: str) -> Node:
+    """The equation text of a transcript or a dataset record, parsed and
+    typed, as a walk state.  Raises ``SchemaError`` when the item claims
+    another ``problem_type``; its caller names the item."""
+    root = Node(parse_equation(equation))
+    if root.label.name != problem_type:
+        raise SchemaError(f"claims {problem_type} for a {root.label.name} equation: {equation}")
     return root
 
 
@@ -106,6 +106,16 @@ def _printed_steps(transcript: Transcript) -> list[str]:
     """The model's steps, each parsed and printed as the engine prints its
     lines, so that a step matches an engine line exactly when it equals it."""
     return [str(parse_equation(s)) for s in transcript.model_steps]
+
+
+def _replays_correct(model: list[str] | None, root: Node) -> bool:
+    """Whether the printed steps replay the correct walk from ``root``: they
+    equal its lines, or its lines less a last line that repeats the line
+    before it (a state printed ``x = c`` is solved to that same line).  Only
+    ``grade``'s correct branch and ``diagnose``'s early ``[]`` read the steps
+    so; a misconception path, ``_read`` and ``verify`` compare every line."""
+    lines = walk(root, ()).equation_lines()
+    return model == lines or lines[-1] == lines[-2] and model == lines[:-1]
 
 
 def _mal_outcomes(
@@ -129,18 +139,19 @@ def grade(
 
     ``answer`` mode compares final answers as exact rationals;
     ``steps`` mode additionally requires the step sequence to replay the
-    corresponding engine trace line for line.  A wrong answer matches ``m``
-    when some path of correct steps and one firing of ``m`` ends at a
-    terminal whose outcome is the answer and, in ``steps`` mode, whose lines
-    are the steps; only such paths are searched (``_mal_outcomes``).  A
-    transcript whose equation is of another type than it claims raises
-    ``SchemaError``.
+    corresponding engine trace line for line (``_replays_correct`` for a
+    right answer).  A wrong answer matches ``m`` when some path of correct
+    steps and one firing of ``m`` ends at a terminal whose outcome is the
+    answer and, in ``steps`` mode, whose lines are the steps; only such
+    paths are searched (``_mal_outcomes``).  A transcript whose equation is
+    of another type than it claims raises ``SchemaError``.
     """
     if mode not in ("answer", "steps"):
         raise SchemaError(f"unknown grading mode {mode!r}")
     m = None if m is None else get_misconception(m)
     try:
-        root = _typed_root(transcript)  # its SchemaError passes the except below
+        # _typed_root's SchemaError passes the except below
+        root = _typed_root(transcript.problem_type, transcript.equation)
         answer = parse_answer(transcript.model_answer)
         correct = closed_form_solution(root.equation)
     except (EngineError, TranscriptError) as exc:
@@ -154,7 +165,7 @@ def grade(
             pass  # an unparsable step replays no trace
 
     if answer == correct:
-        if mode == "answer" or model == walk(root, ()).equation_lines():
+        if mode == "answer" or _replays_correct(model, root):
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:
@@ -356,9 +367,9 @@ def _read(
 def diagnose(transcript: Transcript) -> list[Diagnosis]:
     """Rank misconception sets (size <= 2) by how well their traces replay
     the transcript's steps: longest exact prefix first, then fewest
-    misconceptions.  Empty when the all-correct trace matches fully.  A
-    transcript whose equation is of another type than it claims raises
-    ``SchemaError``.
+    misconceptions.  Empty when the steps replay the correct walk
+    (``_replays_correct``).  A transcript whose equation is of another type
+    than it claims raises ``SchemaError``.
 
     A set's trace is its walk, the one ``reduce_with_misconceptions(eq, ms)``
     takes; a set whose walk raises, or does not use exactly its rules in
@@ -380,9 +391,9 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     """
     if not transcript.model_steps:  # an empty list of steps agrees with every walk
         raise SchemaError("diagnosis needs model_steps")
-    root = _typed_root(transcript)
+    root = _typed_root(transcript.problem_type, transcript.equation)
     model = _printed_steps(transcript)
-    if model == walk(root, ()).equation_lines():
+    if _replays_correct(model, root):
         return []
 
     reach = reachable(root.label)

@@ -14,7 +14,6 @@ at the terminal solve step rather than at a reduction node.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -22,7 +21,6 @@ from typing import Callable, Iterator, Sequence
 
 from .equations import Equation, Paren
 from .errors import (
-    EngineError,
     MisconceptionNotApplicableError,
     NonterminationError,
     UnclassifiableFormError,
@@ -343,13 +341,14 @@ class Node:
     makes a state from its two sides, and that state builds its ``equation``
     only when asked.  ``line`` joins the two texts.
 
-    ``child`` runs each edge out of a node at most once and keeps what it
-    gave, an engine error included, so walks from one root share every state
-    and every rule attempt they have in common.  A node keeps no link to its
-    parent: with the kept children that would make every walk a reference
-    cycle.  A node is a step of a ``ReductionTrace`` and compares as one: as
-    printed, by line, label and edge, so two states that print alike compare
-    equal whatever expression trees they would build."""
+    ``child`` keeps each child it built, or None where a rule did not fire,
+    so walks from one root share every state and every rule attempt they
+    have in common; an edge that raised keeps nothing and runs again on the
+    next walk through the node.  A node keeps no link to its parent: with
+    the kept children that would make every walk a reference cycle.  A node
+    is a step of a ``ReductionTrace`` and compares as one: as printed, by
+    line, label and edge, so two states that print alike compare equal
+    whatever expression trees they would build."""
 
     __slots__ = ("sides", "label", "via", "_kids", "_equation", "_line")
 
@@ -360,7 +359,7 @@ class Node:
         else:
             self.sides, self._equation = sides_of(state), state
         self.label, self.via, self._line = label or classify(self.sides), via, None
-        self._kids: dict[str, Node | EngineError | None] = {}
+        self._kids: dict[str, Node | None] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
@@ -393,28 +392,17 @@ class Node:
         """The node ``edge`` leads to: a correct or solve edge's target, or a
         misconception's result, None where the rule does not fire.  Solving
         ``0x = B`` raises ``ZeroCoefficientError``; a later call for the same
-        edge gives back the same node, or raises a copy of the same error."""
+        edge gives back the same node, or, where the edge raised, runs it
+        again."""
         key, kids = edge.rule_id, self._kids
-        if key in kids:
-            kid = kids[key]
-            if isinstance(kid, EngineError):
-                raise copy.copy(kid)
-            return kid
-        try:
+        if key not in kids:
             if edge.kind == "correct":
-                sides, label = apply_step(self.sides, self.label, key)
-                kid = Node(sides, label, edge)
+                kids[key] = Node(*apply_step(self.sides, self.label, key), edge)
             elif edge.kind == "solve":
-                kid = Node(solved(solve_t1(self.sides)), SOLVED, edge)
+                kids[key] = Node(solved(solve_t1(self.sides)), SOLVED, edge)
             else:
-                kid = try_apply(_BY_ID[key], self)
-        except EngineError as exc:
-            # a raised error's traceback reaches this node through its frames;
-            # keeping the error itself would make the walk a reference cycle
-            kids[key] = copy.copy(exc)
-            raise
-        kids[key] = kid
-        return kid
+                kids[key] = try_apply(_BY_ID[key], self)
+        return kids[key]
 
 
 def outcome(node: Node) -> tuple[Fraction | None, str | None] | None:

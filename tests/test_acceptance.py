@@ -18,6 +18,7 @@ import pytest
 from fidelity import _CASES, _SOLVE_FORMULAS, fidelity_cases
 
 from malgebra.datasets import (
+    MAX_TRIES,
     DatasetConfig,
     InstanceSampler,
     generate,
@@ -336,9 +337,12 @@ def test_criterion_10_end_to_end_self_consistency():
             rng = sampler.rng_for(f"diag:{m.id}:{t.name}")
             hits = 0
             for _ in range(50):
-                eq, trace = sample_for_misconception(
-                    m, t, rng, accept=lambda e, tr: _unambiguous(e, tr, m)
-                )
+                for _ in range(MAX_TRIES):  # draw again until the walk is unambiguous
+                    eq, trace = sample_for_misconception(m, t, rng)
+                    if _unambiguous(eq, trace, m):
+                        break
+                else:
+                    pytest.fail(f"no unambiguous ({m.id}, {t.name}) draw in {MAX_TRIES} tries")
                 lines = trace.equation_lines()
                 result = diagnose(Transcript(t.name, str(eq), lines[-1], tuple(lines)))
                 if result and result[0].misconceptions == (m.id,):

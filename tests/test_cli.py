@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import malgebra.datasets as datasets
+import malgebra.errors as errors
 from malgebra.cli import build_parser, main
 from malgebra.datasets import MAX_RECORDS, DatasetConfig, generate
 from malgebra.equations import closed_form_solution, parse_equation
@@ -440,6 +443,65 @@ def test_json_limits(capsys, tmp_path, limit, source):
         assert "sys." not in err and "recursion" not in err
 
 
+@pytest.mark.parametrize("source", ["transcript", "dataset", "config"])
+def test_input_size_limit(capsys, tmp_path, monkeypatch, source):
+    # a file of MAX_INPUT_BYTES bytes is read; one byte more, a blank that
+    # the readers would skip, stops the command with one line and exit 2
+    if source == "transcript":
+        text = json.dumps({"problem_type": "T1", "equation": "4x = 12", "model_answer": "3"})
+        argv, what = ["score", "{path}", "--misconception", "M8"], "transcripts"
+    elif source == "dataset":
+        text, argv, what = json.dumps(_T1_RECORD), ["verify", "{path}"], "dataset"
+    else:
+        text = '{"n_correct_per_type": 1, "test_per_type": 0}'
+        argv, what = ["gen", "--config", "{path}", "--out", str(tmp_path / "out")], "config"
+    path, n = tmp_path / "input", len(text.encode()) + 1
+    argv = [a.format(path=path) for a in argv]
+    monkeypatch.setattr(errors, "MAX_INPUT_BYTES", n)
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    path.write_text(text + "\n ")
+    assert run(capsys, *argv) == (2, "", f"error: {what} {path} is longer than {n} bytes\n")
+
+
+def test_input_size_limit_bounds_a_pipe(monkeypatch):
+    # past the bound the reader stops without waiting for the writer to
+    # close the pipe
+    monkeypatch.setattr(errors, "MAX_INPUT_BYTES", 100)
+    r, w = os.pipe()
+    closer = threading.Timer(30, os.close, (w,))
+    closer.start()
+    try:
+        os.write(w, b" " * 101)
+        start = time.monotonic()
+        with pytest.raises(SchemaError, match=r"^dataset /dev/fd/\d+ is longer than 100 bytes$"):
+            errors.read_input(f"/dev/fd/{r}", "dataset")
+        assert time.monotonic() - start < 10
+    finally:
+        if closer.is_alive():
+            closer.cancel()
+            os.close(w)
+        os.close(r)
+
+
+def test_input_size_limit_holds_every_file_gen_writes(tmp_path):
+    # the bound is MAX_RECORDS lines of 8 KiB: a record gen writes is far
+    # shorter, even at the widest coefficient range under the longest seed
+    # that gen's --seed takes (a sign and 4,300 digits, the interpreter's
+    # default limit)
+    assert errors.MAX_INPUT_BYTES == MAX_RECORDS * 8192
+    big = 10**20 - 1
+    longest = 0
+    for m in [None, *CATALOG]:
+        generate(DatasetConfig(seed=-(10**4300 - 1), misconception=m and m.id, n_m=10, ratio=1.0,
+                               n_correct_per_type=1, test_per_type=0, coeff_min=-big,
+                               coeff_max=big, out_dir=str(tmp_path)))
+        lines = (tmp_path / "train.jsonl").read_bytes().split(b"\n")[:-1]
+        longest = max(longest, *(len(line) + 1 for line in lines))
+    assert 4300 < longest <= 6144, longest  # 5,578 bytes
+
+
 @pytest.mark.parametrize("field,value", [
     ("equation", 5),
     ("final_answer", 5),
@@ -476,7 +538,9 @@ _T1_RECORD = {"id": "a", "problem_type": "T1", "equation": "4x = 12", "steps": [
     ({"misconception_id": "M8"}, "correct record carries misconception_id"),
     ({"label": "misconception", "misconception_id": "M8"}, "trace does not use exactly M8"),
     ({"equation": "4x=12"}, "equation is not the first step"),
-], ids=["unknown-fields", "correct-with-mid", "rule-does-not-fire", "equation-not-first-step"])
+    ({"problem_type": "T9"}, "claims T9 for a T1 equation: 4x = 12"),
+], ids=["unknown-fields", "correct-with-mid", "rule-does-not-fire", "equation-not-first-step",
+        "type-mismatch"])
 def test_verify_rejects_records_generation_never_writes(capsys, tmp_path, edit, reason):
     # M8 has no site on a T1 equation, so its walk is the correct one
     path = tmp_path / "ds.jsonl"
@@ -530,13 +594,13 @@ def test_score_type_mismatch_exit_2(capsys, tmp_path):
     path.write_text('{"problem_type": "T1", "equation": "2x = 3(4x + 5)", "model_answer": "-3/2"}\n')
     code, out, err = run(capsys, "score", str(path), "--misconception", "M8")
     assert (code, out) == (2, "")
-    assert err == "error: transcript 0: transcript claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
+    assert err == "error: transcript 0: claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
     good = json.dumps({"problem_type": "T1", "equation": "4x = 12", "model_answer": "3"})
     bad = json.dumps({"problem_type": "T3", "equation": "3x + 4 = 7", "model_answer": "1"})
     path.write_text(f"{good}\n\n{bad}\n")
     code, out, err = run(capsys, "score", str(path), "--misconception", "M8")
     assert (code, out) == (2, "")
-    assert err == "error: transcript 1: transcript claims T3 for a T5 equation: 3x + 4 = 7\n"
+    assert err == "error: transcript 1: claims T3 for a T5 equation: 3x + 4 = 7\n"
 
 
 def test_score_unknown_type_names_its_transcript_exit_2(capsys, tmp_path):
@@ -558,7 +622,7 @@ def test_diagnose_type_mismatch_exit_2(capsys, tmp_path):
     path.write_text(json.dumps(row) + "\n")
     code, out, err = run(capsys, "diagnose", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: transcript 0: transcript claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
+    assert err == "error: transcript 0: claims T1 for a T9 equation: 2x = 3(4x + 5)\n"
     path.write_text(json.dumps({**row, "equation": "2x = 3(4x +"}) + "\n")
     code, out, err = run(capsys, "diagnose", str(path))
     assert (code, out) == (1, "") and err.startswith("error: transcript 0: ")
@@ -566,7 +630,7 @@ def test_diagnose_type_mismatch_exit_2(capsys, tmp_path):
     path.write_text(json.dumps({**row, "problem_type": "T2\nZ"}) + "\n")
     code, out, err = run(capsys, "diagnose", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: transcript 0: transcript claims T2\\nZ for a T9 equation: 2x = 3(4x + 5)\n"
+    assert err == "error: transcript 0: claims T2\\nZ for a T9 equation: 2x = 3(4x + 5)\n"
     path.write_text(json.dumps({**row, "problem_type": "T9", "model_steps": [lines[0], "x = = 1"]})
                     + "\n")
     code, out, err = run(capsys, "diagnose", str(path))

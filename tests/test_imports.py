@@ -3,7 +3,9 @@ its top, not inside a function.  One search walks a node's correct edges
 beside the walk: only the node expansion and the walk (``misconceptions``)
 and the path search (``solution_space``) read ``CORRECT_OUT``.  One reader
 in ``evaluation`` takes each diagnose candidate's walk: it alone calls
-``steps``, and ``walk`` runs there only with no rules.
+``steps``, and ``walk`` runs there only with no rules.  A node keeps no
+engine error, so ``misconceptions`` copies none, and one draw loop,
+``sample_instance``, serves every sampler.
 
 One call-time import stays: ``reduction.reduce`` delegates to the walk in
 ``misconceptions``, which imports ``reduction`` itself, and perfbench's
@@ -82,3 +84,17 @@ def test_one_reader_takes_each_diagnose_walk():
     assert readers == {"_read"}
     rule_sets = [ast.unparse(call.args[1]) for call in calls(tree, "walk")]
     assert rule_sets and set(rule_sets) == {"()"}, rule_sets
+
+
+def test_no_kept_error_and_one_draw_loop():
+    trees = dict(_trees())
+    imported = {a.name for node in ast.walk(trees["misconceptions.py"])
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert "copy" not in imported
+    child = next(fn for fn in ast.walk(trees["misconceptions.py"])
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "child")
+    assert not [n for n in ast.walk(child) if isinstance(n, ast.Try)]
+    sampler = next(fn for fn in ast.walk(trees["datasets.py"])
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "sample_for_misconception")
+    assert not [n for n in ast.walk(sampler) if isinstance(n, (ast.For, ast.While))]
+    assert "accept" not in {a.arg for a in ast.walk(sampler.args) if isinstance(a, ast.arg)}

@@ -154,8 +154,8 @@ def test_walks_from_one_root_equal_walks_from_fresh_roots(sampler):
         # states compare as printed; their equations compare as trees
         return trace, [s.equation for s in trace.steps]
 
-    # M8 leaves 0x = 15: the kept raise of the solve edge is raised again on
-    # every walk through that node, while M19 still fires there
+    # M8 leaves 0x = 15: the solve edge, which keeps no error, raises again
+    # on every walk through that node, while M19 still fires there
     eq = parse_equation("4x = 3(4x + 5)")
     root = Node(eq, classify(eq))
     for _ in range(3):
@@ -171,14 +171,14 @@ def test_walks_from_one_root_equal_walks_from_fresh_roots(sampler):
 
 
 def test_a_walk_that_raises_frees_its_states():
-    # a node keeps a copy of an edge's error: the raised error's traceback
-    # reaches the node through its frames, so keeping that error made each
-    # such walk a reference cycle that only the garbage collector freed
+    # a node keeps no edge's error: the raised error's traceback reaches the
+    # node through its frames, so keeping that error would make each such
+    # walk a reference cycle that only the garbage collector frees
     gc.disable()
     try:
         gc.collect()
         root = Node(parse_equation("0x = 5"), ProblemType.T1)
-        for _ in range(2):  # the raise, then the kept error's
+        for _ in range(2):  # the raise, then the edge run again
             try:
                 walk(root, ())
             except ZeroCoefficientError:
@@ -187,6 +187,20 @@ def test_a_walk_that_raises_frees_its_states():
         assert gc.collect() == 0  # nothing left for the collector to free
     finally:
         gc.enable()
+
+
+def test_a_node_keeps_no_error():
+    # after a walk that raises, every state reached keeps only nodes and
+    # None: the edge that raised is run again on the next walk
+    root = Node(parse_equation("4x = 3(4x + 5)"))
+    with pytest.raises(ZeroCoefficientError):
+        walk(root, resolve_set(["M8"]))
+    nodes, kept = [root], []
+    while nodes:
+        kids = list(nodes.pop()._kids.values())
+        kept += kids
+        nodes += [kid for kid in kids if isinstance(kid, Node)]
+    assert kept and all(kid is None or isinstance(kid, Node) for kid in kept)
 
 
 def test_m20_answer_is_rhs():
