@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="explain erroneous transcripts by misconception")
     p.add_argument("transcripts", help="JSON-lines transcript file")
-    p.add_argument("--report", choices=("json",), default="json")
     p.set_defaults(handler=_cmd_diagnose)
 
     p = sub.add_parser("dump-graph", help="emit the type graph as JSON records")

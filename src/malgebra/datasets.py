@@ -147,9 +147,8 @@ def sample_instance(
     classifying it.  The optional ``accept`` hook receives the draw's line as
     printed and is asked before any atom is made; an accepted draw must then
     solve by the correct walk, which fails exactly on a zero slope.  With
-    ``m``, the walk firing ``m`` starts from the same root; it must use
-    exactly ``m`` and end somewhere distinguishable from the correct answer.
-    At most ``MAX_TRIES`` draws are made."""
+    ``m``, the walk firing ``m`` starts from the same root and must keep the
+    record rule (``_breaks_rule``).  At most ``MAX_TRIES`` draws are made."""
     mals = () if m is None else (get_misconception(m),)
     _check_range(coeff_min, coeff_max)
     for _ in range(MAX_TRIES):
@@ -164,13 +163,22 @@ def sample_instance(
                 trace = walk(root, mals)
         except EngineError:
             continue
-        if not mals or (trace.misconceptions_used == (mals[0].id,)
-                        and (trace.dead_end is not None or trace.answer != correct.answer)):
+        if not mals or not _breaks_rule(trace, mals[0], correct.answer):
             return root, trace
     what = f"acceptable {t}" if m is None else f"conforming ({m}, {t})"
     raise SamplingExhaustedError(
         f"no {what} instance in [{coeff_min}, {coeff_max}] after {MAX_TRIES} draws"
     )
+
+
+def _breaks_rule(trace: ReductionTrace, m: Misconception, correct: Fraction) -> str | None:
+    """Why a misconception record's trace breaks generation's rule, or None:
+    it must fire exactly ``m`` and end at a dead end or off the ``correct`` answer."""
+    if trace.misconceptions_used != (m.id,):
+        return f"trace does not use exactly {m.id}"
+    if trace.dead_end is None and trace.answer == correct:
+        return "trace ends at the correct answer"
+    return None
 
 
 @dataclass(frozen=True)
@@ -380,7 +388,8 @@ class VerifyReport:
 
 
 def _replay(rec: dict) -> None:
-    """Check the record's fields, then re-derive its steps from its equation."""
+    """Check the record's fields, then re-derive its steps from its equation;
+    a misconception record's trace keeps ``_breaks_rule`` against the closed form."""
     missing = [k for k in _RECORD_KEYS if k not in rec]
     if missing:
         raise SchemaError(f"missing fields: {missing}")
@@ -404,9 +413,10 @@ def _replay(rec: dict) -> None:
         mid = rec.get("misconception_id")
         if not mid:
             raise SchemaError("misconception record lacks misconception_id")
-        trace = walk(root, (get_misconception(mid),))
-        if trace.misconceptions_used != (mid,):
-            raise SchemaError(f"trace does not use exactly {mid}")
+        m = get_misconception(mid)
+        trace = walk(root, (m,))
+        if reason := _breaks_rule(trace, m, closed_form_solution(root.equation)):
+            raise SchemaError(reason)
     else:
         raise SchemaError(f"unknown label {label!r}")
     if rec["steps"] != trace.equation_lines():

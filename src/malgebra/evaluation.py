@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from typing import Sequence
 
 from .equations import Const, XTerm, closed_form_solution, parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
@@ -108,13 +109,11 @@ def _printed_steps(transcript: Transcript) -> list[str]:
     return [str(parse_equation(s)) for s in transcript.model_steps]
 
 
-def _replays_correct(model: list[str] | None, root: Node) -> bool:
-    """Whether the printed steps replay the correct walk from ``root``: they
-    equal its lines, or its lines less a last line that repeats the line
-    before it (a state printed ``x = c`` is solved to that same line).  Only
-    ``grade``'s correct branch and ``diagnose``'s early ``[]`` read the steps
-    so; a misconception path, ``_read`` and ``verify`` compare every line."""
-    lines = walk(root, ()).equation_lines()
+def _writes(model: list[str] | None, path: Sequence[Node]) -> bool:
+    """Whether the printed steps write the engine path ``path``, correct or
+    not: all of its lines, or all but a last line that repeats the line
+    before it (a state printed ``x = c`` is solved to that same line)."""
+    lines = [node.line for node in path]
     return model == lines or lines[-1] == lines[-2] and model == lines[:-1]
 
 
@@ -138,12 +137,12 @@ def grade(
     """Classify one transcript as correct, misconception-match, or other.
 
     ``answer`` mode compares final answers as exact rationals;
-    ``steps`` mode additionally requires the step sequence to replay the
-    corresponding engine trace line for line (``_replays_correct`` for a
-    right answer).  A wrong answer matches ``m`` when some path of correct
-    steps and one firing of ``m`` ends at a terminal whose outcome is the
-    answer and, in ``steps`` mode, whose lines are the steps; only such
-    paths are searched (``_mal_outcomes``).  A transcript whose equation is
+    ``steps`` mode additionally requires the steps to write the
+    corresponding engine path (``_writes``): the correct walk for a right
+    answer.  A wrong answer matches ``m`` when some path of correct steps
+    and one firing of ``m`` ends at a terminal whose outcome is the answer
+    and, in ``steps`` mode, whose path the steps write; only such paths are
+    searched (``_mal_outcomes``).  A transcript whose equation is
     of another type than it claims raises ``SchemaError``.
     """
     if mode not in ("answer", "steps"):
@@ -165,12 +164,12 @@ def grade(
             pass  # an unparsable step replays no trace
 
     if answer == correct:
-        if mode == "answer" or _replays_correct(model, root):
+        if mode == "answer" or _writes(model, walk(root, ()).steps):
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:
         for end, path in _mal_outcomes(root, m, correct):
-            if answer == end and (mode == "answer" or model == [node.line for node in path]):
+            if answer == end and (mode == "answer" or _writes(model, path)):
                 return GRADE_MATCH
     return GRADE_OTHER
 
@@ -294,20 +293,14 @@ def score(
         slot["n"] += 1
         slot["correct" if g == GRADE_CORRECT else "match" if g == GRADE_MATCH else "other"] += 1
 
-    ca: dict[str, Fraction | None] = {}
-    ma: dict[str, Fraction | None] = {}
-    for t in ORDERED_TYPES:
-        slot = counts[t.name]
-        if slot["n"] == 0:
-            ca[t.name] = None
-            ma[t.name] = None
-        else:
-            ca[t.name] = Fraction(100) * Fraction(slot["correct"], slot["n"])
-            ma[t.name] = Fraction(100) * Fraction(slot["match"], slot["n"])
+    # per type, the percentage graded by one key; undefined for an absent type
+    share = lambda key: {t: Fraction(100 * slot[key], slot["n"]) if slot["n"] else None
+                         for t, slot in counts.items()}
+    ca, ma = share("correct"), share("match")
 
     alpha = [t for t in ORDERED_TYPES if t in m.applicable_types]
     non_alpha = [t for t in ORDERED_TYPES if t not in m.applicable_types]
-    report = MetricsReport(
+    return MetricsReport(
         misconception_id=m.id,
         per_type_correct=ca,
         per_type_misconception=ma,
@@ -320,7 +313,6 @@ def score(
         absent_types=tuple(t.name for t in ORDERED_TYPES if counts[t.name]["n"] == 0),
         counts=counts,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +335,8 @@ def _read(
     that equal the model's steps.  Gives ``(None, None)`` at an engine error,
     or where fewer than ``need`` lines agree and the model has steps left:
     at the first line that differs, or at the walk's end.  Otherwise gives
-    the set's diagnosis, None when the walk did not use exactly ``ms`` in
-    order, and the walk's last state."""
+    the set's diagnosis, full where the steps write the walk (``_writes``),
+    None when the walk did not use exactly ``ms`` in order, and its last state."""
     path, k = [], 0
     try:
         for node in chain((root,), steps(root, ms)):
@@ -361,15 +353,16 @@ def _read(
     ids, n = tuple(m.id for m in ms), len(path)
     if fired(path) != ids:
         return None, path[-1]
-    return Diagnosis(ids, "full" if k == len(model) == n else f"prefix {k}/{n}", k, n), path[-1]
+    full = k == len(model) and _writes(model, path)
+    return Diagnosis(ids, "full" if full else f"prefix {k}/{n}", k, n), path[-1]
 
 
 def diagnose(transcript: Transcript) -> list[Diagnosis]:
     """Rank misconception sets (size <= 2) by how well their traces replay
     the transcript's steps: longest exact prefix first, then fewest
-    misconceptions.  Empty when the steps replay the correct walk
-    (``_replays_correct``).  A transcript whose equation is of another type
-    than it claims raises ``SchemaError``.
+    misconceptions.  Empty when the steps write the correct walk
+    (``_writes``, by which ``_read`` also calls a set full).  A transcript
+    whose equation is of another type than it claims raises ``SchemaError``.
 
     A set's trace is its walk, the one ``reduce_with_misconceptions(eq, ms)``
     takes; a set whose walk raises, or does not use exactly its rules in
@@ -393,7 +386,7 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
         raise SchemaError("diagnosis needs model_steps")
     root = _typed_root(transcript.problem_type, transcript.equation)
     model = _printed_steps(transcript)
-    if _replays_correct(model, root):
+    if _writes(model, walk(root, ()).steps):
         return []
 
     reach = reachable(root.label)

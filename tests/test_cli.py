@@ -539,10 +539,17 @@ _T1_RECORD = {"id": "a", "problem_type": "T1", "equation": "4x = 12", "steps": [
     ({"label": "misconception", "misconception_id": "M8"}, "trace does not use exactly M8"),
     ({"equation": "4x=12"}, "equation is not the first step"),
     ({"problem_type": "T9"}, "claims T9 for a T1 equation: 4x = 12"),
+    ({"equation": "x = 5", "steps": ["x = 5", "x = 5"], "final_answer": "x = 5",
+      "label": "misconception", "misconception_id": "M20_S20"}, "trace ends at the correct answer"),
+    ({"problem_type": "T7", "equation": "2x = 2x + 3", "steps": ["2x = 2x + 3", "2x = 5", "x = 5/2"],
+      "final_answer": "x = 5/2", "label": "misconception", "misconception_id": "M13"},
+     "no unique solution: 2x = 2x + 3"),
 ], ids=["unknown-fields", "correct-with-mid", "rule-does-not-fire", "equation-not-first-step",
-        "type-mismatch"])
+        "type-mismatch", "correct-answer", "no-unique-solution"])
 def test_verify_rejects_records_generation_never_writes(capsys, tmp_path, edit, reason):
-    # M8 has no site on a T1 equation, so its walk is the correct one
+    # M8 has no site on a T1 equation, so its walk is the correct one; M20_S20
+    # solves x = 5 to x = 5, the correct answer; 2x = 2x + 3 has no answer,
+    # so generation never draws it, though M13 walks it to x = 5/2
     path = tmp_path / "ds.jsonl"
     path.write_text(json.dumps(_T1_RECORD) + "\n" + json.dumps({**_T1_RECORD, **edit}) + "\n")
     code, out, err = run(capsys, "verify", str(path))

@@ -161,6 +161,36 @@ def test_correct_steps_may_write_a_solved_line_once():
     assert diagnose(_tr("T1", "4x = 12", "3", ["4x = 12"])) != []
 
 
+def test_misconception_steps_may_write_a_solved_line_once():
+    # a misconception walk that reaches a state printed x = c solves it to
+    # that same line, as the correct walk does; steps that leave that line
+    # out still write the walk, in grade and in diagnose.  Only a last line
+    # that repeats may be left out.
+    m1 = CATALOG[0]
+    walks = [(m1, "T10", walk(_typed_root("T10", "x = 7 - 8 * 8"), (m1,)))]
+    assert walks[0][2].equation_lines() == ["x = 7 - 8 * 8", "x = 7 - 8 + (8)", "x = 7", "x = 7"]
+    rng = random.Random("repeat-sweep")
+    for m in CATALOG:
+        for t in sorted(m.applicable_types, key=ORDERED_TYPES.index):
+            walks += [(m, t.name, sample_for_misconception(m, t, rng)[1]) for _ in range(25)]
+    repeated, plain = collections.Counter(), set()
+    for m, t, trace in walks:
+        lines, end = trace.equation_lines(), trace.steps[-1].line
+        written = lambda model_steps: _tr(t, lines[0], end, model_steps)
+        if lines[-1] == lines[-2]:
+            repeated[m.id] += 1
+            for model_steps in (lines, lines[:-1]):
+                got = grade(written(model_steps), m, mode="steps")
+                assert got == GRADE_MATCH, (m.id, model_steps)
+            want = Diagnosis((m.id,), "full", len(lines) - 1, len(lines))
+            assert want in diagnose(written(lines[:-1])), (m.id, lines)
+        elif (m.id, t) not in plain:  # one walk per rule and type
+            plain.add((m.id, t))
+            assert grade(written(lines[:-1]), m, mode="steps") == GRADE_OTHER, (m.id, lines)
+    assert repeated["M1"] > 1 and len(repeated) >= 10, repeated
+    assert len(plain) > 90
+
+
 def test_grade_dead_end_transcript():
     trace = reduce_with_misconceptions(parse_equation("4x + 5 = 9"), ["M13"])
     t = _tr("T5", "4x + 5 = 9", trace.equation_lines()[-1])
@@ -509,13 +539,15 @@ def _exhaustive_diagnose(transcript, walks, max_candidates=5):
             n += 1
         return n
 
-    # correct steps are the correct walk's lines, or those less a last line
-    # that repeats the line before it
-    correct_lines = reduce(eq).equation_lines()
-    replays = [correct_lines]
-    if correct_lines[-1] == correct_lines[-2]:
-        replays.append(correct_lines[:-1])
-    if any(prefix_len(lines) == len(model) == len(lines) for lines in replays):
+    def writes(lines):
+        # steps write a walk, correct or not, as its lines or as those less a
+        # last line that repeats the line before it
+        replays = [lines]
+        if len(lines) > 1 and lines[-1] == lines[-2]:
+            replays.append(lines[:-1])
+        return any(prefix_len(r) == len(model) == len(r) for r in replays)
+
+    if writes(reduce(eq).equation_lines()):
         return []
     relevant = [
         m for m in CATALOG
@@ -538,7 +570,7 @@ def _exhaustive_diagnose(transcript, walks, max_candidates=5):
         if lines is None:
             return None
         k = prefix_len(lines)
-        quality = "full" if k == len(model) == len(lines) else f"prefix {k}/{len(lines)}"
+        quality = "full" if writes(lines) else f"prefix {k}/{len(lines)}"
         return Diagnosis(tuple(m.id for m in ms), quality, k, len(lines))
 
     singles = [d for m in relevant if (d := evaluate((m,))) is not None]
@@ -643,7 +675,10 @@ def test_read_gives_the_diagnosis_of_the_walk():
             k = 0
             while k < min(len(model), len(lines)) and model[k] == lines[k]:
                 k += 1
-            quality = "full" if model == lines else f"prefix {k}/{len(lines)}"
+            # full: the steps are the lines, or those less a repeated last line
+            repeats = lines[-1] == lines[-2]
+            full = model == lines or repeats and model == lines[:-1]
+            quality = "full" if full else f"prefix {k}/{len(lines)}"
             want = Diagnosis(ids, quality, k, len(lines))
             assert _read(root, ms, model, 0) == (want, trace.steps[-1])
             if k < len(model):

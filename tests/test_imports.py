@@ -5,7 +5,10 @@ and the path search (``solution_space``) read ``CORRECT_OUT``.  One reader
 in ``evaluation`` takes each diagnose candidate's walk: it alone calls
 ``steps``, and ``walk`` runs there only with no rules.  A node keeps no
 engine error, so ``misconceptions`` copies none, and one draw loop,
-``sample_instance``, serves every sampler.
+``sample_instance``, serves every sampler.  Each replay rule has one copy:
+in ``evaluation`` only ``_writes`` compares written steps with a whole
+engine path (``_read`` counts how many leading lines agree), and in
+``datasets`` only ``_breaks_rule`` reads which rules a record's trace fired.
 
 One call-time import stays: ``reduction.reduce`` delegates to the walk in
 ``misconceptions``, which imports ``reduction`` itself, and perfbench's
@@ -98,3 +101,29 @@ def test_no_kept_error_and_one_draw_loop():
                    if isinstance(fn, ast.FunctionDef) and fn.name == "sample_for_misconception")
     assert not [n for n in ast.walk(sampler) if isinstance(n, (ast.For, ast.While))]
     assert "accept" not in {a.arg for a in ast.walk(sampler.args) if isinstance(a, ast.arg)}
+
+
+def test_one_copy_of_each_replay_rule():
+    trees = dict(_trees())
+
+    def functions(module: str) -> dict[str, ast.FunctionDef]:
+        return {fn.name: fn for fn in ast.walk(trees[module]) if isinstance(fn, ast.FunctionDef)}
+
+    def callers(fns: dict[str, ast.FunctionDef], name: str) -> set[str]:
+        return {caller for caller, fn in fns.items() for n in ast.walk(fn)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name}
+
+    evaluation = functions("evaluation.py")
+    assert "_replays_correct" not in evaluation
+    # the written steps, ``model``, are compared whole in one function
+    whole = {name for name, fn in evaluation.items() for n in ast.walk(fn)
+             if isinstance(n, ast.Compare) and any(
+                 isinstance(x, ast.Name) and x.id == "model" for x in (n.left, *n.comparators))}
+    assert whole == {"_writes"}
+    assert callers(evaluation, "_writes") == {"grade", "_read", "diagnose"}
+
+    datasets = functions("datasets.py")
+    readers = {name for name, fn in datasets.items() for n in ast.walk(fn)
+               if isinstance(n, ast.Attribute) and n.attr == "misconceptions_used"}
+    assert readers == {"_breaks_rule"}
+    assert callers(datasets, "_breaks_rule") == {"sample_instance", "_replay"}
