@@ -32,7 +32,6 @@ from .misconceptions import (
 from .solution_space import SolutionTree, enumerate_tree, leaf_answers
 from .datasets import (
     DatasetConfig,
-    InstanceSampler,
     generate,
     sample_for_misconception,
     sample_instance,
@@ -44,7 +43,6 @@ __all__ = [
     "CATALOG",
     "DatasetConfig",
     "Equation",
-    "InstanceSampler",
     "MetricsReport",
     "Misconception",
     "ProblemType",

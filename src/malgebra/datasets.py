@@ -1,7 +1,8 @@
 """Seeded, reproducible instance sampling and dataset generation.
 
-Every record's randomness derives from ``(seed, stream, index)``, so output
-is byte-identical across re-runs and independent of sharding.  Train/test
+Each record draws from a ``random.Random`` seeded with its ``seed`` field,
+``{seed}:{stream key}``, so output is byte-identical across re-runs and
+independent of sharding, and that field alone redraws the record.  Train/test
 leakage is prevented structurally: each equation string hashes into either
 the train pool or the test pool (about one quarter), and records are
 resampled until they land in the right pool.  Small instance spaces (T1 has
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .equations import MAX_NUMERAL_DIGITS, Equation, closed_form_solution
-from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_input
+from .errors import EngineError, SamplingExhaustedError, SchemaError, decode_json_object, read_lines
 from .evaluation import _typed_root
 from .misconceptions import CATALOG, Misconception, Node, get_misconception, walk
 from .reduction import ReductionTrace
@@ -36,7 +37,6 @@ from .taxonomy import (
     Side,
     SignedAtom,
     XAtom,
-    _joined,
     letter_code,
 )
 
@@ -66,30 +66,31 @@ def _draw(t: ProblemType, rng: random.Random, lo: int, hi: int) -> dict[int, int
 
 def _root(t: ProblemType, values: dict[int, int], line: str) -> Node:
     """The walk state of a draw typed ``t``, printed as ``line``: each side of
-    ``t``'s pattern filled with the drawn ``values``."""
+    ``t``'s pattern filled with the drawn ``values`` by ``_fill``."""
     exact = {code: Fraction(v) for code, v in values.items()}
-    return Node(tuple(Side(_joined(_fill(side, exact)), text)
+    return Node(tuple(Side(_fill(side, exact), text)
                       for side, text in zip(PATTERN_ATOMS[t], line.split(" = "))), t)
 
 
 def _fill(atoms: Sequence[SignedAtom], values: dict[int, Fraction]) -> list[SignedAtom]:
     """``atoms`` with each letter code ``c`` replaced by ``values[c.numerator]``
-    (an int key hashes much faster than a ``Fraction``); a later product or
-    group term links by minus when its leading factor is negative."""
+    (an int key hashes much faster than a ``Fraction``), each sign folded by
+    the rule ``_chain`` prints by."""
     out: list[SignedAtom] = []
     for i, (s, a) in enumerate(atoms):
-        if isinstance(a, XAtom):
-            a = XAtom(values[a.coef.numerator])
-        elif isinstance(a, CAtom):
-            a = CAtom(values[a.value.numerator])
+        k = type(a)
+        v = values[(a.coef if k is XAtom else a.value if k is CAtom
+                    else a.factors[0] if k is ProdAtom else a.multiplier).numerator]
+        if i and v < 0:
+            s, v = -s, -v
+        if k is XAtom:
+            a = XAtom(v)
+        elif k is CAtom:
+            a = CAtom(v)
+        elif k is ProdAtom:
+            a = ProdAtom((v, *(values[c.numerator] for c in a.factors[1:])))
         else:
-            lead = values[(a.factors[0] if isinstance(a, ProdAtom) else a.multiplier).numerator]
-            if i and lead < 0:
-                s, lead = -s, -lead
-            if isinstance(a, ProdAtom):
-                a = ProdAtom((lead, *(values[c.numerator] for c in a.factors[1:])))
-            else:
-                a = GroupAtom(lead, tuple(_fill(a.inner, values)))
+            a = GroupAtom(v, tuple(_fill(a.inner, values)))
         out.append((s, a))
     return out
 
@@ -179,22 +180,6 @@ def _breaks_rule(trace: ReductionTrace, m: Misconception, correct: Fraction) -> 
     if trace.dead_end is None and trace.answer == correct:
         return "trace ends at the correct answer"
     return None
-
-
-@dataclass(frozen=True)
-class InstanceSampler:
-    """Deterministic instance source: same seed and config, same sequence."""
-
-    seed: int
-    coeff_min: int = -9
-    coeff_max: int = 9
-
-    def rng_for(self, key: str) -> random.Random:
-        return random.Random(f"{self.seed}:{key}")
-
-    def sample(self, t: ProblemType, key: str) -> Equation:
-        root, _ = sample_instance(t, self.rng_for(key), self.coeff_min, self.coeff_max)
-        return root.equation
 
 
 def sample_for_misconception(
@@ -287,34 +272,35 @@ def generate(config: DatasetConfig) -> dict:
     test_per_type correct records per type, disjoint from train.
 
     Each record draws from its own stream key (``train:mal:{i}``,
-    ``train:cor:{i}``, ``train:cor:{type}:{i}``, ``test:{type}:{i}``).  No
-    stream key depends on n_m or the ratio, so a smaller cell's misconception
-    and correct records are the first ones of a larger cell's, ids aside, and
+    ``train:cor:{i}``, ``train:cor:{type}:{i}``, ``test:{type}:{i}``):
+    ``{seed}:{key}`` seeds its draw and is its ``seed``, and
+    ``{seed}:{key}:type`` draws its type in a misconception cell.  No stream
+    key depends on n_m or the ratio, so a smaller cell's misconception and
+    correct records are the first ones of a larger cell's, ids aside, and
     test.jsonl is the same for every cell.
     """
     config.validate()
     m = get_misconception(config.misconception) if config.misconception else None
-    sampler = InstanceSampler(config.seed, config.coeff_min, config.coeff_max)
 
-    # (stream key, type, rule) per record; rule None draws a correct record
+    # (stream, type, rule) per record, the stream seeding its draw; rule None: a correct record
     if m is None:
-        train = [(f"train:cor:{t.name}:{i}", t, None)
+        train = [(f"{config.seed}:train:cor:{t.name}:{i}", t, None)
                  for t in ORDERED_TYPES for i in range(config.n_correct_per_type)]
     else:
         alpha = [t for t in ORDERED_TYPES if t in m.applicable_types]
-        mal = [f"train:mal:{i}" for i in range(config.n_m)]
-        cor = [f"train:cor:{i}" for i in range(int(config.ratio * config.n_m))]
-        train = [(k, sampler.rng_for(f"{k}:type").choice(alpha), m) for k in mal]
-        train += [(k, sampler.rng_for(f"{k}:type").choice(ORDERED_TYPES), None) for k in cor]
-    test = [(f"test:{t.name}:{i}", t, None)
+        mal = [f"{config.seed}:train:mal:{i}" for i in range(config.n_m)]
+        cor = [f"{config.seed}:train:cor:{i}" for i in range(int(config.ratio * config.n_m))]
+        train = [(k, random.Random(f"{k}:type").choice(alpha), m) for k in mal]
+        train += [(k, random.Random(f"{k}:type").choice(ORDERED_TYPES), None) for k in cor]
+    test = [(f"{config.seed}:test:{t.name}:{i}", t, None)
             for t in ORDERED_TYPES for i in range(config.test_per_type)]
 
     splits: dict[str, list[dict]] = {}
     for pool, draws in (("train", train), ("test", test)):
         records = splits[pool] = []
         in_pool = lambda line: _pool(config.seed, line) == pool
-        for key, t, rule in draws:
-            _, trace = sample_instance(t, sampler.rng_for(key), config.coeff_min,
+        for stream, t, rule in draws:
+            _, trace = sample_instance(t, random.Random(stream), config.coeff_min,
                                        config.coeff_max, in_pool, rule)
             lines = trace.equation_lines()
             rec = {
@@ -327,7 +313,7 @@ def generate(config: DatasetConfig) -> dict:
             }
             if rule is not None:
                 rec["misconception_id"] = rule.id
-            rec["seed"] = f"{config.seed}:{key}"
+            rec["seed"] = stream
             records.append(rec)
 
     files = {
@@ -443,8 +429,7 @@ def verify_records(lines: list[str]) -> VerifyReport:
 
 
 def verify_dataset(path: str | Path) -> VerifyReport:
-    # records end at "\n" only: JSON allows U+2028 and the like raw in a string
-    return verify_records(read_input(path, "dataset").split("\n"))
+    return verify_records(read_lines(path, "dataset"))
 
 
 def type_graph() -> dict:

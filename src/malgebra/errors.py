@@ -3,8 +3,9 @@
 ``EngineError`` covers domain failures (degenerate equations, rules that do
 not apply, sampling dead ends).  Input-format problems raise ``SchemaError``
 subclasses instead so callers can map them to a different exit code;
-``read_input`` is the one reader of input files and ``decode_json_object``
-the one decoder of external JSON, and both raise it.
+``read_input`` is the one reader of input files, ``read_lines`` the one
+splitter of a JSON-lines file, and ``decode_json_object`` the one decoder of
+external JSON; each raises it.
 """
 
 from __future__ import annotations
@@ -152,3 +153,9 @@ def read_input(path: str | Path, what: str) -> str:
         return data.decode("utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise SchemaError(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_lines(path: str | Path, what: str) -> list[str]:
+    """The lines of the JSON-lines file ``path`` (``read_input``): they end at
+    a line feed only, because JSON allows U+2028 and the like raw in a string."""
+    return read_input(path, what).split("\n")

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .equations import Const, XTerm, closed_form_solution, parse_equation, parse_number
-from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
+from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_lines
 from .misconceptions import CATALOG, RULE_EDGE, Misconception, Node, get_misconception, steps, walk
 from .reduction import fired
 from .solution_space import leaf_paths
@@ -64,8 +64,7 @@ def transcript_from_dict(data: dict) -> Transcript:
 
 def load_transcripts(path: str | Path) -> list[Transcript]:
     out = []
-    # lines end at "\n" only: JSON allows U+2028 and the like raw in a string
-    for lineno, line in enumerate(read_input(path, "transcripts").split("\n"), 1):
+    for lineno, line in enumerate(read_lines(path, "transcripts"), 1):
         if not line.strip():
             continue
         try:

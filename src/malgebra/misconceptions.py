@@ -65,16 +65,16 @@ Views = Sequence[SignedAtom]
 @dataclass(frozen=True)
 class Misconception:
     """One catalog row: the rule's id, expression, applicable types and
-    description, with its body.  A rewrite rule sets ``rewrite``, which maps
-    an instance's views to what it emits, or None where it has no site; a
-    solve-step rule sets ``solve``, x's value from the (A, B) of ``Ax = B``,
-    or None where the rule does not fire."""
+    description, with its body.  A rewrite rule sets ``rewrite``, a function
+    of the two sides' views alone (never the type) that gives what it emits,
+    or None where it has no site; a solve-step rule sets ``solve``, x's value
+    from the (A, B) of ``Ax = B``, or None where the rule does not fire."""
 
     id: str
     expression: str
     applicable_types: frozenset[ProblemType]
     description: str
-    rewrite: Callable[[Views, Views, ProblemType], Emitted | None] | None = field(
+    rewrite: Callable[[Views, Views], Emitted | None] | None = field(
         default=None, compare=False, repr=False)
     solve: Callable[[Fraction, Fraction], Fraction | None] | None = field(
         default=None, compare=False, repr=False)
@@ -97,7 +97,7 @@ _ALL_TYPES = frozenset(ORDERED_TYPES)
 # ---------------------------------------------------------------------------
 
 
-def _rw_m1(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+def _rw_m1(lhs: Views, rhs: Views) -> Emitted | None:
     def split(s: int, a: GroupAtom | ProdAtom) -> list[SignedAtom]:
         if isinstance(a, GroupAtom):
             head, part = a.multiplier, a.inner
@@ -108,11 +108,11 @@ def _rw_m1(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     return at_first(rhs, GroupAtom, split) or at_first(rhs, ProdAtom, split)
 
 
-def _rw_m2(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+def _rw_m2(lhs: Views, rhs: Views) -> Emitted | None:
     return at_group(rhs, lambda s, g, x, c: [(1, XAtom(s * g.multiplier * x)), (1, CAtom(c))])
 
 
-def _rw_m3(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+def _rw_m3(lhs: Views, rhs: Views) -> Emitted | None:
     for i in range(len(rhs) - 1):
         (s1, a1), (s2, a2) = rhs[i : i + 2]
         if not isinstance(a1, CAtom):
@@ -127,12 +127,12 @@ def _rw_m3(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     return None
 
 
-def _rw_m4(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+def _rw_m4(lhs: Views, rhs: Views) -> Emitted | None:
     return at_product_group(
         rhs, lambda s, g, f: [(s, ProdAtom(tuple(v for b in f for v in (g.multiplier, b))))])
 
 
-def _rw_m5(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+def _rw_m5(lhs: Views, rhs: Views) -> Emitted | None:
     def over(s, g, x, c):
         m = s * g.multiplier
         return [(s, GroupAtom(g.multiplier, ((1, XAtom(m * x)), (1, CAtom(m * c)))))]
@@ -140,7 +140,7 @@ def _rw_m5(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     return at_group(rhs, over)
 
 
-def _rw_m6(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+def _rw_m6(lhs: Views, rhs: Views) -> Emitted | None:
     # distributes into the x-term correctly but never flips the second sign;
     # the inner subtraction is the view's sign, not the constant's value
     def no_flip(s, g, x, c):
@@ -152,11 +152,11 @@ def _rw_m6(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     return at_group(rhs, no_flip)
 
 
-def _rw_m8(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+def _rw_m8(lhs: Views, rhs: Views) -> Emitted | None:
     return at_group(rhs, lambda s, g, x, c: [(1, XAtom(s * x)), (1, CAtom(s * g.multiplier * c))])
 
 
-def _rw_m11(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+def _rw_m11(lhs: Views, rhs: Views) -> Emitted | None:
     left, right = xc(lhs), xc(rhs)
     if left is None or right is None:
         return None
@@ -164,27 +164,29 @@ def _rw_m11(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
     return [(1, XAtom(a)), (1, XAtom(c))], [(1, CAtom(b)), (1, CAtom(d))]
 
 
-def _rw_factor(lhs: Views, rhs: Views, t: ProblemType,
-               atom: type[XAtom | CAtom]) -> Emitted | None:
+def _rw_factor(lhs: Views, rhs: Views, atom: type[XAtom | CAtom]) -> Emitted | None:
     """M12/M13: fold ``Ax +/- B`` into one ``atom`` of value ``A +/- B``: the
-    whole side on T5-T7, the parenthesized interior on T9/T12."""
-    if t in (T.T5, T.T6, T.T7):
-        parts = xc(rhs if t is T.T7 else lhs)
-        new = None if parts is None else [(1, atom(parts[0] + parts[1]))]
-        return None if new is None else (None, new) if t is T.T7 else (new, None)
-    return at_group(rhs, lambda s, g, x, c: [(s, GroupAtom(g.multiplier, ((1, atom(x + c)),)))])
+    right side's ``A(Bx +/- C)`` interior (T9/T12), else whichever side is an
+    x/constant pair (T5-T7)."""
+    if new := at_group(rhs, lambda s, g, x, c: [(s, GroupAtom(g.multiplier, ((1, atom(x + c)),)))]):
+        return new
+    for side in (lhs, rhs):
+        if parts := xc(side):
+            new = [(1, atom(parts[0] + parts[1]))]
+            return (new, None) if side is lhs else (None, new)
+    return None
 
 
-def _rw_op(lhs: Views, rhs: Views, t: ProblemType, want: int,
+def _rw_op(lhs: Views, rhs: Views, want: int,
            edit: Callable[[SignedAtom, SignedAtom], list[SignedAtom]]) -> Emitted | None:
     """M14/M15/M17/M18: ``edit`` the first adjacent pair whose second term has
-    sign ``want`` in the additive chain of the combine site: the constant
-    sum on T2's right side, the x-term sum on T4's left side."""
-    atoms = lhs if t is T.T4 else rhs
+    sign ``want`` in the side of two or more terms, the combine site: the
+    constant sum on T2's right side, the x-term sum on T4's left side."""
+    atoms = lhs if len(lhs) > 1 else rhs
     for i in range(1, len(atoms)):
         if atoms[i][0] == want:
             new = [*atoms[: i - 1], *edit(atoms[i - 1], atoms[i]), *atoms[i + 1 :]]
-            return (new, None) if t is T.T4 else (None, new)
+            return (new, None) if atoms is lhs else (None, new)
     return None
 
 
@@ -196,7 +198,7 @@ def _swap(prev: SignedAtom, cur: SignedAtom) -> list[SignedAtom]:
     return [(prev[0], cur[1]), (-1, prev[1])]
 
 
-def _rw_m16(lhs: Views, rhs: Views, t: ProblemType) -> Emitted | None:
+def _rw_m16(lhs: Views, rhs: Views) -> Emitted | None:
     def spread(s: int, p: ProdAtom) -> list[SignedAtom]:
         return [(s, CAtom(p.factors[0]))] + [(1, CAtom(f)) for f in p.factors[1:]]
 
@@ -292,7 +294,7 @@ def try_apply(m: Misconception, node: "Node") -> "Node | None":
     if m.solve is not None:
         x = m.solve(*t1_parts(lhs.view, rhs.view)) if t is T.T1 else None
         return None if x is None else Node(solved(x), SOLVED, via)
-    if (new := m.rewrite(lhs.view, rhs.view, t)) is None:
+    if (new := m.rewrite(lhs.view, rhs.view)) is None:
         return None
     kid = Node(after(node.sides, new), DEAD_END, via)
     if any(_has_x(side.view) for side in kid.sides):

@@ -11,8 +11,9 @@ generator fills with drawn values, and the per-side signature of term kinds
 that the shape table maps to the type.
 
 A walk state's side (``Side``) is its terms: a parsed side's surface atoms,
-or the atoms a draw or a step emitted with their signs folded (``_joined``),
-read as an expression, a view and text by ``rebuild`` and ``rebuilt_*``.
+the atoms a step emitted with their signs folded (``_joined``), or a draw's
+filled pattern, folded alike as it is filled (``datasets._fill``), read as an
+expression, a view and text by ``rebuild`` and ``rebuilt_*``.
 
 ``classify`` reads an equation's sides or the two sides of a walk state in
 two passes.  The exact pass looks up the signature of the terms, so a walk
@@ -168,12 +169,13 @@ def group_view(multiplier: Fraction, inner: list[SignedAtom]) -> Atom:
 
 def _joined(atoms: Sequence[SignedAtom]) -> list[SignedAtom]:
     """Each term of the chain ``atoms`` as (the sign it joins by, the atom it
-    prints): the one place that folds signs.  A later x or constant term joins
-    by the sign of its signed value and holds its size (never ``a + -b``), the
-    first holds its signed value; a later product or group keeps its sign and
-    lead factor (``1 - -3 * 4``); a leading minus folds into a group's or a
-    two-factor product's lead factor.  A group's interior joins as a chain of
-    its own; any other term passes as it is, the same tuple."""
+    prints): the one place that folds the signs of what a step emits.  A
+    later x or constant term joins by the sign of its signed value and holds
+    its size (never ``a + -b``), the first holds its signed value; a later
+    product or group keeps its sign and lead factor (``1 - -3 * 4``); a
+    leading minus folds into a group's or a two-factor product's lead factor.
+    A group's interior joins as a chain of its own; any other term passes as
+    it is, the same tuple."""
     out: list[SignedAtom] = []
     for i, term in enumerate(atoms):
         s, a = term
@@ -274,10 +276,11 @@ def rebuilt_text(terms: Sequence[SignedAtom]) -> str:
 class Side:
     """One side of a walk state, held as its terms, from which ``view`` (the
     normalized atoms every rule reads), ``text`` (as printed) and ``expr``
-    are each made at most once.  A side a draw or a step made holds the
-    atoms it emitted, joined (``_joined``), a drawn root's side its text as
-    well; a parsed side holds its surface atoms and keeps its expression.  A
-    step shares each side it leaves alone."""
+    are each made at most once.  A side a step made holds the atoms it
+    emitted, joined (``_joined``); a drawn root's side holds its filled
+    pattern, folded alike (``datasets._fill``), and its text; a parsed side
+    holds its surface atoms and keeps its expression.  A step shares each
+    side it leaves alone."""
 
     __slots__ = ("terms", "_view", "_text", "_expr")
 

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import Corpus
 from fidelity import _CASES, _SOLVE_FORMULAS, fidelity_cases
 
 from malgebra.datasets import (
     MAX_TRIES,
     DatasetConfig,
-    InstanceSampler,
     generate,
     sample_for_misconception,
 )
@@ -45,7 +45,7 @@ PER_TYPE = 1000  # instances per problem type for the engine sweeps
 
 @pytest.fixture(scope="module")
 def instances():
-    sampler = InstanceSampler(seed=20240901)
+    sampler = Corpus(seed=20240901)
     return {
         t: [sampler.sample(t, f"acc:{t.name}:{i}") for i in range(PER_TYPE)]
         for t in ORDERED_TYPES
@@ -109,7 +109,7 @@ def test_criterion_4_termination_bounds(instances):
                 assert len(trace.steps) - 1 <= 12
                 checked += 1
     # stacked sets exercise multi-misconception paths
-    sampler = InstanceSampler(seed=4)
+    sampler = Corpus(seed=4)
     everything = [m.id for m in CATALOG]
     for t in ORDERED_TYPES:
         for i in range(20):
@@ -137,7 +137,7 @@ def test_criterion_5_rule_fidelity():
         assert set(per_type) == set(get_misconception(mid).applicable_types)
         assert all(v == 100 for v in per_type.values())
     # the four solve-step rules, on every type, checked on the trace itself
-    sampler = InstanceSampler(seed=55)
+    sampler = Corpus(seed=55)
     for mid, formula in _SOLVE_FORMULAS.items():
         for t in ORDERED_TYPES:
             done = 0
@@ -181,7 +181,7 @@ def test_criterion_7_solution_space_brute_force():
         for t in ORDERED_TYPES
         if t in m.applicable_types and not (m.at_solve and t is not T.T1)
     ]
-    sampler = InstanceSampler(seed=77)
+    sampler = Corpus(seed=77)
     checked = 0
     i = 0
     while checked < 200:
@@ -251,7 +251,7 @@ def test_criterion_9_metric_fixtures():
     report = score(batch, "M8")
     assert report.ma == Fraction(90)
 
-    sampler = InstanceSampler(seed=9)
+    sampler = Corpus(seed=9)
     oracle = {
         t: (str(sampler.sample(t, f"acc9:{t.name}")),) for t in ORDERED_TYPES
     }
@@ -304,7 +304,7 @@ def _unambiguous(eq, trace, m) -> bool:
 
 def test_criterion_10_end_to_end_self_consistency():
     # engine-generated malgorithm transcripts score MA = 100 for every rule
-    sampler = InstanceSampler(seed=1010)
+    sampler = Corpus(seed=1010)
     for m in CATALOG:
         batch = []
         for t in ORDERED_TYPES:

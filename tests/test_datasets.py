@@ -15,7 +15,6 @@ import malgebra.datasets as datasets
 from malgebra.datasets import (
     MAX_TRIES,
     DatasetConfig,
-    InstanceSampler,
     config_from_dict,
     generate,
     sample_for_misconception,
@@ -37,17 +36,6 @@ def _build(t: ProblemType, rng: random.Random, lo: int, hi: int):
     builds once the pool accepts the draw."""
     values = datasets._draw(t, rng, lo, hi)
     return datasets._root(t, values, datasets._line(t, values)).equation
-
-
-def test_sampler_is_deterministic():
-    a = InstanceSampler(seed=7)
-    b = InstanceSampler(seed=7)
-    for t in ORDERED_TYPES:
-        assert a.sample(t, f"k:{t.name}") == b.sample(t, f"k:{t.name}")
-    c = InstanceSampler(seed=8)
-    assert any(
-        a.sample(t, f"k:{t.name}") != c.sample(t, f"k:{t.name}") for t in ORDERED_TYPES
-    )
 
 
 def test_sampled_instances_are_wellformed(sampler):
@@ -112,6 +100,29 @@ def test_dead_end_misconception_records_sample(rng):
     eq, trace = sample_for_misconception("M13", T.T5, rng)
     assert trace.dead_end == "variable eliminated"
     assert trace.answer is None
+
+
+@pytest.mark.parametrize("cell", [
+    dict(n_correct_per_type=2),
+    dict(misconception="M6", n_m=30, ratio=0.0, coeff_min=-12, coeff_max=5),
+])
+def test_record_seed_redraws_it(tmp_path, cell):
+    """A record's ``seed`` is the string its draw was seeded with: drawing
+    again from it, with the cell's range, the split's pool test and the
+    record's rule, gives back the record's steps."""
+    config = DatasetConfig(seed=3, test_per_type=1, out_dir=str(tmp_path), **cell)
+    generate(config)
+    redrawn = 0
+    for pool in ("train", "test"):
+        in_pool = lambda line: datasets._pool(config.seed, line) == pool
+        for line in (tmp_path / f"{pool}.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            _, trace = sample_instance(T[rec["problem_type"]], random.Random(rec["seed"]),
+                                       config.coeff_min, config.coeff_max, in_pool,
+                                       rec.get("misconception_id"))
+            assert trace.equation_lines() == rec["steps"], rec["id"]
+            redrawn += 1
+    assert redrawn == 45
 
 
 def test_generate_counts_and_ratio(tmp_path):

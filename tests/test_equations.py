@@ -8,7 +8,8 @@ import pytest
 
 from test_fuzz import _mutate, _seeds
 
-from malgebra.datasets import InstanceSampler
+from conftest import Corpus
+
 from malgebra.equations import (
     Add,
     Const,
@@ -154,7 +155,7 @@ def _parse_corpus() -> list[str]:
     one text on each side of every input bound."""
     rng, seeds = random.Random(18), _seeds()
     texts = [_mutate(rng, rng.choice(seeds)) for _ in range(30_000)]
-    texts += [str(InstanceSampler(seed, -bound, bound).sample(t, "parse"))
+    texts += [str(Corpus(seed, -bound, bound).sample(t, "parse"))
               for seed in range(4) for bound in (9, 10**20 - 1) for t in ORDERED_TYPES]
     for n in (200, 201):
         texts.append("x = 1".ljust(n))
@@ -185,7 +186,7 @@ def test_parse_outcomes_match_pinned_digest():
 
 def test_closed_form_substitutes_back_exactly(sampler):
     roots = [sampler.sample(t, f"exact:{t.name}:{i}") for t in ORDERED_TYPES for i in range(20)]
-    roots += [InstanceSampler(seed, -10**19, 10**19).sample(t, "exact")
+    roots += [Corpus(seed, -10**19, 10**19).sample(t, "exact")
               for seed in range(10) for t in ORDERED_TYPES]
     rng, seeds = random.Random(6), _seeds()
     while len(roots) < 3000:
@@ -195,7 +196,7 @@ def test_closed_form_substitutes_back_exactly(sampler):
             pass
     # every state the trees reach on the golden rewrite corpus, dead ends
     # and solved states included
-    golden = InstanceSampler(seed=77)
+    golden = Corpus(seed=77)
     for t in ORDERED_TYPES:
         for i in range(6):
             tree = enumerate_tree(golden.sample(t, f"golden:{t.name}:{i}"), CATALOG, 2)

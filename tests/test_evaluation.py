@@ -10,8 +10,10 @@ import pytest
 
 from test_fuzz import _mutate, _seeds
 
+from conftest import Corpus
+
 from malgebra import evaluation
-from malgebra.datasets import InstanceSampler, sample_for_misconception
+from malgebra.datasets import sample_for_misconception
 from malgebra.equations import closed_form_solution, parse_equation
 from malgebra.errors import (
     EmptyBatchError,
@@ -216,7 +218,7 @@ def _tree_mal_outcomes(root, m, correct):
 def _firing_roots():
     """Drawn roots of every type at coefficients within 2, 9 and 10**19, and
     fuzzed parsed roots, each one that types and has a closed form."""
-    eqs = [InstanceSampler(seed, -bound, bound).sample(t, "firings")
+    eqs = [Corpus(seed, -bound, bound).sample(t, "firings")
            for seed in range(3) for bound in (2, 9, 10**19) for t in ORDERED_TYPES]
     rng, seeds = random.Random(24), _seeds()
     while len(eqs) < 360:
@@ -282,7 +284,7 @@ def test_scoring_solves_only_paths_that_fire_the_rule(monkeypatch):
     # another rule's; grading never builds a solution tree
     from malgebra import misconceptions, solution_space
 
-    sampler = InstanceSampler(seed=24)
+    sampler = Corpus(seed=24)
     batches = {m: [] for m in ("M2_S3", "M8", "M13", "M19")}
     for mid, rows in batches.items():
         for k, t in enumerate(ORDERED_TYPES):
@@ -468,7 +470,7 @@ def _wrong_batch():
     """A small fixed diagnose batch of wrong transcripts with steps: one per
     rule on its first type, explained by that rule, and one per type whose
     correct steps end in an answer no rule gives."""
-    sampler = InstanceSampler(seed=4365)
+    sampler = Corpus(seed=4365)
     rng = sampler.rng_for("wrong-batch")
     rows = []
     for m in CATALOG:
@@ -591,7 +593,7 @@ def _exhaustive_diagnose(transcript, walks, max_candidates=5):
 def _diagnose_corpus():
     """Transcripts over about 170 equations, each equation written several
     ways (so the reference's walks are shared between them)."""
-    sampler = InstanceSampler(seed=4365)
+    sampler = Corpus(seed=4365)
     rng = sampler.rng_for("diagnose-corpus")
     rows = []
 

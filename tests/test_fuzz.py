@@ -16,8 +16,10 @@ import json
 import random
 import re
 
+from conftest import Corpus
+
 from malgebra.cli import main
-from malgebra.datasets import DatasetConfig, InstanceSampler, generate
+from malgebra.datasets import DatasetConfig, generate
 from malgebra.equations import parse_equation
 from malgebra.errors import EngineError
 from malgebra.misconceptions import CATALOG
@@ -34,7 +36,7 @@ _RAW_BREAK = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def _seeds() -> list[str]:
-    sampler = InstanceSampler(seed=5)
+    sampler = Corpus(seed=5)
     texts = [str(sampler.sample(t, f"fuzz:{t.name}:{i}")) for t in ORDERED_TYPES for i in range(3)]
     return texts + ["-3(x + -4) = 2x", "1/2x = 3/4", "x = 0", "0x = 4", "7 = 12", "x * x = 1"]
 
@@ -251,7 +253,7 @@ def test_engine_lines_print_back_to_themselves():
     # P2: str(parse(line)) == line for every engine line that parses, so a
     # model step and an engine line are compared as printed, and no engine
     # line is parsed again.  Lines past the input bounds do not parse.
-    roots = [InstanceSampler(seed, -bound, bound).sample(t, "p2")
+    roots = [Corpus(seed, -bound, bound).sample(t, "p2")
              for seed in range(30) for bound in (9, 10**19) for t in ORDERED_TYPES]
     rng, seeds = random.Random(3), _seeds()
     while len(roots) < 1700:

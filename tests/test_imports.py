@@ -9,6 +9,9 @@ engine error, so ``misconceptions`` copies none, and one draw loop,
 in ``evaluation`` only ``_writes`` compares written steps with a whole
 engine path (``_read`` counts how many leading lines agree), and in
 ``datasets`` only ``_breaks_rule`` reads which rules a record's trace fired.
+A draw has one path: no ``InstanceSampler`` stands beside ``generate``'s own
+seeding, ``datasets`` folds a draw's signs without ``_joined``, no rewrite
+reads the problem type, and only ``errors`` splits a file into lines.
 
 One call-time import stays: ``reduction.reduce`` delegates to the walk in
 ``misconceptions``, which imports ``reduction`` itself, and perfbench's
@@ -127,3 +130,23 @@ def test_one_copy_of_each_replay_rule():
                if isinstance(n, ast.Attribute) and n.attr == "misconceptions_used"}
     assert readers == {"_breaks_rule"}
     assert callers(datasets, "_breaks_rule") == {"sample_instance", "_replay"}
+
+
+def test_one_draw_path_and_view_only_rewrites():
+    trees = dict(_trees())
+    defined = {name for name, tree in trees.items() for n in ast.walk(tree)
+               if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == "InstanceSampler"
+               or isinstance(n, ast.Name) and n.id == "InstanceSampler"}
+    assert defined == set()
+    assert not [n for n in ast.walk(trees["datasets.py"])
+                if isinstance(n, ast.Name) and n.id == "_joined"
+                or isinstance(n, ast.alias) and n.name == "_joined"]
+    typed = [fn.name for fn in ast.walk(trees["misconceptions.py"])
+             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_rw_")
+             and "t" in {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}]
+    assert typed == []
+    splitters = {name for name, tree in trees.items() for n in ast.walk(tree)
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                 and n.func.attr == "split" and n.args
+                 and isinstance(n.args[0], ast.Constant) and n.args[0].value == "\n"}
+    assert splitters == {"errors.py"}

@@ -24,6 +24,7 @@ from malgebra.misconceptions import (
 from malgebra.reduction import reduce
 from malgebra.taxonomy import DEAD_END, ORDERED_TYPES, ProblemType, SOLVED, classify
 
+from conftest import Corpus
 from fidelity import _CASES, _SOLVE_FORMULAS, fidelity_cases
 
 T = ProblemType
@@ -258,11 +259,10 @@ _GOLDEN_REWRITES_SHA256 = "d3599d503f3b1536f3c7366f13b8579e7a6ae5601c69e7c046c95
 def _golden_rewrite_lines():
     import json
 
-    from malgebra.datasets import InstanceSampler
     from malgebra.misconceptions import try_apply
     from malgebra.solution_space import enumerate_tree, to_json_dict
 
-    sampler = InstanceSampler(seed=77)
+    sampler = Corpus(seed=77)
     every = [m.id for m in CATALOG]
     for t in ORDERED_TYPES:
         for i in range(6):

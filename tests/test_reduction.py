@@ -9,8 +9,10 @@ from math import prod
 
 import pytest
 
+from conftest import Corpus
+
 from malgebra.cli import main
-from malgebra.datasets import InstanceSampler, sample_instance
+from malgebra.datasets import sample_instance
 from malgebra.equations import (
     Add,
     Const,
@@ -335,9 +337,9 @@ def _lemma_roots() -> tuple[tuple[Node, ...], tuple[Node, ...]]:
     corpus's roots and roots of every type at +-9, [-2, 1] and +-10^19, each
     the walk state ``sample_instance`` builds from its draw.  Parsed: fuzz
     roots that classify, and non-canonical roots."""
-    golden = InstanceSampler(seed=77)
+    golden = Corpus(seed=77)
     draws = [(golden, t, f"golden:{t.name}:{i}") for t in ORDERED_TYPES for i in range(6)]
-    draws += [(InstanceSampler(seed, lo, hi), t, "lemma") for seed in range(20)
+    draws += [(Corpus(seed, lo, hi), t, "lemma") for seed in range(20)
               for lo, hi in ((-9, 9), (-2, 1), (-10**19, 10**19)) for t in ORDERED_TYPES]
     drawn = [sample_instance(t, s.rng_for(key), s.coeff_min, s.coeff_max)[0] for s, t, key in draws]
     rng, seeds = random.Random(4), _seeds()
@@ -425,7 +427,7 @@ def test_a_parsed_side_reads_as_its_expression():
     # a parsed side is its surface atoms: read off them, its view is the
     # reference reader's view of its expression, and its text prints it
     rng, seeds = random.Random(6), _seeds()
-    golden = InstanceSampler(seed=77)
+    golden = Corpus(seed=77)
     eqs = [parse_equation(text) for text in _PARSED_FORMS]
     eqs += [golden.sample(t, f"golden:{t.name}:{i}") for t in ORDERED_TYPES for i in range(6)]
     while len(eqs) < 2000:
@@ -557,7 +559,7 @@ def test_correct_bodies_emit_what_their_hand_found_sites_did():
 def test_view_signs_are_unit_and_sums_exact():
     # signed_sum adds or subtracts each term by its sign instead of
     # multiplying by it, which holds only while every view sign is 1 or -1
-    roots = [InstanceSampler(seed, -bound, bound).sample(t, "sums")
+    roots = [Corpus(seed, -bound, bound).sample(t, "sums")
              for seed in range(20) for bound in (2, 9, 10**19) for t in ORDERED_TYPES]
     rng, seeds = random.Random(4), _seeds()
     parsed = 0
@@ -568,7 +570,7 @@ def test_view_signs_are_unit_and_sums_exact():
             continue
         parsed += 1
     # every state the trees reach on the golden rewrite corpus
-    golden = InstanceSampler(seed=77)
+    golden = Corpus(seed=77)
     for t in ORDERED_TYPES:
         for i in range(6):
             tree = enumerate_tree(golden.sample(t, f"golden:{t.name}:{i}"), CATALOG, 2)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import Corpus
+
 from malgebra.cli import main
-from malgebra.datasets import InstanceSampler
 from malgebra.equations import closed_form_solution, parse_equation
 from malgebra.errors import BudgetExceededError, ZeroCoefficientError
 from malgebra.evaluation import GRADE_OTHER, Transcript, _mal_outcomes, grade
@@ -215,7 +216,7 @@ def test_node_budget_guard(monkeypatch):
 def test_node_root_grows_the_tree_of_its_equation():
     # the golden corpus: a typed root, fresh or already expanded by its
     # correct walk, grows the same tree as its bare equation
-    sampler = InstanceSampler(seed=77)
+    sampler = Corpus(seed=77)
     every = [m.id for m in CATALOG]
     for t in ORDERED_TYPES:
         for i in range(6):
@@ -259,7 +260,7 @@ def _tree_corpus():
     each with every rule at cap 2, three rules at cap 1 and none at cap 0."""
     every = [m.id for m in CATALOG]
     for bound in (9, 10**19):
-        sampler = InstanceSampler(21, -bound, bound)
+        sampler = Corpus(21, -bound, bound)
         for t in ORDERED_TYPES:
             for i in range(2):
                 eq = sampler.sample(t, f"tree-output:{t.name}:{i}")
