@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .equations import (
     Equation,
     closed_form_solution,
-    evaluate_sides,
     parse_equation,
     render,
 )
@@ -21,7 +20,7 @@ from .taxonomy import (
     classify,
     correct_successors,
 )
-from .reduction import ReductionTrace, reduce, reduce_step, solve_terminal
+from .reduction import ReductionTrace, reduce, reduce_step
 from .misconceptions import (
     CATALOG,
     Misconception,
@@ -37,7 +36,7 @@ from .datasets import (
     sample_instance,
     verify_dataset,
 )
-from .evaluation import MetricsReport, Transcript, diagnose, grade, score
+from .evaluation import MetricsReport, Transcript, diagnose, diagnose_all, grade, score
 
 __all__ = [
     "CATALOG",
@@ -54,8 +53,8 @@ __all__ = [
     "closed_form_solution",
     "correct_successors",
     "diagnose",
+    "diagnose_all",
     "enumerate_tree",
-    "evaluate_sides",
     "generate",
     "get_misconception",
     "grade",
@@ -68,6 +67,5 @@ __all__ = [
     "sample_for_misconception",
     "sample_instance",
     "score",
-    "solve_terminal",
     "verify_dataset",
 ]

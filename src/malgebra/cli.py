@@ -23,7 +23,7 @@ from .datasets import (
 )
 from .equations import parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_input
-from .evaluation import diagnose, load_transcripts, score
+from .evaluation import diagnose_all, load_transcripts, score
 from .misconceptions import CATALOG, reduce_with_misconceptions
 from .reduction import ReductionTrace
 from .solution_space import enumerate_tree, to_dot, to_json_dict
@@ -251,27 +251,17 @@ def _cmd_score(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     transcripts = load_transcripts(args.transcripts)
-    if not transcripts:
-        raise EmptyBatchError("no transcripts to diagnose")
-    results = []
-    for i, tr in enumerate(transcripts):
-        # the error names the transcript by the index its output would carry
-        try:
-            entries = diagnose(tr)
-        except SchemaError as exc:
-            raise SchemaError(f"transcript {i}: {exc}") from None
-        except EngineError as exc:
-            raise EngineError(f"transcript {i}: {exc}") from None
-        results.append(
-            {
-                "index": i,
-                "equation": tr.equation,
-                "diagnosis": [
-                    {"misconceptions": list(d.misconceptions), "quality": d.quality}
-                    for d in entries
-                ],
-            }
-        )
+    results = [
+        {
+            "index": i,
+            "equation": tr.equation,
+            "diagnosis": [
+                {"misconceptions": list(d.misconceptions), "quality": d.quality}
+                for d in entries
+            ],
+        }
+        for i, (tr, entries) in enumerate(zip(transcripts, diagnose_all(transcripts)))
+    ]
     print(json.dumps(results, indent=2))
     return 0
 

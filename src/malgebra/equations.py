@@ -313,31 +313,8 @@ def parse_equation(text: str) -> Equation:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and the independent closed-form oracle
+# The independent closed-form oracle
 # ---------------------------------------------------------------------------
-
-
-def evaluate(e: Expr, x: Fraction) -> Fraction:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, XTerm):
-        return e.coef * x
-    if isinstance(e, Neg):
-        return -evaluate(e.inner, x)
-    if isinstance(e, Add):
-        return evaluate(e.left, x) + evaluate(e.right, x)
-    if isinstance(e, Sub):
-        return evaluate(e.left, x) - evaluate(e.right, x)
-    if isinstance(e, Mul):
-        return evaluate(e.left, x) * evaluate(e.right, x)
-    if isinstance(e, Paren):
-        return evaluate(e.inner, x)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def evaluate_sides(eq: Equation, x) -> tuple[Fraction, Fraction]:
-    x = Fraction(x)
-    return evaluate(eq.lhs, x), evaluate(eq.rhs, x)
 
 
 def _linear(e: Expr) -> tuple[int, int, int]:
@@ -371,8 +348,7 @@ def closed_form_solution(eq: Equation) -> Fraction:
     """The unique root, read off the sides in one pass.  Each side is kept as
     integer linear coefficients over a common denominator, (a·x + b)/d, so
     the root is one ``Fraction`` built from integers.  Deliberately
-    independent of the reduction engine so it can serve as its oracle;
-    ``evaluate_sides`` substitutes a root back."""
+    independent of the reduction engine so it can serve as its oracle."""
     a_l, b_l, d_l = _linear(eq.lhs)
     a_r, b_r, d_r = _linear(eq.rhs)
     slope = a_l * d_r - a_r * d_l

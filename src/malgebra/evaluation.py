@@ -102,10 +102,17 @@ def _typed_root(problem_type: str, equation: str) -> Node:
     return root
 
 
-def _printed_steps(transcript: Transcript) -> list[str]:
+def _printed_steps(transcript: Transcript, printed: dict[str, str] | None = None) -> list[str]:
     """The model's steps, each parsed and printed as the engine prints its
-    lines, so that a step matches an engine line exactly when it equals it."""
-    return [str(parse_equation(s)) for s in transcript.model_steps]
+    lines, so that a step matches an engine line exactly when it equals it.
+    ``printed`` keeps each step text's printed form, across a batch when the
+    batch passes one; a step that fails to parse is not kept, and raises
+    again wherever it is written."""
+    printed = {} if printed is None else printed
+    for s in transcript.model_steps:
+        if s not in printed:
+            printed[s] = str(parse_equation(s))
+    return [printed[s] for s in transcript.model_steps]
 
 
 def _writes(model: list[str] | None, path: Sequence[Node]) -> bool:
@@ -366,7 +373,8 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     A set's trace is its walk, the one ``reduce_with_misconceptions(eq, ms)``
     takes; a set whose walk raises, or does not use exactly its rules in
     order, has no trace.  All walks start from one root, so a state or a
-    rule attempt shared by several sets is computed once.
+    rule attempt shared by several sets is computed once; ``diagnose_all``
+    shares that root between the transcripts of a batch on one equation.
 
     One reader, ``_read``, takes a candidate's walk in one pass: to its end
     only where the end can change the result, elsewhere only as far as the
@@ -381,10 +389,53 @@ def diagnose(transcript: Transcript) -> list[Diagnosis]:
     ``MAX_CANDIDATES`` singles and can appear in no output; a pair without a
     trace is no candidate either way.
     """
+    return _diagnosis(transcript, {}, {})
+
+
+def diagnose_all(transcripts: Sequence[Transcript]) -> list[list[Diagnosis]]:
+    """``diagnose`` of each transcript of a batch, in order.  Transcripts on
+    one ``(problem_type, equation)`` share one typed root, and so every walk
+    state and rule attempt their searches have in common, and each step text
+    is parsed and printed once.  Both live only inside this call, and a root
+    is dropped after its equation's last transcript, so a batch of distinct
+    equations holds one root at a time.  A root or a step that raises is
+    not kept, and raises again at each transcript that has it.
+
+    The first transcript that raises stops the batch with an error naming
+    its index in ``transcripts``, the index its output would carry; an empty
+    batch raises ``EmptyBatchError``."""
+    if not transcripts:
+        raise EmptyBatchError("no transcripts to diagnose")
+    keys = [(t.problem_type, t.equation) for t in transcripts]
+    last = {key: i for i, key in enumerate(keys)}
+    roots: dict[tuple[str, str], Node] = {}
+    printed: dict[str, str] = {}
+    out = []
+    for i, (tr, key) in enumerate(zip(transcripts, keys)):
+        try:
+            out.append(_diagnosis(tr, roots, printed))
+        except SchemaError as exc:
+            raise SchemaError(f"transcript {i}: {exc}") from None
+        except EngineError as exc:
+            raise EngineError(f"transcript {i}: {exc}") from None
+        if last[key] == i:
+            del roots[key]
+    return out
+
+
+def _diagnosis(
+    transcript: Transcript, roots: dict[tuple[str, str], Node], printed: dict[str, str]
+) -> list[Diagnosis]:
+    """``diagnose``, its typed root taken from ``roots`` by the transcript's
+    ``(problem_type, equation)`` or built there by ``_typed_root``, and its
+    steps printed through ``printed`` (see ``_printed_steps``)."""
     if not transcript.model_steps:  # an empty list of steps agrees with every walk
         raise SchemaError("diagnosis needs model_steps")
-    root = _typed_root(transcript.problem_type, transcript.equation)
-    model = _printed_steps(transcript)
+    key = (transcript.problem_type, transcript.equation)
+    if key not in roots:
+        roots[key] = _typed_root(*key)
+    root = roots[key]
+    model = _printed_steps(transcript, printed)
     if _writes(model, walk(root, ()).steps):
         return []
 

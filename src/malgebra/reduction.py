@@ -249,14 +249,6 @@ def apply_step(sides: Sides, t: ProblemType, rule_id: str) -> tuple[Sides, Probl
     return after(sides, new), target
 
 
-def solve_terminal(eq: Equation) -> Fraction:
-    """The divide-through step on a T1 instance: x = B/A."""
-    sides = sides_of(eq)
-    if classify(sides) is not ProblemType.T1:
-        raise RuleNotApplicableError(f"solve step requires a T1 instance, got: {eq}")
-    return solve_t1(sides)
-
-
 def solve_t1(sides: Sides) -> Fraction:
     """x = B/A on the sides of a T1 instance."""
     lhs, rhs = sides

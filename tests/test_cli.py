@@ -16,7 +16,7 @@ import malgebra.errors as errors
 from malgebra.cli import build_parser, main
 from malgebra.datasets import MAX_RECORDS, DatasetConfig, generate
 from malgebra.equations import closed_form_solution, parse_equation
-from malgebra.errors import SchemaError
+from malgebra.errors import EngineError, SchemaError
 from malgebra.misconceptions import CATALOG, reduce_with_misconceptions
 
 
@@ -659,6 +659,32 @@ def test_diagnose_error_names_its_transcript(capsys, tmp_path):
         path.write_text(json.dumps({**good, "model_steps": steps}) + "\n")
         code, out, err = run(capsys, "diagnose", str(path))
         assert (code, out, err) == (2, "", "error: transcript 0: diagnosis needs model_steps\n")
+
+
+def test_diagnose_names_the_transcript_on_a_shared_equation(capsys, tmp_path):
+    # transcripts 0 and 2 share an equation, and so its root: transcript 2
+    # still stops the batch under its own index, with the exit code of its
+    # error, and a bad transcript 1 stops it first
+    eq = "2x = 3(4x + 5)"
+    lines = reduce_with_misconceptions(parse_equation(eq), ["M2_S3"]).equation_lines()
+    first = {"problem_type": "T9", "equation": eq, "model_answer": lines[-1], "model_steps": lines}
+    other = {"problem_type": "T1", "equation": "4x = 12", "model_answer": "3",
+             "model_steps": ["4x = 12", "x = 3"]}
+    bad = {**other, "equation": "4x = = 12"}
+    with pytest.raises(EngineError) as unparsable:
+        parse_equation("x = = 1")
+    cases = [
+        ({**first, "problem_type": "T1"}, 2, f"claims T1 for a T9 equation: {eq}"),
+        ({**first, "model_steps": [eq, "x = = 1"]}, 1, str(unparsable.value)),
+    ]
+    path = tmp_path / "tr.jsonl"
+    for third, code_want, message in cases:
+        path.write_text("".join(json.dumps(t) + "\n" for t in (first, other, third)))
+        code, out, err = run(capsys, "diagnose", str(path))
+        assert (code, out, err) == (code_want, "", f"error: transcript 2: {message}\n")
+        path.write_text("".join(json.dumps(t) + "\n" for t in (first, bad, third)))
+        code, out, err = run(capsys, "diagnose", str(path))
+        assert (code, out) == (1, "") and err.startswith("error: transcript 1: "), err
 
 
 def test_diagnose_matches_a_line_past_the_input_length_bound(capsys, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from test_fuzz import _mutate, _seeds
 
 from conftest import Corpus
+from substitution import evaluate_sides
 
 from malgebra.equations import (
     Add,
@@ -18,7 +19,6 @@ from malgebra.equations import (
     Paren,
     XTerm,
     closed_form_solution,
-    evaluate_sides,
     parse_equation,
     parse_number,
     render,

@@ -34,6 +34,7 @@ from malgebra.evaluation import (
     _read,
     _typed_root,
     diagnose,
+    diagnose_all,
     grade,
     load_transcripts,
     parse_answer,
@@ -517,6 +518,47 @@ def test_states_read_per_diagnosed_transcript(monkeypatch):
     assert len(batch) == 34 and len(read) <= 1257  # 37.0 per transcript
 
 
+def test_a_batch_expands_a_repeated_equation_once(monkeypatch):
+    # transcripts on one equation share its root and each step text's parse,
+    # so a batch given twice over makes no rule attempt and no parse more
+    # than the batch once, and fewer than one diagnose call per transcript
+    from malgebra import misconceptions
+
+    attempts, parses = [], []
+    try_apply, parse = misconceptions.try_apply, evaluation.parse_equation
+    monkeypatch.setattr(misconceptions, "try_apply",
+                        lambda m, node: attempts.append(m) or try_apply(m, node))
+    monkeypatch.setattr(evaluation, "parse_equation", lambda s: parses.append(s) or parse(s))
+    batch = _wrong_batch()
+    counts = []
+    for run in (lambda: [diagnose(t) for t in batch],
+                lambda: diagnose_all(batch), lambda: diagnose_all(batch + batch)):
+        attempts.clear(), parses.clear()
+        run()
+        counts.append((len(attempts), len(parses)))
+    alone, once, twice = counts
+    assert twice == once and once[0] < alone[0] and once[1] < alone[1], counts
+
+
+def test_a_batch_drops_each_root_after_its_last_transcript(monkeypatch):
+    held, original = [], evaluation._diagnosis
+
+    def counted(transcript, roots, printed):
+        held.append(len(roots))
+        return original(transcript, roots, printed)
+
+    monkeypatch.setattr(evaluation, "_diagnosis", counted)
+    batch = _wrong_batch()
+    distinct = list({(t.problem_type, t.equation): t for t in batch}.values())
+    diagnose_all(distinct)
+    assert len(held) == len(distinct) > 30 and set(held) == {0}
+    # the same batch given twice holds every root until its second transcript
+    held.clear()
+    diagnose_all(distinct + distinct)
+    n = len(distinct)
+    assert held == list(range(n)) + list(range(n, 0, -1))
+
+
 _parse = functools.lru_cache(maxsize=None)(parse_equation)
 
 
@@ -651,6 +693,19 @@ def test_diagnose_matches_exhaustive_search(monkeypatch):
             monkeypatch.setattr("malgebra.evaluation.MAX_CANDIDATES", cap)
             want = _outcome(_exhaustive_diagnose, transcript, walks, cap)
             assert _outcome(diagnose, transcript) == want, (transcript, cap)
+
+
+def test_a_batch_diagnoses_as_each_transcript_alone(monkeypatch):
+    # every equation of the corpus comes back half the batch later, so each
+    # transcript is diagnosed from a root earlier transcripts have grown;
+    # the batch must raise nowhere, so the transcripts that raise are left out
+    corpus = [t for t in _diagnose_corpus() if not isinstance(_outcome(diagnose, t), type)]
+    half = len(corpus) // 2
+    batch = [t for pair in zip(corpus, corpus[half:] + corpus[:half]) for t in pair]
+    assert len(corpus) > 800
+    for cap in (1, 5):
+        monkeypatch.setattr("malgebra.evaluation.MAX_CANDIDATES", cap)
+        assert diagnose_all(batch) == [diagnose(t) for t in batch], cap
 
 
 def test_read_gives_the_diagnosis_of_the_walk():

@@ -12,6 +12,8 @@ engine path (``_read`` counts how many leading lines agree), and in
 A draw has one path: no ``InstanceSampler`` stands beside ``generate``'s own
 seeding, ``datasets`` folds a draw's signs without ``_joined``, no rewrite
 reads the problem type, and only ``errors`` splits a file into lines.
+Every name the package exports has a user outside the tests: the CLI, the
+README, a demo or the benchmark.
 
 One call-time import stays: ``reduction.reduce`` delegates to the walk in
 ``misconceptions``, which imports ``reduction`` itself, and perfbench's
@@ -21,9 +23,13 @@ tracer wraps ``reduction.reduce`` by its module's name.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "malgebra"
+import malgebra
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "malgebra"
 
 
 def _trees() -> list[tuple[str, ast.Module]]:
@@ -123,7 +129,7 @@ def test_one_copy_of_each_replay_rule():
              if isinstance(n, ast.Compare) and any(
                  isinstance(x, ast.Name) and x.id == "model" for x in (n.left, *n.comparators))}
     assert whole == {"_writes"}
-    assert callers(evaluation, "_writes") == {"grade", "_read", "diagnose"}
+    assert callers(evaluation, "_writes") == {"grade", "_read", "_diagnosis"}
 
     datasets = functions("datasets.py")
     readers = {name for name, fn in datasets.items() for n in ast.walk(fn)
@@ -150,3 +156,11 @@ def test_one_draw_path_and_view_only_rewrites():
                  and n.func.attr == "split" and n.args
                  and isinstance(n.args[0], ast.Constant) and n.args[0].value == "\n"}
     assert splitters == {"errors.py"}
+
+
+def test_every_exported_name_has_a_user_outside_the_tests():
+    users = [_SRC / "cli.py", _ROOT / "README.md",
+             *sorted((_ROOT / "demos").glob("*.py")), *sorted((_ROOT / "perfbench").glob("*.py"))]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in users)
+    unused = [name for name in malgebra.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unused == []

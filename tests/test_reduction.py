@@ -38,11 +38,11 @@ from malgebra.misconceptions import (
 )
 from malgebra.reduction import (
     _RULE_BODIES,
+    EdgeRef,
     at_first,
     reduce,
     reduce_step,
     signed_sum,
-    solve_terminal,
     t1_parts,
 )
 from malgebra.solution_space import enumerate_tree
@@ -169,13 +169,16 @@ def test_reduce_step_checks_its_input_type():
         reduce_step(parse_equation("3 + 2x = 5"), T.T5, "move-const")
 
 
-def test_solve_terminal():
-    assert solve_terminal(parse_equation("3x = 12")) == 4
-    assert solve_terminal(parse_equation("-10x = 15")) == Fraction(-3, 2)
+def test_solve_edge():
+    # the divide-through step x = B/A is T1's one edge out, and no other
+    # type's; solving 0x = B raises
+    solve = EdgeRef("solve", "solve")
+    assert [t for t in ProblemType if solve in CORRECT_OUT[t]] == [T.T1]
+    assert CORRECT_OUT[T.T1] == (solve,)
+    assert Node(parse_equation("3x = 12")).child(solve).line == "x = 4"
+    assert reduce(parse_equation("-10x = 15")).answer == Fraction(-3, 2)
     with pytest.raises(ZeroCoefficientError):
-        solve_terminal(parse_equation("0x = 5"))
-    with pytest.raises(RuleNotApplicableError):
-        solve_terminal(parse_equation("2x = 3 + 4"))
+        Node(parse_equation("0x = 5")).child(solve)
 
 
 # (canonical XTerm = Const, a parenthesized or negated spelling of it)
@@ -204,7 +207,7 @@ def test_t1_parts_direct_read_matches_the_view(capsys, canonical, variant):
 def test_t1_built_from_ints_solves_exactly():
     # 7/3 and 3/7 have no float that compares equal to them
     eq = Equation(XTerm(3), Const(7))
-    assert reduce(eq).answer == solve_terminal(eq) == closed_form_solution(eq) == Fraction(7, 3)
+    assert reduce(eq).answer == closed_form_solution(eq) == Fraction(7, 3)
     assert reduce_with_misconceptions(eq, ["M22_S1"]).answer == Fraction(3, 7)
 
 

@@ -10,10 +10,10 @@ from conftest import Corpus
 
 from malgebra.cli import main
 from malgebra.equations import closed_form_solution, parse_equation
-from malgebra.errors import BudgetExceededError, ZeroCoefficientError
+from malgebra.errors import BudgetExceededError, NoUniqueSolutionError, ZeroCoefficientError
 from malgebra.evaluation import GRADE_OTHER, Transcript, _mal_outcomes, grade
 from malgebra.misconceptions import CATALOG, Node, get_misconception, try_apply, walk
-from malgebra.reduction import reduce, reduce_step, solve_terminal
+from malgebra.reduction import reduce, reduce_step
 from malgebra import solution_space
 from malgebra.solution_space import enumerate_tree, leaf_answers, to_dot, to_json_dict
 from malgebra.taxonomy import (
@@ -55,8 +55,8 @@ def brute_force_leaves(eq, mid: str, cap: int):
         for kind, ident in vec:
             if kind == "solve":
                 try:
-                    value = solve_terminal(state)
-                except ZeroCoefficientError:
+                    value = closed_form_solution(state)
+                except NoUniqueSolutionError:
                     label = DEAD_END
                     break
                 state = parse_equation(f"x = {value}")
