@@ -123,6 +123,17 @@ def _writes(model: list[str] | None, path: Sequence[Node]) -> bool:
     return model == lines or lines[-1] == lines[-2] and model == lines[:-1]
 
 
+def _writes_correct(root: Node, model: list[str] | None) -> bool:
+    """Whether the printed steps write some correct path from ``root``
+    (``_writes``).  The walk runs first and raises where ``root`` does not
+    solve; every correct path ends on its solved line, so only steps that
+    end there are searched."""
+    solved = walk(root, ()).steps[-1].line
+    return bool(model) and model[-1] == solved and any(
+        _writes(model, path) for answer, _, _, path in leaf_paths(root, (), 0, False)
+        if answer is not None)
+
+
 def _mal_outcomes(
     root: Node, m: Misconception, correct: Fraction
 ) -> list[tuple[Fraction | str, tuple[Node, ...]]]:
@@ -144,12 +155,12 @@ def grade(
 
     ``answer`` mode compares final answers as exact rationals;
     ``steps`` mode additionally requires the steps to write the
-    corresponding engine path (``_writes``): the correct walk for a right
-    answer.  A wrong answer matches ``m`` when some path of correct steps
-    and one firing of ``m`` ends at a terminal whose outcome is the answer
-    and, in ``steps`` mode, whose path the steps write; only such paths are
-    searched (``_mal_outcomes``).  A transcript whose equation is
-    of another type than it claims raises ``SchemaError``.
+    corresponding engine path (``_writes``): some correct path for a right
+    answer (``_writes_correct``).  A wrong answer matches ``m`` when some
+    path of correct steps and one firing of ``m`` ends at a terminal whose
+    outcome is the answer and, in ``steps`` mode, whose path the steps
+    write; only such paths are searched (``_mal_outcomes``).  A transcript
+    whose equation is of another type than it claims raises ``SchemaError``.
     """
     if mode not in ("answer", "steps"):
         raise SchemaError(f"unknown grading mode {mode!r}")
@@ -170,7 +181,7 @@ def grade(
             pass  # an unparsable step replays no trace
 
     if answer == correct:
-        if mode == "answer" or _writes(model, walk(root, ()).steps):
+        if mode == "answer" or _writes_correct(root, model):
             return GRADE_CORRECT
         return GRADE_OTHER
     if m is not None:
@@ -366,9 +377,9 @@ def _read(
 def diagnose(transcript: Transcript) -> list[Diagnosis]:
     """Rank misconception sets (size <= 2) by how well their traces replay
     the transcript's steps: longest exact prefix first, then fewest
-    misconceptions.  Empty when the steps write the correct walk
-    (``_writes``, by which ``_read`` also calls a set full).  A transcript
-    whose equation is of another type than it claims raises ``SchemaError``.
+    misconceptions.  Empty when the steps write some correct path
+    (``_writes_correct``; its walk raises where the root does not solve).
+    An equation of another type than claimed raises ``SchemaError``.
 
     A set's trace is its walk, the one ``reduce_with_misconceptions(eq, ms)``
     takes; a set whose walk raises, or does not use exactly its rules in
@@ -436,7 +447,7 @@ def _diagnosis(
         roots[key] = _typed_root(*key)
     root = roots[key]
     model = _printed_steps(transcript, printed)
-    if _writes(model, walk(root, ()).steps):
+    if _writes_correct(root, model):
         return []
 
     reach = reachable(root.label)

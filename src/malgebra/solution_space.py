@@ -6,6 +6,7 @@ to a per-path cap: the complete space of correct paths and malgorithms.
 States reached along different histories are kept distinct: paths, not
 states, carry the meaning.  Its one policy, whether a path that has fired no
 rule may solve, is yes for the tree and no for grading (``evaluation.grade``).
+With no rules it yields every correct path (``evaluation._writes_correct``).
 """
 
 from __future__ import annotations

@@ -784,6 +784,20 @@ def test_diagnose_cli(capsys, tmp_path):
     assert doc[0]["diagnosis"][0]["misconceptions"] == ["M20_S20"]
 
 
+def test_steps_along_the_second_correct_path_are_correct(capsys, tmp_path):
+    # T14 solved by moving the x term first, the path its walk does not take
+    lines = ["3x + 4 = 5x + 6", "-2x + 4 = 6", "-2x = 2", "x = -1"]
+    row = {"problem_type": "T14", "equation": lines[0], "model_answer": "-1",
+           "model_steps": lines}
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    code, out, _ = run(capsys, "score", str(path), "--misconception", "M19",
+                       "--mode", "steps", "--report", "json")
+    assert code == 0 and json.loads(out)["per_type"]["T14"] == {"CA": 100.0, "MA": 0.0, "n": 1}
+    code, out, err = run(capsys, "diagnose", str(path))
+    assert (code, err) == (0, "") and '"diagnosis": []' in out
+
+
 def test_dump_graph(capsys):
     code, out, _ = run(capsys, "dump-graph")
     assert code == 0

@@ -41,9 +41,9 @@ from malgebra.evaluation import (
     score,
 )
 from malgebra.misconceptions import CATALOG, Node, reduce_with_misconceptions, steps, walk
-from malgebra.reduction import reduce
+from malgebra.reduction import reduce, reduce_step
 from malgebra.solution_space import enumerate_tree
-from malgebra.taxonomy import ORDERED_TYPES, ProblemType, classify, reachable
+from malgebra.taxonomy import ORDERED_TYPES, ProblemType, classify, correct_successors, reachable
 
 T = ProblemType
 
@@ -192,6 +192,57 @@ def test_misconception_steps_may_write_a_solved_line_once():
             assert grade(written(lines[:-1]), m, mode="steps") == GRADE_OTHER, (m.id, lines)
     assert repeated["M1"] > 1 and len(repeated) >= 10, repeated
     assert len(plain) > 90
+
+
+def _correct_paths(eq):
+    """Every correct path from ``eq`` as its printed lines: an independent
+    oracle that enumerates edge choices, replaying each through the public
+    single step (``reduce_step``) and solving T1 by the closed form."""
+    paths, stack = [], [(eq, classify(eq), [str(eq)])]
+    while stack:
+        state, label, lines = stack.pop()
+        if label is T.T1:
+            paths.append(lines + [str(parse_equation(f"x = {closed_form_solution(state)}"))])
+            continue
+        for _, rule_id in correct_successors(label):
+            state2, label2 = reduce_step(state, label, rule_id)
+            stack.append((state2, label2, lines + [str(state2)]))
+    return paths
+
+
+_TWO_PATH_TYPES = (T.T12, T.T14, T.T15, T.T16)
+
+
+def test_steps_along_every_correct_path_grade_correct():
+    # T12, T14, T15 and T16 have two correct paths on every draw; steps
+    # written along either, with or without a repeated solved line, are
+    # correct in steps mode and diagnose as no misconception
+    fixture = ["3x + 4 = 5x + 6", "-2x + 4 = 6", "-2x = 2", "x = -1"]
+    assert fixture in _correct_paths(parse_equation(fixture[0]))
+    assert fixture != reduce(parse_equation(fixture[0])).equation_lines()
+    roots = [("T14", fixture[0])] + [(t.name, str(Corpus(seed).sample(t, "two-paths")))
+                                     for seed in range(12) for t in _TWO_PATH_TYPES]
+    written, repeated = 0, 0
+    for t, eq in roots:
+        paths = _correct_paths(parse_equation(eq))
+        assert len(paths) == 2, (eq, paths)
+        for lines in paths:
+            variants = [lines]
+            if lines[-1] == lines[-2]:
+                variants.append(lines[:-1])
+                repeated += 1
+            for model_steps in variants:
+                transcript = _tr(t, eq, lines[-1], model_steps)
+                assert grade(transcript, "M19", mode="steps") == GRADE_CORRECT, model_steps
+                assert diagnose(transcript) == [], model_steps
+                written += 1
+    assert written > 2 * len(roots) and repeated > 0
+    # a wrong route to the right answer, and no steps at all (``model_steps:
+    # []``), are not correct
+    route = _tr("T14", fixture[0], "-1", [fixture[0], fixture[2], fixture[3]])
+    assert grade(route, "M19", mode="steps") == GRADE_OTHER
+    none = Transcript("T14", fixture[0], "-1", ())
+    assert grade(none, "M19", mode="steps") == GRADE_OTHER
 
 
 def test_grade_dead_end_transcript():
@@ -502,6 +553,22 @@ def test_rule_attempts_per_diagnosed_transcript(monkeypatch):
     assert len(batch) == 34 and len(calls) <= 447  # 13.1 per transcript
 
 
+def test_diagnose_searches_correct_paths_only_for_steps_on_the_solved_line(monkeypatch):
+    # steps that do not end on the solved line write no correct path, so
+    # diagnose searches none: no transcript of the wrong batch enters the
+    # path search with no rules, and the one on T14's second path enters it once
+    searched, original = [], evaluation.leaf_paths
+    monkeypatch.setattr(evaluation, "leaf_paths",
+                        lambda root, rules, *a: searched.append(rules) or original(root, rules, *a))
+    batch = _wrong_batch()
+    for transcript in batch:
+        diagnose(transcript)
+    assert len(batch) == 34 and () not in searched
+    lines = ["3x + 4 = 5x + 6", "-2x + 4 = 6", "-2x = 2", "x = -1"]
+    assert diagnose(_tr("T14", lines[0], lines[-1], lines)) == []
+    assert searched.count(()) == 1
+
+
 def test_states_read_per_diagnosed_transcript(monkeypatch):
     # each candidate's walk is read in one pass, never walked again for its
     # trace: an upper bound on the states diagnose reads over the same batch,
@@ -591,7 +658,8 @@ def _exhaustive_diagnose(transcript, walks, max_candidates=5):
             replays.append(lines[:-1])
         return any(prefix_len(r) == len(model) == len(r) for r in replays)
 
-    if writes(reduce(eq).equation_lines()):
+    reduce(eq)  # raises where the walk does: no unique solution, or past the step guard
+    if any(writes(lines) for lines in _correct_paths(eq)):
         return []
     relevant = [
         m for m in CATALOG
@@ -634,7 +702,9 @@ def _exhaustive_diagnose(transcript, walks, max_candidates=5):
 
 def _diagnose_corpus():
     """Transcripts over about 170 equations, each equation written several
-    ways (so the reference's walks are shared between them)."""
+    ways (so the reference's walks are shared between them), and last each
+    root of a type with two correct paths written along the one its walk
+    does not take, as it is and with a wrong last line."""
     sampler = Corpus(seed=4365)
     rng = sampler.rng_for("diagnose-corpus")
     rows = []
@@ -663,6 +733,14 @@ def _diagnose_corpus():
             add_variants(t, eq, lines)
             add(t, eq, lines[:-1] + [f"x = {closed_form_solution(eq) + Fraction(1, 997)}"])
             add(t, eq, [lines[0], "x = = 1"] + lines[1:])  # a garbage step
+    for t, eq in dict.fromkeys((T[row.problem_type], row.equation) for row in rows):
+        if t in _TWO_PATH_TYPES:
+            eq = parse_equation(eq)
+            walked = reduce(eq).equation_lines()
+            for lines in _correct_paths(eq):
+                if lines != walked:
+                    add(t, eq, lines)
+                    add(t, eq, lines[:-1] + [f"x = {closed_form_solution(eq) + Fraction(1, 997)}"])
     return rows
 
 

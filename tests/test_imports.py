@@ -7,7 +7,9 @@ in ``evaluation`` takes each diagnose candidate's walk: it alone calls
 engine error, so ``misconceptions`` copies none, and one draw loop,
 ``sample_instance``, serves every sampler.  Each replay rule has one copy:
 in ``evaluation`` only ``_writes`` compares written steps with a whole
-engine path (``_read`` counts how many leading lines agree), and in
+engine path (``_read`` counts how many leading lines agree), correct steps
+are read against every correct path of the one path search
+(``_writes_correct``), whose four parameters hold one policy, and in
 ``datasets`` only ``_breaks_rule`` reads which rules a record's trace fired.
 A draw has one path: no ``InstanceSampler`` stands beside ``generate``'s own
 seeding, ``datasets`` folds a draw's signs without ``_joined``, no rewrite
@@ -129,7 +131,15 @@ def test_one_copy_of_each_replay_rule():
              if isinstance(n, ast.Compare) and any(
                  isinstance(x, ast.Name) and x.id == "model" for x in (n.left, *n.comparators))}
     assert whole == {"_writes"}
-    assert callers(evaluation, "_writes") == {"grade", "_read", "_diagnosis"}
+    assert callers(evaluation, "_writes") == {"grade", "_read", "_writes_correct"}
+    # correct steps are read against every correct path, in grade and in
+    # diagnose, by the one path search; grade takes no walk of its own
+    assert callers(evaluation, "_writes_correct") == {"grade", "_diagnosis"}
+    assert "walk" not in {n.func.id for n in ast.walk(evaluation["grade"])
+                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    search = functions("solution_space.py")["leaf_paths"]
+    params = [a.arg for a in ast.walk(search.args) if isinstance(a, ast.arg)]
+    assert params == ["root", "rules", "cap", "fired_to_solve"]
 
     datasets = functions("datasets.py")
     readers = {name for name, fn in datasets.items() for n in ast.walk(fn)
