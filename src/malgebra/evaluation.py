@@ -17,7 +17,8 @@ from typing import Sequence
 
 from .equations import Const, XTerm, closed_form_solution, parse_equation, parse_number
 from .errors import EmptyBatchError, EngineError, SchemaError, decode_json_object, read_lines
-from .misconceptions import CATALOG, RULE_EDGE, Misconception, Node, get_misconception, steps, walk
+from . import misconceptions
+from .misconceptions import CATALOG, Misconception, Node, get_misconception, steps, walk
 from .reduction import fired
 from .solution_space import leaf_paths
 from .taxonomy import ORDERED_TYPES, reachable
@@ -115,34 +116,23 @@ def _printed_steps(transcript: Transcript, printed: dict[str, str] | None = None
     return [printed[s] for s in transcript.model_steps]
 
 
-def _writes(model: list[str] | None, path: Sequence[Node]) -> bool:
-    """Whether the printed steps write the engine path ``path``, correct or
-    not: all of its lines, or all but a last line that repeats the line
-    before it (a state printed ``x = c`` is solved to that same line)."""
-    lines = [node.line for node in path]
-    return model == lines or lines[-1] == lines[-2] and model == lines[:-1]
-
-
 def _writes_correct(root: Node, model: list[str] | None) -> bool:
-    """Whether the printed steps write some correct path from ``root``
-    (``_writes``).  The walk runs first and raises where ``root`` does not
-    solve; every correct path ends on its solved line, so only steps that
-    end there are searched."""
+    """Whether the printed steps write some correct path from ``root``: the
+    path search guided by them finds one.  The walk runs first and raises
+    where ``root`` does not solve; every correct path ends on its solved
+    line, so only steps that end there are searched."""
     solved = walk(root, ()).steps[-1].line
-    return bool(model) and model[-1] == solved and any(
-        _writes(model, path) for answer, _, _, path in leaf_paths(root, (), 0, False)
-        if answer is not None)
+    return bool(model) and model[-1] == solved and any(leaf_paths(root, (), 0, False, model))
 
 
-def _mal_outcomes(
-    root: Node, m: Misconception, correct: Fraction
-) -> list[tuple[Fraction | str, tuple[Node, ...]]]:
+def _mal_outcomes(root: Node, m: Misconception, correct: Fraction,
+                  model: list[str] | None) -> list[tuple[Fraction | str, tuple[Node, ...]]]:
     """Each terminal that a path of correct steps and one firing of ``m``
     reaches from ``root``, depth first, with its outcome (a dead end's line,
-    or an answer other than ``correct``) and its states: ``leaf_paths`` solving
-    only after ``m`` fired (only a solve or ``m`` ends a path), less a zero coefficient."""
+    or an answer other than ``correct``) and its states: ``leaf_paths``
+    solving only after ``m`` fired, guided by ``model`` when given."""
     return [(path[-1].line if dead_end else answer, path)
-            for answer, dead_end, _, path in leaf_paths(root, (RULE_EDGE[m.id],), 1, True)
+            for answer, dead_end, _, path in leaf_paths(root, (m,), 1, True, model)
             if dead_end != "zero x coefficient" and answer != correct]
 
 
@@ -153,14 +143,15 @@ def grade(
 ) -> str:
     """Classify one transcript as correct, misconception-match, or other.
 
-    ``answer`` mode compares final answers as exact rationals;
-    ``steps`` mode additionally requires the steps to write the
-    corresponding engine path (``_writes``): some correct path for a right
-    answer (``_writes_correct``).  A wrong answer matches ``m`` when some
-    path of correct steps and one firing of ``m`` ends at a terminal whose
-    outcome is the answer and, in ``steps`` mode, whose path the steps
-    write; only such paths are searched (``_mal_outcomes``).  A transcript
-    whose equation is of another type than it claims raises ``SchemaError``.
+    ``answer`` mode compares final answers as exact rationals; ``steps``
+    mode also requires the steps to write an engine path, the one rule of
+    ``leaf_paths``' guided search: some correct path for a right answer
+    (``_writes_correct``).  A wrong answer matches ``m`` when some path of
+    correct steps and one firing of ``m`` ends at a terminal whose outcome
+    is the answer and, in ``steps`` mode, which the steps write; only such
+    paths are searched (``_mal_outcomes``).  No steps, or a step that does
+    not parse, grades ``other`` in ``steps`` mode.  A transcript whose
+    equation is of another type than it claims raises ``SchemaError``.
     """
     if mode not in ("answer", "steps"):
         raise SchemaError(f"unknown grading mode {mode!r}")
@@ -184,9 +175,9 @@ def grade(
         if mode == "answer" or _writes_correct(root, model):
             return GRADE_CORRECT
         return GRADE_OTHER
-    if m is not None:
-        for end, path in _mal_outcomes(root, m, correct):
-            if answer == end and (mode == "answer" or _writes(model, path)):
+    if m is not None and (mode == "answer" or model):
+        for end, _ in _mal_outcomes(root, m, correct, model):
+            if answer == end:
                 return GRADE_MATCH
     return GRADE_OTHER
 
@@ -350,10 +341,10 @@ def _read(
 ) -> tuple[Diagnosis | None, Node | None]:
     """Read the walk of ``ms`` from ``root`` once, counting its leading lines
     that equal the model's steps.  Gives ``(None, None)`` at an engine error,
-    or where fewer than ``need`` lines agree and the model has steps left:
-    at the first line that differs, or at the walk's end.  Otherwise gives
-    the set's diagnosis, full where the steps write the walk (``_writes``),
-    None when the walk did not use exactly ``ms`` in order, and its last state."""
+    or where fewer than ``need`` lines agree: at the first line that
+    differs, or at the walk's end.  Otherwise gives the set's prefix
+    diagnosis, None when the walk did not use exactly ``ms`` in order, and
+    its last state."""
     path, k = [], 0
     try:
         for node in chain((root,), steps(root, ms)):
@@ -365,40 +356,39 @@ def _read(
             path.append(node)
     except EngineError:
         return None, None
-    if k < min(need, len(model)):
+    if k < need:
         return None, None
     ids, n = tuple(m.id for m in ms), len(path)
     if fired(path) != ids:
         return None, path[-1]
-    full = k == len(model) and _writes(model, path)
-    return Diagnosis(ids, "full" if full else f"prefix {k}/{n}", k, n), path[-1]
+    return Diagnosis(ids, f"prefix {k}/{n}", k, n), path[-1]
 
 
 def diagnose(transcript: Transcript) -> list[Diagnosis]:
-    """Rank misconception sets (size <= 2) by how well their traces replay
-    the transcript's steps: longest exact prefix first, then fewest
-    misconceptions.  Empty when the steps write some correct path
-    (``_writes_correct``; its walk raises where the root does not solve).
-    An equation of another type than claimed raises ``SchemaError``.
+    """The misconception sets (size <= 2) that explain the transcript's
+    steps; empty when they write some correct path (``_writes_correct``,
+    whose walk raises where the root does not solve).  An equation of
+    another type than claimed raises ``SchemaError``.
 
-    A set's trace is its walk, the one ``reduce_with_misconceptions(eq, ms)``
-    takes; a set whose walk raises, or does not use exactly its rules in
-    order, has no trace.  All walks start from one root, so a state or a
-    rule attempt shared by several sets is computed once; ``diagnose_all``
-    shares that root between the transcripts of a batch on one equation.
+    A set is ``full`` when the steps write a path of correct steps that fires
+    exactly its rules in order, by the rule ``grade --mode steps`` matches
+    by: the search of ``leaf_paths`` guided by the steps, for one rule, then
+    for two if none is full, a path longer than the walk's step guard left
+    out.  Full sets come in catalog order (a pair by its first rule).
 
-    One reader, ``_read``, takes a candidate's walk in one pass: to its end
-    only where the end can change the result, elsewhere only as far as the
-    steps agree with it.  Only a single that agrees on every step can be
-    full, so the singles are read that far first, and a full one ends the
-    search.  Otherwise every single is read to its end, and a pair only
-    when it agrees on every step or on more than ``floor`` lines: the
-    ``MAX_CANDIDATES``-th largest ``matched`` among the singles with
-    ``matched > 0``, or 0 when there are fewer.  This is exact.  Ranking
-    sorts by ``(-matched, len)`` and the sort is stable, so a pair that is
-    not full and matches ``k <= floor`` lines comes after at least
-    ``MAX_CANDIDATES`` singles and can appear in no output; a pair without a
-    trace is no candidate either way.
+    Otherwise sets are ranked by how far their walks (the one
+    ``reduce_with_misconceptions(eq, ms)`` takes) replay the steps: longest
+    exact prefix first, then fewest misconceptions, at most
+    ``MAX_CANDIDATES``.  A walk that raises, or does not use exactly its
+    rules in order, is no candidate.  One reader, ``_read``, takes each walk
+    in one pass, only as far as can change the result: every single to its
+    end, and a pair only while it can agree on more than ``floor`` lines,
+    the ``MAX_CANDIDATES``-th largest ``matched`` among the singles with
+    ``matched > 0`` (0 when there are fewer).  This is exact: the ranking's
+    sort is stable, so a pair matching ``k <= floor`` lines comes after
+    ``MAX_CANDIDATES`` singles.  All walks and searches grow one root,
+    sharing every state and rule attempt; ``diagnose_all`` shares it across
+    a batch's transcripts on one equation.
     """
     return _diagnosis(transcript, {}, {})
 
@@ -452,12 +442,15 @@ def _diagnosis(
 
     reach = reachable(root.label)
     relevant = [m for m in CATALOG if m.applicable_types & reach]
-    full_singles = [
-        d for m in relevant
-        if (d := _read(root, (m,), model, len(model))[0]) is not None and d.quality == "full"
-    ]
-    if full_singles:
-        return full_singles
+    rank = {m.id: i for i, m in enumerate(relevant)}
+    longest = misconceptions._MAX_TRACE_STEPS + 1  # states in the longest walk
+    for size in (1, 2):
+        full: dict[tuple[str, ...], Diagnosis] = {}
+        for *_, used, path in leaf_paths(root, relevant, size, True, model):
+            if len(used) == size and len(path) <= longest:
+                full.setdefault(used, Diagnosis(used, "full", len(model), len(path)))
+        if full:
+            return [full[ids] for ids in sorted(full, key=lambda ids: [rank[i] for i in ids])]
 
     singles, leaders = [], []
     for m in relevant:
@@ -478,11 +471,5 @@ def _diagnosis(
         for m2 in relevant if m2 is not m1
         if (d := _read(root, (m1, m2), model, floor + 1)[0]) is not None
     ]
-    ranked = sorted(
-        singles + pairs,
-        key=lambda d: (-d.matched, len(d.misconceptions)),
-    )
-    full = [d for d in ranked if d.quality == "full"]
-    if full:
-        return full
+    ranked = sorted(singles + pairs, key=lambda d: (-d.matched, len(d.misconceptions)))
     return [d for d in ranked if d.matched > 0][:cap]

@@ -6,7 +6,9 @@ to a per-path cap: the complete space of correct paths and malgorithms.
 States reached along different histories are kept distinct: paths, not
 states, carry the meaning.  Its one policy, whether a path that has fired no
 rule may solve, is yes for the tree and no for grading (``evaluation.grade``).
-With no rules it yields every correct path (``evaluation._writes_correct``).
+Given printed steps, it yields only the paths they write: the one place
+where written steps are read against whole paths, for ``grade`` and
+``diagnose`` alike.
 """
 
 from __future__ import annotations
@@ -48,29 +50,39 @@ class SolutionTree:
     leaves: tuple[Leaf, ...]
 
 
-def leaf_paths(root: Node, rules: Sequence[EdgeRef], cap: int,
-               fired_to_solve: bool) -> Iterator[tuple]:
+def leaf_paths(root: Node, rules: Sequence[Misconception], cap: int, fired_to_solve: bool,
+               written: Sequence[str] | None) -> Iterator[tuple]:
     """Each path from ``root`` to a terminal or a zero x coefficient, depth
     first, as (answer, dead-end reason, rule ids used, states).  At a node:
-    its correct edges, then each unused edge of ``rules`` while fewer than
-    ``cap`` are used; with ``fired_to_solve``, a path using none takes no solve edge."""
+    its correct edges, then each unused rule of ``rules`` that applies to its
+    type while fewer than ``cap`` are used; with ``fired_to_solve``, a path
+    using none takes no solve edge.  Printed steps, ``written``, keep only
+    the paths they write: a node grows where its line is the step at its
+    depth or, one past the last step, repeats it (a state printed ``x = c``
+    is solved to that same line); no shorter path and no zero coefficient."""
+    guide = None if written is None else (*written, *written[-1:])
 
     def grow(node: Node, used: tuple[str, ...], path: tuple[Node, ...], left: int) -> Iterator:
+        if guide is not None and (len(path) == len(guide) or node.line != guide[len(path)]):
+            return
         path += (node,)
         if (end := outcome(node)) is not None:
-            yield *end, used, path
+            if guide is None or len(path) >= len(written):
+                yield *end, used, path
             return
         for edge in CORRECT_OUT[node.label]:
             if used or not fired_to_solve or edge.kind != "solve":
                 try:
                     kid = node.child(edge)
                 except ZeroCoefficientError:
-                    yield None, "zero x coefficient", used, path
+                    if guide is None:
+                        yield None, "zero x coefficient", used, path
                     continue
                 yield from grow(kid, used, path, left)
-        for edge in rules if left > 0 else ():
-            if edge.rule_id not in used and (kid := node.child(edge)) is not None:
-                yield from grow(kid, used + (edge.rule_id,), path, left - 1)
+        for m in rules if left > 0 else ():
+            if m.id not in used and node.label in m.applicable_types \
+                    and (kid := node.child(RULE_EDGE[m.id])) is not None:
+                yield from grow(kid, used + (m.id,), path, left - 1)
 
     return grow(root, (), (), cap)
 
@@ -90,8 +102,8 @@ def enumerate_tree(
     parents: list[int] = []
     leaves: list[Leaf] = []
     root = eq if isinstance(eq, Node) else Node(eq)
-    rules = [RULE_EDGE[m.id] for m in resolve_set(ms)]
-    for *end, used, path in leaf_paths(root, rules, max_misconceptions_per_path, False):
+    for *end, used, path in leaf_paths(root, resolve_set(ms), max_misconceptions_per_path,
+                                       False, None):
         nid = -1
         for node in path:  # a typed state has a correct edge, so it lies on some path
             parent, nid = nid, index.setdefault(id(node), len(nodes))

@@ -798,6 +798,22 @@ def test_steps_along_the_second_correct_path_are_correct(capsys, tmp_path):
     assert (code, err) == (0, "") and '"diagnosis": []' in out
 
 
+def test_a_rule_fired_off_the_walk_is_a_full_diagnosis(capsys, tmp_path):
+    # M19 at the solve step of T14's second correct path: score and diagnose
+    # read the steps by one rule, so the match is full in both
+    lines = ["3x + 4 = 5x + 6", "-2x + 4 = 6", "-2x = 2", "x = 0"]
+    row = {"problem_type": "T14", "equation": lines[0], "model_answer": "0",
+           "model_steps": lines}
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    code, out, _ = run(capsys, "score", str(path), "--misconception", "M19",
+                       "--mode", "steps", "--report", "json")
+    assert code == 0 and json.loads(out)["per_type"]["T14"] == {"CA": 0.0, "MA": 100.0, "n": 1}
+    code, out, err = run(capsys, "diagnose", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["diagnosis"] == [{"misconceptions": ["M19"], "quality": "full"}]
+
+
 def test_dump_graph(capsys):
     code, out, _ = run(capsys, "dump-graph")
     assert code == 0

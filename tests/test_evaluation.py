@@ -12,7 +12,7 @@ from test_fuzz import _mutate, _seeds
 
 from conftest import Corpus
 
-from malgebra import evaluation
+from malgebra import evaluation, misconceptions
 from malgebra.datasets import sample_for_misconception
 from malgebra.equations import closed_form_solution, parse_equation
 from malgebra.errors import (
@@ -251,14 +251,22 @@ def test_grade_dead_end_transcript():
     assert grade(t, "M13") == GRADE_MATCH
 
 
-def _tree_mal_outcomes(root, m, correct):
+def _writes(model, lines):
+    """Whether printed steps write an engine path of these lines: all of
+    them, or all but a last line that repeats the line before it."""
+    return model == lines or len(lines) > 1 and lines[-1] == lines[-2] and model == lines[:-1]
+
+
+def _tree_mal_outcomes(root, m, correct, model):
     """``_mal_outcomes`` read off the full solution tree of ``m`` with at
-    most one firing per path, leaf by leaf: the reference the firing search
+    most one firing per path, leaf by leaf, keeping only the paths that
+    ``model`` writes when it is given: the reference the firing search
     replaced."""
     tree = enumerate_tree(root, [m], max_misconceptions_per_path=1)
     out = []
     for leaf in tree.leaves:
-        if leaf.misconceptions != (m.id,):
+        if leaf.misconceptions != (m.id,) or model is not None and not _writes(
+                model, list(leaf.equations)):
             continue
         if leaf.dead_end == "variable eliminated":
             out.append((leaf.path[-1].line, leaf.path))
@@ -287,7 +295,7 @@ def _sorted_outcomes(fn, eq, m, correct):
     """The outcomes and path lines ``fn`` finds from a fresh root, sorted, or
     the type and message of the error it raises."""
     try:
-        found = fn(Node(eq), m, correct)
+        found = fn(Node(eq), m, correct, None)
     except EngineError as exc:
         return type(exc), str(exc)
     return sorted((str(end), [node.line for node in path]) for end, path in found)
@@ -334,7 +342,7 @@ def test_scoring_solves_only_paths_that_fire_the_rule(monkeypatch):
     # an upper bound on the solve steps and walk states one score of a small
     # fixed batch makes: per type, a correct answer, the rule's answer and
     # another rule's; grading never builds a solution tree
-    from malgebra import misconceptions, solution_space
+    from malgebra import solution_space
 
     sampler = Corpus(seed=24)
     batches = {m: [] for m in ("M2_S3", "M8", "M13", "M19")}
@@ -465,7 +473,7 @@ def test_score_names_the_transcript_that_stopped_it(monkeypatch):
     with pytest.raises(SchemaError, match=r"^transcript 2: claims T3 for a T5 "):
         score([good, good, _tr("T3", "3x + 4 = 7", "1")], "M19")
 
-    def raising(root, m, correct):
+    def raising(root, m, correct, model):
         raise RuleNotApplicableError(f"no edge out of {root.line}")
 
     monkeypatch.setattr(evaluation, "_mal_outcomes", raising)
@@ -489,6 +497,37 @@ def test_diagnose_spot_fixtures():
 
     one_step = diagnose(_tr("T1", "4x = 12", "12", ["4x = 12", "x = 12"]))
     assert one_step and one_step[0].misconceptions == ("M20_S20",)
+
+    # M19 on T14's second correct path, which no walk takes
+    lines = ["3x + 4 = 5x + 6", "-2x + 4 = 6", "-2x = 2", "x = 0"]
+    assert diagnose(_tr("T14", lines[0], "0", lines)) == [Diagnosis(("M19",), "full", 4, 4)]
+
+
+def test_grade_and_diagnose_agree_on_every_firing_path():
+    # every rule's paths that fire it and end off the correct answer, written
+    # out, on draws of every type: grade matches the rule in steps mode, and
+    # diagnose calls it full, whether or not its walk takes the path
+    sampler, checked, off_walk = Corpus(seed=77), 0, collections.Counter()
+    for t in ORDERED_TYPES:
+        for i in range(3):
+            eq = sampler.sample(t, f"agree:{t.name}:{i}")
+            correct = closed_form_solution(eq)
+            for m in CATALOG:
+                for leaf in enumerate_tree(eq, [m], 1).leaves:
+                    if leaf.misconceptions != (m.id,) or leaf.answer == correct \
+                            or leaf.dead_end == "zero x coefficient":
+                        continue
+                    lines = list(leaf.equations)
+                    answer = lines[-1] if leaf.answer is None else str(leaf.answer)
+                    transcript = _tr(t.name, str(eq), answer, lines)
+                    assert grade(transcript, m, mode="steps") == GRADE_MATCH, (m.id, lines)
+                    full = [d.misconceptions for d in diagnose(transcript) if d.quality == "full"]
+                    assert (m.id,) in full, (m.id, lines)
+                    checked += 1
+                    if _outcome(lambda: walk(Node(eq), (m,)).equation_lines()) != lines:
+                        off_walk[t.name] += 1
+    assert checked > 300 and set(off_walk) == {"T9", "T12", "T14", "T15", "T16"}, off_walk
+    assert sum(off_walk.values()) > 50, off_walk
 
 
 def test_diagnose_requires_steps():
@@ -542,8 +581,6 @@ def test_rule_attempts_per_diagnosed_transcript(monkeypatch):
     # walks from one root share every rule attempt they have in common and
     # pruning skips candidates that cannot match: an upper bound on the
     # try_apply calls diagnose makes over a small fixed batch
-    from malgebra import misconceptions
-
     calls, original = [], misconceptions.try_apply
     monkeypatch.setattr(misconceptions, "try_apply",
                         lambda m, node: calls.append(m) or original(m, node))
@@ -551,6 +588,17 @@ def test_rule_attempts_per_diagnosed_transcript(monkeypatch):
     for transcript in batch:
         diagnose(transcript)
     assert len(batch) == 34 and len(calls) <= 447  # 13.1 per transcript
+
+
+def test_node_expansions_per_diagnosed_transcript(monkeypatch):
+    # the walks and the steps-guided path searches over the same batch ask
+    # their nodes for at most this many children, a kept child included
+    calls, original = [], Node.child
+    batch = _wrong_batch()
+    monkeypatch.setattr(Node, "child", lambda node, edge: calls.append(edge) or original(node, edge))
+    for transcript in batch:
+        diagnose(transcript)
+    assert len(batch) == 34 and len(calls) <= 1773  # 52.1 per transcript
 
 
 def test_diagnose_searches_correct_paths_only_for_steps_on_the_solved_line(monkeypatch):
@@ -573,8 +621,6 @@ def test_states_read_per_diagnosed_transcript(monkeypatch):
     # each candidate's walk is read in one pass, never walked again for its
     # trace: an upper bound on the states diagnose reads over the same batch,
     # by its reader and by ``walk``
-    from malgebra import misconceptions
-
     read, original = [], misconceptions.steps
     counted = lambda root, ms: (read.append(node) or node for node in original(root, ms))
     batch = _wrong_batch()
@@ -589,8 +635,6 @@ def test_a_batch_expands_a_repeated_equation_once(monkeypatch):
     # transcripts on one equation share its root and each step text's parse,
     # so a batch given twice over makes no rule attempt and no parse more
     # than the batch once, and fewer than one diagnose call per transcript
-    from malgebra import misconceptions
-
     attempts, parses = [], []
     try_apply, parse = misconceptions.try_apply, evaluation.parse_equation
     monkeypatch.setattr(misconceptions, "try_apply",
@@ -630,10 +674,13 @@ _parse = functools.lru_cache(maxsize=None)(parse_equation)
 
 
 def _exhaustive_diagnose(transcript, walks, max_candidates=5):
-    """``diagnose`` as one full ``reduce_with_misconceptions`` walk per
-    candidate set: every relevant single, then every ordered pair.  ``walks``
-    keeps each walk's lines by (equation, rule ids) across calls, and each
-    parse is kept by its text."""
+    """``diagnose`` from whole trees and whole walks.  The full sets are
+    read off every leaf of the unguided solution tree of the relevant rules,
+    at most one per path and then at most two; the ranking takes one full
+    ``reduce_with_misconceptions`` walk per candidate set: every relevant
+    single, then every ordered pair.  ``walks`` keeps each walk's lines and
+    each tree's leaves by equation across calls, and each parse is kept by
+    its text."""
     if not transcript.model_steps:
         raise SchemaError("diagnosis needs model_steps")
     eq = parse_equation(transcript.equation)
@@ -651,7 +698,7 @@ def _exhaustive_diagnose(transcript, walks, max_candidates=5):
         return n
 
     def writes(lines):
-        # steps write a walk, correct or not, as its lines or as those less a
+        # steps write a path, correct or not, as its lines or as those less a
         # last line that repeats the line before it
         replays = [lines]
         if len(lines) > 1 and lines[-1] == lines[-2]:
@@ -665,6 +712,25 @@ def _exhaustive_diagnose(transcript, walks, max_candidates=5):
         m for m in CATALOG
         if m.at_solve or (m.applicable_types & reachable(classify(eq)))
     ]
+
+    def leaves(cap):
+        key = (transcript.equation, "tree", cap)
+        if key not in walks:
+            walks[key] = [(leaf.misconceptions, list(leaf.equations))
+                          for leaf in enumerate_tree(eq, relevant, cap).leaves
+                          if leaf.dead_end != "zero x coefficient"]
+        return walks[key]
+
+    # a path of more states than the longest walk explains nothing
+    longest = misconceptions._MAX_TRACE_STEPS + 1
+    for cap in (1, 2):
+        full = {}
+        for ids, lines in leaves(cap):
+            if len(ids) == cap and len(lines) <= longest and writes(lines):
+                full.setdefault(ids, Diagnosis(ids, "full", len(model), len(lines)))
+        if full:
+            order = [m.id for m in CATALOG]
+            return [full[ids] for ids in sorted(full, key=lambda ids: [order.index(i) for i in ids])]
 
     def trace_for(ms):
         key = (transcript.equation, tuple(m.id for m in ms))
@@ -682,21 +748,14 @@ def _exhaustive_diagnose(transcript, walks, max_candidates=5):
         if lines is None:
             return None
         k = prefix_len(lines)
-        quality = "full" if writes(lines) else f"prefix {k}/{len(lines)}"
-        return Diagnosis(tuple(m.id for m in ms), quality, k, len(lines))
+        return Diagnosis(tuple(m.id for m in ms), f"prefix {k}/{len(lines)}", k, len(lines))
 
     singles = [d for m in relevant if (d := evaluate((m,))) is not None]
-    full_singles = [d for d in singles if d.quality == "full"]
-    if full_singles:
-        return full_singles
     pairs = [
         d for m1 in relevant for m2 in relevant
         if m1.id != m2.id and (d := evaluate((m1, m2))) is not None
     ]
     ranked = sorted(singles + pairs, key=lambda d: (-d.matched, len(d.misconceptions)))
-    full = [d for d in ranked if d.quality == "full"]
-    if full:
-        return full
     return [d for d in ranked if d.matched > 0][:max_candidates]
 
 
@@ -704,7 +763,8 @@ def _diagnose_corpus():
     """Transcripts over about 170 equations, each equation written several
     ways (so the reference's walks are shared between them), and last each
     root of a type with two correct paths written along the one its walk
-    does not take, as it is and with a wrong last line."""
+    does not take, as it is and with a wrong last line, and each root
+    written along firing paths that no walk takes."""
     sampler = Corpus(seed=4365)
     rng = sampler.rng_for("diagnose-corpus")
     rows = []
@@ -734,13 +794,25 @@ def _diagnose_corpus():
             add(t, eq, lines[:-1] + [f"x = {closed_form_solution(eq) + Fraction(1, 997)}"])
             add(t, eq, [lines[0], "x = = 1"] + lines[1:])  # a garbage step
     for t, eq in dict.fromkeys((T[row.problem_type], row.equation) for row in rows):
+        eq = parse_equation(eq)
         if t in _TWO_PATH_TYPES:
-            eq = parse_equation(eq)
             walked = reduce(eq).equation_lines()
             for lines in _correct_paths(eq):
                 if lines != walked:
                     add(t, eq, lines)
                     add(t, eq, lines[:-1] + [f"x = {closed_form_solution(eq) + Fraction(1, 997)}"])
+        # each path that fires one rule, and every fourth that fires two, but
+        # that the walk of its rules does not take, written out
+        relevant = [m for m in CATALOG if m.applicable_types & reachable(t)]
+        pairs = 0
+        for leaf in enumerate_tree(eq, relevant, 2).leaves:
+            lines, ids = list(leaf.equations), leaf.misconceptions
+            if not ids or leaf.dead_end == "zero x coefficient" \
+                    or _outcome(lambda: reduce_with_misconceptions(eq, ids).equation_lines()) == lines:
+                continue
+            pairs += len(ids) - 1
+            if len(ids) == 1 or pairs % 4 == 0:
+                add(t, eq, lines)
     return rows
 
 
@@ -788,7 +860,8 @@ def test_a_batch_diagnoses_as_each_transcript_alone(monkeypatch):
 
 def test_read_gives_the_diagnosis_of_the_walk():
     # on every single and pair with a trace, one read of the walk gives the
-    # diagnosis built from the whole trace and its last state; asked for
+    # prefix diagnosis built from the whole trace (never full: the path
+    # search decides that) and its last state; asked for
     # more agreeing lines than there are, it stops and gives neither
     checked = 0
     for transcript in _diagnose_corpus():
@@ -810,14 +883,9 @@ def test_read_gives_the_diagnosis_of_the_walk():
             k = 0
             while k < min(len(model), len(lines)) and model[k] == lines[k]:
                 k += 1
-            # full: the steps are the lines, or those less a repeated last line
-            repeats = lines[-1] == lines[-2]
-            full = model == lines or repeats and model == lines[:-1]
-            quality = "full" if full else f"prefix {k}/{len(lines)}"
-            want = Diagnosis(ids, quality, k, len(lines))
+            want = Diagnosis(ids, f"prefix {k}/{len(lines)}", k, len(lines))
             assert _read(root, ms, model, 0) == (want, trace.steps[-1])
-            if k < len(model):
-                assert _read(root, ms, model, k + 1) == (None, None)
+            assert _read(root, ms, model, k + 1) == (None, None)
             assert tuple(steps(root, ms)) == trace.steps[1:]
             checked += 1
     assert checked > 10000, checked

@@ -6,11 +6,11 @@ in ``evaluation`` takes each diagnose candidate's walk: it alone calls
 ``steps``, and ``walk`` runs there only with no rules.  A node keeps no
 engine error, so ``misconceptions`` copies none, and one draw loop,
 ``sample_instance``, serves every sampler.  Each replay rule has one copy:
-in ``evaluation`` only ``_writes`` compares written steps with a whole
-engine path (``_read`` counts how many leading lines agree), correct steps
-are read against every correct path of the one path search
-(``_writes_correct``), whose four parameters hold one policy, and in
-``datasets`` only ``_breaks_rule`` reads which rules a record's trace fired.
+only the path search, ``leaf_paths``, compares written steps with whole
+engine paths, guided by them (``_read`` counts how many leading lines
+agree), for correct steps, for ``grade``'s firing paths and for
+``diagnose``'s full sets alike; and in ``datasets`` only ``_breaks_rule``
+reads which rules a record's trace fired.
 A draw has one path: no ``InstanceSampler`` stands beside ``generate``'s own
 seeding, ``datasets`` folds a draw's signs without ``_joined``, no rewrite
 reads the problem type, and only ``errors`` splits a file into lines.
@@ -125,21 +125,28 @@ def test_one_copy_of_each_replay_rule():
                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name}
 
     evaluation = functions("evaluation.py")
-    assert "_replays_correct" not in evaluation
-    # the written steps, ``model``, are compared whole in one function
+    assert not {"_replays_correct", "_writes"} & set(evaluation)
+    # the written steps are compared with whole engine paths in one place,
+    # the path search they guide; ``_read`` only counts leading lines, and
+    # names no set full
     whole = {name for name, fn in evaluation.items() for n in ast.walk(fn)
              if isinstance(n, ast.Compare) and any(
                  isinstance(x, ast.Name) and x.id == "model" for x in (n.left, *n.comparators))}
-    assert whole == {"_writes"}
-    assert callers(evaluation, "_writes") == {"grade", "_read", "_writes_correct"}
+    assert whole == set()
+    assert "full" not in {n.value for n in ast.walk(evaluation["_read"])
+                          if isinstance(n, ast.Constant)}
+    search = functions("solution_space.py")["leaf_paths"]
+    readers = {fn.name for fn in trees["solution_space.py"].body for n in ast.walk(fn)
+               if isinstance(n, ast.Name) and n.id == "written"}
+    assert readers == {"leaf_paths"}
+    assert callers(evaluation, "leaf_paths") == {"_writes_correct", "_mal_outcomes", "_diagnosis"}
     # correct steps are read against every correct path, in grade and in
     # diagnose, by the one path search; grade takes no walk of its own
     assert callers(evaluation, "_writes_correct") == {"grade", "_diagnosis"}
     assert "walk" not in {n.func.id for n in ast.walk(evaluation["grade"])
                           if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-    search = functions("solution_space.py")["leaf_paths"]
     params = [a.arg for a in ast.walk(search.args) if isinstance(a, ast.arg)]
-    assert params == ["root", "rules", "cap", "fired_to_solve"]
+    assert params == ["root", "rules", "cap", "fired_to_solve", "written"]
 
     datasets = functions("datasets.py")
     readers = {name for name, fn in datasets.items() for n in ast.walk(fn)

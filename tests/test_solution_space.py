@@ -181,7 +181,7 @@ def test_brute_force_equivalence(mid, sampler):
             assert got == brute
             # grading's firing search, against the same oracle
             correct = closed_form_solution(eq)
-            fired = Counter(end for end, _ in _mal_outcomes(Node(eq), m, correct)
+            fired = Counter(end for end, _ in _mal_outcomes(Node(eq), m, correct, None)
                             if isinstance(end, Fraction))
             assert fired == Counter({a: k for (a, ms), k in brute.items()
                                      if ms == (mid,) and a is not None and a != correct})
